@@ -63,7 +63,10 @@ inline T smoke_pick(T full, T reduced) {
 /// layer ("obs_*" keys); every v1 key is unchanged.
 /// v3: the obs registry snapshot gains the engine-internal counters
 /// `sim.queue.*` and `sim.frame_pool.*`; every v2 key is unchanged and
-/// every simulated result is bit-identical to v2.
+/// every simulated result is bit-identical to v2.  (Still at v10, the
+/// timing-wheel counters `sim.queue.cascaded_events` and
+/// `sim.queue.overflow_{inserts,migrated}` left the snapshot with the
+/// wheel itself; no other key changed.)
 /// v4: obs snapshots may carry the recovery-orchestration keys (`ha.*`
 /// histograms/counters, `cdd.timeouts`/`cdd.retries*`/`cdd.late_replies`,
 /// `net.messages_dropped`) -- but only in worlds that configure an

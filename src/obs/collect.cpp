@@ -35,14 +35,12 @@ void collect_cluster(Registry& reg, cluster::Cluster& cluster,
   reg.counter("sim.events_processed").inc(sim.events_processed());
   reg.counter("sim.now_ns").inc(static_cast<std::uint64_t>(sim.now()));
 
-  // Engine-internal counters (additive keys; see DESIGN.md "Engine
-  // internals").  These describe how the engine ran, not what it simulated,
-  // and are still deterministic for a fixed workload + engine version.
+  // Engine counters (additive keys; see DESIGN.md "Engine internals").
+  // Each is fixed by the workload and the delay() fast-path rule; the
+  // queue's inner shape (same-instant vs heap pushes) is not exported, so
+  // replacing the queue leaves every key unchanged.
   const sim::Simulation::QueueStats& qs = sim.queue_stats();
   reg.counter("sim.queue.fast_resumes").inc(qs.fast_resumes);
-  reg.counter("sim.queue.cascaded_events").inc(qs.cascaded_events);
-  reg.counter("sim.queue.overflow_inserts").inc(qs.overflow_inserts);
-  reg.counter("sim.queue.overflow_migrated").inc(qs.overflow_migrated);
   reg.counter("sim.queue.heap_callbacks").inc(qs.heap_callbacks);
   reg.counter("sim.queue.peak_pending").inc(qs.peak_pending);
   // Frame-pool statistics are deliberately NOT exported here: they shift

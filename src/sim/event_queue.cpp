@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -14,25 +13,14 @@ Simulation::~Simulation() {
   for (auto h : processes_) {
     if (h) h.destroy();
   }
-  // Undrained events live only in slots whose occupancy bit is set
-  // (drain/cascade clear the bit whenever they empty a slot), so walk the
-  // bitmaps instead of all kLevels * kSlots vectors.
-  for (int l = 0; l < kLevels; ++l) {
-    std::uint64_t m = occupied_[static_cast<std::size_t>(l)];
-    while (m != 0) {
-      const auto idx = static_cast<std::size_t>(std::countr_zero(m));
-      m &= m - 1;
-      release_events(wheel_[static_cast<std::size_t>(l) * kSlots + idx]);
-    }
-  }
-  release_events(overflow_);
+  release_events(fifo_.data() + fifo_head_, fifo_.data() + fifo_.size());
+  release_events(heap_.data(), heap_.data() + heap_.size());
 }
 
-void Simulation::release_events(std::vector<Event>& events) {
-  for (Event& ev : events) {
-    if (ev.kind == Event::Kind::kHeap) delete ev.heap;
+void Simulation::release_events(Event* first, Event* last) {
+  for (; first != last; ++first) {
+    if (first->kind == Event::Kind::kHeap) delete first->heap;
   }
-  events.clear();
 }
 
 void Simulation::spawn(Task<> task) {
@@ -55,7 +43,7 @@ void Simulation::spawn(Task<> task) {
   push(ev);
 }
 
-void Simulation::dispatch(const Event& ev) {
+void Simulation::dispatch(Event& ev) {
   ++events_processed_;
   ++dispatched_;
   switch (ev.kind) {
@@ -64,11 +52,11 @@ void Simulation::dispatch(const Event& ev) {
       if (h && !h.done()) h.resume();
       break;
     }
-    case Event::Kind::kInline: {
-      Event copy = ev;  // the invoker mutates its capture in place
-      copy.inlined.invoke(copy.inlined.buf);
+    case Event::Kind::kInline:
+      // `ev` is the drain loop's own copy: the invoker may mutate its
+      // capture in place.
+      ev.inlined.invoke(ev.inlined.buf);
       break;
-    }
     case Event::Kind::kHeap: {
       std::unique_ptr<std::function<void()>> fn(ev.heap);
       (*fn)();
@@ -77,126 +65,71 @@ void Simulation::dispatch(const Event& ev) {
   }
 }
 
-// Move every event out of the level's current slot and re-place it; each
-// lands strictly below `level` because it agrees with the clock on digit
-// `level` and everything above.  Append order (and therefore seq order for
-// equal timestamps) is preserved.
-void Simulation::cascade(int level) {
-  const std::size_t cur =
-      (static_cast<std::uint64_t>(now_) >> (kSlotBits * level)) &
-      (kSlots - 1);
-  auto& slot = wheel_[static_cast<std::size_t>(level) * kSlots + cur];
-  occupied_[static_cast<std::size_t>(level)] &=
-      ~(std::uint64_t{1} << cur);
-  cascade_scratch_.clear();
-  cascade_scratch_.swap(slot);
-  queue_stats_.cascaded_events += cascade_scratch_.size();
-  for (const Event& ev : cascade_scratch_) place(ev);
-  // Leave no stale copies behind: the destructor frees kHeap payloads of
-  // every non-drained vector, and these were re-placed, not consumed.
-  cascade_scratch_.clear();
-}
-
-// Pull far-future timers whose prefix window the clock has reached into the
-// wheel.  The heap pops in (at, seq) order, so equal-timestamp events enter
-// their slots in seq order ahead of any later insert.
-void Simulation::migrate_overflow() {
-  const std::uint64_t prefix =
-      static_cast<std::uint64_t>(now_) >> kPrefixShift;
-  while (!overflow_.empty() &&
-         (static_cast<std::uint64_t>(overflow_.front().at) >>
-          kPrefixShift) == prefix) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    const Event ev = overflow_.back();
-    overflow_.pop_back();
-    place(ev);
-    ++queue_stats_.overflow_migrated;
-  }
-}
-
-// Locate the next pending timestamp <= limit, cascading and advancing the
-// clock through empty windows as needed so it ends up in a level-0 slot.
-// The clock only ever moves to window starts that precede the timestamp
-// eventually returned, never past `limit`.
-bool Simulation::next_event(Time limit, Time* out) {
+// Remove and return the minimum (at, seq) event: sift the last entry down
+// from the root with a hole, one move per level.  (at, seq) compares as
+// one 128-bit key (times are never negative), so picking the least of four
+// children compiles to conditional moves rather than branches.
+Simulation::Event Simulation::heap_pop() {
+  const Event top = heap_.front();
+  const Event last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  using Key = unsigned __int128;
+  auto key = [](const Event& e) {
+    return (static_cast<Key>(static_cast<std::uint64_t>(e.at)) << 64) | e.seq;
+  };
+  // Index through a local base pointer: an Event holds pointers, so the
+  // compiler would otherwise reload heap_.data() after every store.
+  Event* const h = heap_.data();
+  const Key last_key = key(last);
+  std::size_t hole = 0;
   for (;;) {
-    if (!overflow_.empty() &&
-        (static_cast<std::uint64_t>(overflow_.front().at) >> kPrefixShift) ==
-            (static_cast<std::uint64_t>(now_) >> kPrefixShift)) {
-      migrate_overflow();
+    const std::size_t first = hole * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    Key best_key = key(h[first]);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      const Key k = key(h[c]);
+      const bool less = k < best_key;
+      best = less ? c : best;
+      best_key = less ? k : best_key;
     }
-    const std::uint64_t unow = static_cast<std::uint64_t>(now_);
-    const std::size_t cur0 = unow & (kSlots - 1);
-    const std::uint64_t m0 = occupied_[0] & (~std::uint64_t{0} << cur0);
-    if (m0 != 0) {
-      const auto idx = static_cast<std::uint64_t>(std::countr_zero(m0));
-      const Time t = static_cast<Time>((unow & ~(kSlots - 1)) | idx);
-      if (t > limit) return false;
-      *out = t;
-      return true;
-    }
-    bool progressed = false;
-    for (int l = 1; l < kLevels; ++l) {
-      const std::size_t cur = (unow >> (kSlotBits * l)) & (kSlots - 1);
-      const std::uint64_t m =
-          occupied_[static_cast<std::size_t>(l)] &
-          (~std::uint64_t{0} << cur);
-      if (m == 0) continue;
-      const auto j = static_cast<std::size_t>(std::countr_zero(m));
-      if (j != cur) {
-        // Every level below is empty and so is this level before slot j:
-        // nothing can fire before j's window opens.  Enter the window
-        // (a pure clock advance, no event is skipped) and cascade it.
-        const int shift = kSlotBits * (l + 1);
-        std::uint64_t w = shift >= 64 ? 0 : (unow >> shift) << shift;
-        w |= static_cast<std::uint64_t>(j) << (kSlotBits * l);
-        if (static_cast<Time>(w) > limit) return false;
-        now_ = static_cast<Time>(w);
-      }
-      cascade(l);
-      progressed = true;
+    if (!(best_key < last_key)) break;
+    h[hole] = h[best];
+    hole = best;
+  }
+  h[hole] = last;
+  return top;
+}
+
+// Dispatch every event stamped exactly `t`: first the heap's entries at t
+// (queued before the clock reached t, so lower seqs), then the FIFO, which
+// same-instant wakeups extend while it drains.  An event is removed before
+// it fires, so an exception leaves exactly the undispatched rest queued.
+// A dispatch can fast-forward the clock (delay() on an empty queue); events
+// it then queues belong to the new instant, so the loop stops there.
+void Simulation::drain_instant(Time t) {
+  now_ = t;
+  for (;;) {
+    Event ev;
+    if (!heap_.empty() && heap_.front().at == t) {
+      ev = heap_pop();
+    } else if (fifo_head_ < fifo_.size() && now_ == t) {
+      ev = fifo_[fifo_head_++];
+    } else {
       break;
     }
-    if (progressed) continue;
-    if (overflow_.empty()) return false;
-    const std::uint64_t w =
-        (static_cast<std::uint64_t>(overflow_.front().at) >> kPrefixShift)
-        << kPrefixShift;
-    if (static_cast<Time>(w) > limit) return false;
-    if (static_cast<Time>(w) > now_) now_ = static_cast<Time>(w);
-    migrate_overflow();
+    --size_;
+    if (!ev.daemon) --foreground_;
+    dispatch(ev);
+    if (!finished_.empty()) drain_finished();
+    if (pending_exception_) break;
   }
-}
-
-// Dispatch every event stamped exactly `t` from its level-0 slot.  Events
-// appended mid-drain at the same timestamp (delay-0 wakeups) extend the
-// vector and fire in the same pass; an event stamped later -- possible only
-// after an empty-queue fast-forward -- stays for a later drain.
-void Simulation::drain_slot(Time t) {
-  now_ = t;
-  const std::size_t idx = static_cast<std::uint64_t>(t) & (kSlots - 1);
-  auto& slot = wheel_[idx];
-  std::size_t i = 0;
-  try {
-    while (i < slot.size() && slot[i].at == t) {
-      const Event ev = slot[i];  // user code may grow the vector
-      ++i;
-      --size_;
-      if (!ev.daemon) --foreground_;
-      dispatch(ev);
-      if (!finished_.empty()) drain_finished();
-      if (pending_exception_) break;
-    }
-  } catch (...) {
-    slot.erase(slot.begin(), slot.begin() + static_cast<std::ptrdiff_t>(i));
-    if (slot.empty()) occupied_[0] &= ~(std::uint64_t{1} << idx);
-    throw;
-  }
-  if (i == slot.size()) {
-    slot.clear();
-    occupied_[0] &= ~(std::uint64_t{1} << idx);
-  } else {
-    slot.erase(slot.begin(), slot.begin() + static_cast<std::ptrdiff_t>(i));
+  if (fifo_head_ == fifo_.size()) {
+    fifo_.clear();
+    fifo_head_ = 0;
   }
 }
 
@@ -225,31 +158,17 @@ void Simulation::run() {
     bool* flag;
     ~DrainGuard() { *flag = false; }
   } guard{&unbounded_drain_};
-  Time t;
   // Stop once only daemon events remain: they stay parked for a later
   // run() (or die with the queue), so watchdog loops never hold a finished
   // workload open.
-  while (foreground_ > 0 &&
-         next_event(std::numeric_limits<Time>::max(), &t)) {
-    drain_slot(t);
+  while (foreground_ > 0) {
+    drain_instant(next_event_time());
     if (pending_exception_) break;
   }
-  drain_finished();
-  if (pending_exception_) {
-    auto ex = pending_exception_;
-    pending_exception_ = nullptr;
-    std::rethrow_exception(ex);
-  }
-}
-
-Time Simulation::next_event_time(Time limit) {
-  Time t;
-  if (next_event(limit, &t)) return t;
-  return kNoEvent;
+  rethrow_pending();
 }
 
 void Simulation::run_window(Time end) {
-  Time t;
   // The same liveness test run() makes, per shard: daemons fire only while
   // this shard's own foreground work remains.  Widening the test to the
   // whole group was tried and reverted -- each group's watchdog daemons
@@ -258,38 +177,35 @@ void Simulation::run_window(Time end) {
   // overlap.  A foreground-idle shard parks instead, exactly like a plain
   // idle Simulation between run() calls, until a cross-shard delivery
   // (always a foreground event) wakes it.
-  while (foreground_ > 0 && next_event(end - 1, &t)) {
-    drain_slot(t);
+  while (foreground_ > 0) {
+    const Time t = next_event_time();
+    if (t >= end) break;
+    drain_instant(t);
     if (pending_exception_) break;
   }
-  drain_finished();
-  if (pending_exception_) {
-    auto ex = pending_exception_;
-    pending_exception_ = nullptr;
-    std::rethrow_exception(ex);
-  }
+  rethrow_pending();
 }
 
 bool Simulation::run_until(Time deadline) {
-  Time t;
-  while (next_event(deadline, &t)) {
-    drain_slot(t);
+  while (size_ > 0) {
+    const Time t = next_event_time();
+    if (t > deadline) break;
+    drain_instant(t);
     if (pending_exception_) break;
   }
+  rethrow_pending();
+  if (size_ == 0) return true;
+  if (deadline > now_) now_ = deadline;
+  return false;
+}
+
+void Simulation::rethrow_pending() {
   drain_finished();
   if (pending_exception_) {
     auto ex = pending_exception_;
     pending_exception_ = nullptr;
     std::rethrow_exception(ex);
   }
-  if (size_ == 0) return true;
-  if (deadline > now_) {
-    now_ = deadline;
-    // The jump may have entered the overflow's prefix window; merge those
-    // timers now so later same-timestamp inserts keep seq order.
-    if (!overflow_.empty()) migrate_overflow();
-  }
-  return false;
 }
 
 }  // namespace raidx::sim

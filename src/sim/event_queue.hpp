@@ -14,27 +14,26 @@
 //    captures fall back to one heap allocation.  Steady-state scheduling
 //    and dispatch of a resume allocates nothing.
 //
-//  * Ordering uses a hierarchical timing wheel: kLevels levels of 64 slots,
-//    level l spanning 64^(l+1) ns, with per-level occupancy bitmaps.
-//    Insert and extract are O(1) amortized; an event cascades at most
-//    kLevels-1 times on its way down.  Timers beyond the 2^48 ns (~3.2 day)
-//    horizon wait in a binary min-heap keyed on (at, seq) and migrate into
-//    the wheel when the clock's prefix window reaches them.
+//  * Ordering uses two structures and nothing moves between them.  An
+//    event stamped at the current instant (a resource grant, a barrier
+//    release, a channel hand-off) is appended to a same-instant FIFO with
+//    no comparison at all; every other event goes to a 4-ary min-heap on
+//    (at, seq), which holds only the events still pending -- a few dozen to
+//    a few thousand on the cluster workloads.  There is no time horizon and
+//    no cascading, so next_event_time() is a pure peek.
 //
 //  * When the queue is empty and run() is draining, delay() resumes the
 //    calling coroutine by symmetric transfer instead of a queue round trip
 //    -- the lone-process case degenerates to a bare clock advance.
 //
-// Slot invariants that make the wheel order-exact rather than approximate:
-// every level-0 slot holds events of a single exact timestamp within the
-// clock's current 64 ns window, and every level-l slot holds events that
-// agree with the clock on all base-64 digits above l.  Cascading preserves
-// append order, so equal-timestamp events always drain in seq order.
+// Why the pair is order-exact: the FIFO only ever holds events stamped
+// now(), appended in seq order, and the clock never moves while it is
+// non-empty.  An event stamped now() that sits in the heap was pushed
+// before the clock reached now(), so its seq is below every FIFO entry's.
+// Each instant therefore drains the heap's entries at now() first, then
+// the FIFO -- exact (at, seq) order.
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -157,17 +156,14 @@ class Simulation {
   /// Sentinel returned by next_event_time() when nothing is queued.
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
 
-  /// Earliest pending timestamp <= `limit` (daemon events included), or
-  /// kNoEvent when nothing is queued below it.  Probing is not free of
-  /// side effects: locating the next event cascades the timing wheel,
-  /// advancing the clock through event-free regions -- the same clock
-  /// motion run() makes on its way to an event -- up to `limit`, never
-  /// past the timestamp eventually reported, and never dispatching.  The
-  /// shard synchronizer (sim/shard.hpp) polls this with a bounded limit
-  /// to compute the global safe window; an unbounded probe would fling an
-  /// idle shard's clock past the window in which a peer is about to post
-  /// it a message.
-  Time next_event_time(Time limit = kNoEvent);
+  /// Earliest pending timestamp (daemon events included), or kNoEvent when
+  /// nothing is queued.  A pure peek: the clock and the queue are left
+  /// exactly as they were, so the shard synchronizer (sim/shard.hpp) can
+  /// ask every shard once per window for the global minimum.
+  Time next_event_time() const {
+    if (fifo_head_ < fifo_.size()) return now_;
+    return heap_.empty() ? kNoEvent : heap_.front().at;
+  }
 
   /// Dispatch every event with timestamp strictly below `end`, in exact
   /// (at, seq) order.  Daemon events keep run()'s liveness contract: they
@@ -195,20 +191,23 @@ class Simulation {
   /// Events currently scheduled and not yet dispatched.
   std::size_t pending_events() const { return size_; }
 
-  /// Engine-internal counters, exported as `sim.queue.*` by obs.
+  /// Engine-internal counters.  obs exports the workload-determined ones
+  /// (fast_resumes, heap_callbacks, peak_pending) as `sim.queue.*`.
   struct QueueStats {
     std::uint64_t fast_resumes = 0;     // delay() symmetric-transfer hops
-    std::uint64_t cascaded_events = 0;  // wheel level demotions
-    std::uint64_t overflow_inserts = 0; // events beyond the wheel horizon
-    std::uint64_t overflow_migrated = 0;
+    std::uint64_t same_instant = 0;     // pushes into the same-instant FIFO
+    std::uint64_t heap_pushes = 0;      // pushes into the (at, seq) heap
+    std::uint64_t cascaded_events = 0;  // always 0: nothing cascades
     std::uint64_t heap_callbacks = 0;   // schedule() SBO misses
     std::uint64_t peak_pending = 0;     // high-water mark of the queue
   };
   QueueStats queue_stats() const {
-    // fast_resumes is derived rather than counted so the symmetric-transfer
-    // hot path touches one counter, not two.
+    // fast_resumes and heap_pushes are derived rather than counted so the
+    // symmetric-transfer and heap paths touch no extra counter: every
+    // queued event takes one seq, and every dispatch is a queue round trip.
     QueueStats s = queue_stats_;
     s.fast_resumes = events_processed_ - dispatched_;
+    s.heap_pushes = next_seq_ - s.same_instant;
     return s;
   }
 
@@ -255,53 +254,41 @@ class Simulation {
       std::function<void()>* heap;
     };
   };
-  struct OverflowLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  static constexpr int kSlotBits = 6;
-  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-  static constexpr int kLevels = 8;
-  static constexpr int kPrefixShift = kSlotBits * kLevels;  // 48
+  static constexpr std::size_t kArity = 4;
   static constexpr std::uint64_t kReapMask = 0x3ff;
+  /// First-push capacity of the FIFO and the heap: room for the queue
+  /// depths most cluster workloads reach, so a fresh Simulation skips the
+  /// 1, 2, 4, ... growth chain.
+  static constexpr std::size_t kInitialCapacity = 64;
 
-  /// Route an event into the wheel or the far-future overflow heap.
+  /// Route an event to the same-instant FIFO or the heap.
   void push(const Event& ev) {
     ++size_;
     if (!ev.daemon) ++foreground_;
     if (size_ > queue_stats_.peak_pending) queue_stats_.peak_pending = size_;
-    if ((static_cast<std::uint64_t>(ev.at) >> kPrefixShift) !=
-        (static_cast<std::uint64_t>(now_) >> kPrefixShift)) {
-      overflow_.push_back(ev);
-      std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      ++queue_stats_.overflow_inserts;
+    if (ev.at == now_) {
+      if (fifo_.capacity() == 0) [[unlikely]] fifo_.reserve(kInitialCapacity);
+      fifo_.push_back(ev);
+      ++queue_stats_.same_instant;
       return;
     }
-    place(ev);
+    heap_push(ev);
   }
 
-  /// Wheel insert proper: level = highest base-64 digit where `at` differs
-  /// from the clock (0 when equal), slot = that digit of `at`.
-  void place(const Event& ev) {
-    const std::uint64_t x = static_cast<std::uint64_t>(ev.at) ^
-                            static_cast<std::uint64_t>(now_);
-    const int l =
-        x == 0 ? 0 : (63 - std::countl_zero(x)) / kSlotBits;
-    const std::size_t idx =
-        (static_cast<std::uint64_t>(ev.at) >> (kSlotBits * l)) &
-        (kSlots - 1);
-    auto& slot = wheel_[static_cast<std::size_t>(l) * kSlots + idx];
-    // Slots keep their capacity across drains, so steady state never
-    // allocates; seed fresh slots with room for 16 events to skip the
-    // 1->2->4->8 growth chain a cold simulation would otherwise pay.
-    if (slot.size() == slot.capacity()) [[unlikely]] {
-      slot.reserve(slot.empty() ? 16 : slot.size() * 2);
+  /// Sift-up with a hole.  `ev` carries the largest seq yet issued, so it
+  /// precedes a parent only on a strictly earlier `at`.
+  void heap_push(const Event& ev) {
+    if (heap_.capacity() == 0) [[unlikely]] heap_.reserve(kInitialCapacity);
+    std::size_t hole = heap_.size();
+    heap_.push_back(ev);
+    Event* const h = heap_.data();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!(ev.at < h[parent].at)) break;
+      h[hole] = h[parent];
+      hole = parent;
     }
-    slot.push_back(ev);
-    occupied_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << idx;
+    h[hole] = ev;
   }
 
   /// delay() suspension: symmetric-transfer fast path when nothing else is
@@ -324,17 +311,17 @@ class Simulation {
     return std::noop_coroutine();
   }
 
-  bool next_event(Time limit, Time* out);
-  void cascade(int level);
-  void migrate_overflow();
-  void drain_slot(Time t);
-  void dispatch(const Event& ev);
+  Event heap_pop();
+  void drain_instant(Time t);
+  void dispatch(Event& ev);
   // O(1) process retirement: finished top-level frames report in via the
   // promise's on_final hook; their frames are destroyed on the next pass
   // through the drain loop (never from inside their own resume).
   void note_finished(detail::PromiseBase* p);
   void drain_finished();
-  static void release_events(std::vector<Event>& events);
+  // Reap finished frames, then rethrow the first top-level exception.
+  void rethrow_pending();
+  static void release_events(Event* first, Event* last);
 
   Time now_ = 0;
   obs::Hub* hub_ = nullptr;
@@ -345,10 +332,10 @@ class Simulation {
   std::size_t foreground_ = 0;  // size_ minus parked daemon events
   bool unbounded_drain_ = false;
   QueueStats queue_stats_;
-  std::array<std::vector<Event>, kSlots * kLevels> wheel_;
-  std::array<std::uint64_t, kLevels> occupied_{};
-  std::vector<Event> overflow_;
-  std::vector<Event> cascade_scratch_;
+  // Events stamped now_, in seq order; [0, fifo_head_) already fired.
+  std::vector<Event> fifo_;
+  std::size_t fifo_head_ = 0;
+  std::vector<Event> heap_;  // 4-ary min-heap on (at, seq)
   std::vector<Task<>::Handle> processes_;
   std::vector<std::coroutine_handle<>> finished_;
   std::exception_ptr pending_exception_;

@@ -62,9 +62,9 @@ void ShardGroup::deliver_pending() {
               });
     Simulation& s = sim(dst);
     for (Msg& m : merge_scratch_) {
-      // The bounded census keeps destination clocks below every future
-      // window end, so a message normally lands in the destination's
-      // future.  The one exception is a shard whose parked daemon events
+      // A shard's clock moves only by dispatching inside a window, so it
+      // stays below the last window end and a message normally lands in
+      // the destination's future.  The one exception is a shard whose parked daemon events
       // resurface below an already-passed window end (possible only after
       // the group went foreground-idle in that region); its peers' clocks
       // are legitimately ahead, and the region between a stamp and the
@@ -155,28 +155,16 @@ void ShardGroup::run_windowed(int threads) {
     for (auto& s : sims_) fg_total += s->foreground_pending();
     if (fg_total == 0) break;  // only parked daemons remain, everywhere
 
-    // Bounded search for the global minimum.  Probing a shard for its
-    // next event advances its clock through event-free regions (timing-
-    // wheel cascades), so one unbounded probe of an idle shard could
-    // fling its clock past the window in which a busy peer is about to
-    // post it a message.  Probe in lookahead-sized steps instead: a probe
-    // at limit L that finds nothing proves every event -- and therefore
-    // the eventual window end global_min + lookahead -- lies above
-    // L + 1, so no clock ever advances past a future window end.
-    //
-    // Foreground-idle shards are excluded outright: their parked daemon
-    // timers cannot fire (run_window keeps daemons live only while the
-    // shard's own foreground remains), so counting them would pin
-    // global_min to a timestamp no drain will ever consume -- a zero-
-    // progress window loop.  Skipping them also leaves their clocks
-    // untouched until a cross-shard delivery wakes them.
+    // Global minimum over the shards with foreground work, one peek each
+    // (a peek never moves a clock).  Foreground-idle shards are excluded
+    // outright: their parked daemon timers cannot fire (run_window keeps
+    // daemons live only while the shard's own foreground remains), so
+    // counting them would pin global_min to a timestamp no drain will ever
+    // consume -- a zero-progress window loop.
     Time global_min = Simulation::kNoEvent;
-    for (Time probe = prev_end + lookahead_;
-         global_min == Simulation::kNoEvent; probe += lookahead_) {
-      for (auto& s : sims_) {
-        if (s->foreground_pending() == 0) continue;
-        global_min = std::min(global_min, s->next_event_time(probe - 1));
-      }
+    for (auto& s : sims_) {
+      if (s->foreground_pending() == 0) continue;
+      global_min = std::min(global_min, s->next_event_time());
     }
     // Monotone window ends: a just-woken shard's parked daemon events can
     // sit below an already-passed end; clamping keeps every clock

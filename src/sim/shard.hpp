@@ -1,16 +1,13 @@
 // Conservative time-window synchronizer over per-shard Simulations.
 //
-// A ShardGroup owns S independent Simulations -- each with its own timing
-// wheel, run queue, coroutine frame pool, and (by caller convention) RNG
-// streams -- and advances them in lockstep windows on a worker pool:
+// A ShardGroup owns S independent Simulations -- each with its own event
+// queue, coroutine frame pool, and (by caller convention) RNG streams --
+// and advances them in lockstep windows on a worker pool:
 //
 //   1. global_min = min over shards *with foreground work* of the earliest
-//      pending timestamp, found by probing in lookahead-sized steps
-//      (probing a timing wheel advances its clock through event-free
-//      regions, so an unbounded probe of an idle shard would fling its
-//      clock past a window a busy peer is about to post into; a bounded
-//      probe failing at limit L proves the eventual window end exceeds L,
-//      so clocks stay safe)
+//      pending timestamp, one next_event_time() peek per shard (a peek
+//      never moves a clock, so a shard's clock stays at the last event it
+//      dispatched)
 //   2. window_end = max(global_min + lookahead, previous window_end)
 //      (monotone: a just-woken shard's parked daemons may sit below a
 //      passed end; the clamp lets that backlog drain in order)

@@ -1,9 +1,11 @@
 #include "workload/parallel_io.hpp"
 
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "block/payload.hpp"
+#include "cluster/cluster.hpp"
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
 #include "sim/sync.hpp"
@@ -18,7 +20,18 @@ struct Shared {
   sim::Barrier barrier;
   std::vector<ClientResult>& results;
   sim::LatencyRecorder& latency;
+  /// One op-sized buffer every client reads into, or empty when each
+  /// client needs a buffer of its own (see run_parallel_io).
+  std::span<std::byte> read_sink;
 };
+
+// True when some device keeps the bytes written to it.
+bool stores_data(const cluster::Cluster& cluster) {
+  for (int d = 0; d < cluster.total_disks(); ++d) {
+    if (cluster.disk(d).store_data()) return true;
+  }
+  return false;
+}
 
 sim::Task<> client_task(Shared& sh, int client_idx, std::uint64_t region_lba,
                         std::uint64_t region_blocks, sim::Rng rng) {
@@ -36,10 +49,14 @@ sim::Task<> client_task(Shared& sh, int client_idx, std::uint64_t region_lba,
       static_cast<std::uint32_t>(sh.config.bytes_per_op / bs);
   assert(blocks_per_op > 0);
   const std::size_t op_bytes = static_cast<std::size_t>(blocks_per_op) * bs;
-  // Reads land in a real buffer; writes carry a zero-run payload -- the
-  // simulated timing depends only on sizes, and skipping the per-client
-  // gigabytes of host memory is what keeps the large sweeps fast.
-  std::vector<std::byte> buffer(sh.config.op == IoOp::kRead ? op_bytes : 0);
+  // Reads land in the shared sink when there is one, else in this
+  // client's own buffer; writes carry a zero-run payload.  The simulated
+  // timing depends only on sizes, and skipping the per-client gigabytes of
+  // host memory is what keeps the large sweeps fast.
+  std::vector<std::byte> own(
+      sh.config.op == IoOp::kRead && sh.read_sink.empty() ? op_bytes : 0);
+  const std::span<std::byte> buffer =
+      sh.read_sink.empty() ? std::span<std::byte>(own) : sh.read_sink;
   const block::Payload wpayload = block::Payload::zeros(op_bytes);
 
   // Draw the whole access sequence up front (pure RNG, no simulated time)
@@ -123,8 +140,20 @@ ParallelIoResult run_parallel_io(raid::ArrayController& engine,
   ParallelIoResult result;
   result.clients.resize(static_cast<std::size_t>(config.clients));
 
+  // In a world where no device stores data and no cache is attached, every
+  // read returns zeros and nothing reads a client's buffer back, so the
+  // clients share one sink instead of each zero-filling and page-faulting
+  // its own.  Otherwise each client keeps a private buffer: a cache copies
+  // cached bytes into the caller's buffer on a hit and fills itself from
+  // that buffer on a miss, so a shared sink would mix clients' blocks.
+  std::vector<std::byte> sink(
+      config.op == IoOp::kRead && engine.cache() == nullptr &&
+              !stores_data(engine.fabric().cluster())
+          ? config.bytes_per_op
+          : 0);
+
   Shared sh{engine, config, sim::Barrier(sim, config.clients),
-            result.clients, result.op_latency};
+            result.clients, result.op_latency, sink};
   sim::Rng root(config.seed);
   for (int c = 0; c < config.clients; ++c) {
     sim.spawn(client_task(sh, c,

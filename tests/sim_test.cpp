@@ -8,6 +8,7 @@
 #include <limits>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 // Counting allocator: every global operator-new in this binary bumps a
@@ -506,9 +507,8 @@ Task<> collide_driver(Simulation& sim, Time d, std::vector<int>* order) {
 }
 
 TEST(Simulation, CollidingCallbacksAndResumesFireInEnqueueOrder) {
-  // Equal-timestamp ordering must hold at every wheel distance: same
-  // level-0 slot, the first two cascade boundaries, a mid-wheel level, and
-  // past the 2^48 ns horizon where events detour through the overflow heap.
+  // Equal-timestamp ordering must hold at every distance, from a few ns to
+  // past 2^48 ns (a queue with a time horizon would treat those apart).
   const Time deltas[] = {1, 64, 4096, Time{1} << 30,
                          (Time{1} << 48) + 12345};
   for (Time d : deltas) {
@@ -523,9 +523,10 @@ TEST(Simulation, CollidingCallbacksAndResumesFireInEnqueueOrder) {
 
 // Randomized scheduler stress: a self-expanding cascade of callbacks whose
 // delays are drawn (deterministically per event id) from a mix that hits
-// same-instant appends, wheel-cascade boundaries, every wheel level, and the
-// far-future overflow horizon.  The exact firing sequence is checked against
-// a naive sorted-vector oracle that pops the minimum (at, seq) pair.
+// same-instant appends (the FIFO), heavy timestamp collisions in the heap,
+// power-of-two boundaries, short and long delays, and the far future.  The
+// exact firing sequence is checked against a naive sorted-vector oracle
+// that pops the minimum (at, seq) pair.
 Time stress_delay(int id) {
   std::mt19937_64 r(0x9E3779B97F4A7C15ull ^
                     (static_cast<std::uint64_t>(id) * 0xBF58476D1CE4E5B9ull));
@@ -535,23 +536,31 @@ Time stress_delay(int id) {
   switch (r() % 5) {
     case 0:  // heavy collisions, including zero-delay same-instant appends
       return static_cast<Time>(r() % 4);
-    case 1: {  // one off either side of a slot-cascade boundary
+    case 1: {  // one off either side of a power-of-64 boundary
       static constexpr std::uint64_t kBoundary[] = {64, 4096, 262144,
                                                     16777216, 1073741824};
       return static_cast<Time>(kBoundary[r() % 5] +
                                static_cast<std::int64_t>(r() % 3) - 1);
     }
-    case 2:  // short delays, lower wheel levels
+    case 2:  // short delays
       return static_cast<Time>(pick(1, 1'000'000));
-    case 3:  // long delays, upper wheel levels
+    case 3:  // long delays
       return static_cast<Time>(pick(1, std::uint64_t{1} << 40));
-    default:  // beyond the 2^48 prefix window: overflow heap + migration
+    default:  // far future, beyond 2^48 ns
       return static_cast<Time>((std::uint64_t{1} << 48) +
                                pick(0, std::uint64_t{1} << 49));
   }
 }
 
-TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
+// Dense mix: every delay is 0-3 ns, so most instants hold several heap
+// events and same-instant appends at once -- the case where the heap's
+// share of an instant must fire before the FIFO's.
+Time dense_delay(int id) {
+  std::mt19937_64 r(0xD1B54A32D192ED03ull ^ static_cast<std::uint64_t>(id));
+  return static_cast<Time>(r() % 4);
+}
+
+void expect_matches_sorted_vector_oracle(Time (*delay)(int)) {
   constexpr int kSeeds = 48;
   constexpr int kTotal = 1500;
 
@@ -559,20 +568,22 @@ TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
   // id budget runs out.
   struct Harness {
     Simulation sim;
+    Time (*delay)(int);
     std::vector<int> fired;
     int next_id = 0;
     void fire(int id) {
       fired.push_back(id);
       for (int c = 0; c < 2 && next_id < kTotal; ++c) {
         const int cid = next_id++;
-        sim.schedule(stress_delay(cid), [this, cid] { fire(cid); });
+        sim.schedule(delay(cid), [this, cid] { fire(cid); });
       }
     }
   };
   Harness h;
+  h.delay = delay;
   for (int i = 0; i < kSeeds; ++i) {
     const int id = h.next_id++;
-    h.sim.schedule(stress_delay(id), [&h, id] { h.fire(id); });
+    h.sim.schedule(delay(id), [&h, id] { h.fire(id); });
   }
   h.sim.run();
 
@@ -590,7 +601,7 @@ TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
   int next_id = 0;
   for (int i = 0; i < kSeeds; ++i) {
     const int id = next_id++;
-    queue.push_back({now + stress_delay(id), next_seq++, id});
+    queue.push_back({now + delay(id), next_seq++, id});
   }
   while (!queue.empty()) {
     std::size_t best = 0;
@@ -606,15 +617,106 @@ TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
     expected.push_back(e.id);
     for (int c = 0; c < 2 && next_id < kTotal; ++c) {
       const int cid = next_id++;
-      queue.push_back({now + stress_delay(cid), next_seq++, cid});
+      queue.push_back({now + delay(cid), next_seq++, cid});
     }
   }
 
   ASSERT_EQ(h.fired.size(), static_cast<std::size_t>(kTotal));
   EXPECT_EQ(h.fired, expected);
-  // The delay mix must actually have exercised the interesting machinery.
-  EXPECT_GT(h.sim.queue_stats().overflow_inserts, 0u);
-  EXPECT_GT(h.sim.queue_stats().cascaded_events, 0u);
+  // The delay mix must have sent traffic through both halves of the queue:
+  // zero-delay appends through the same-instant FIFO, the rest the heap.
+  EXPECT_GT(h.sim.queue_stats().same_instant, 0u);
+  EXPECT_GT(h.sim.queue_stats().heap_pushes, 0u);
+}
+
+TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
+  {
+    SCOPED_TRACE("wide delay mix");
+    expect_matches_sorted_vector_oracle(stress_delay);
+  }
+  {
+    SCOPED_TRACE("dense delay mix");
+    expect_matches_sorted_vector_oracle(dense_delay);
+  }
+}
+
+TEST(Simulation, NextEventTimeIsAPurePeek) {
+  Simulation sim;
+  EXPECT_EQ(sim.next_event_time(), Simulation::kNoEvent);
+  int fired = 0;
+  const Time far = Time{1} << 50;
+  sim.schedule(5000, [&fired] { ++fired; });
+  sim.schedule(far, [&fired] { ++fired; });
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sim.next_event_time(), 5000);
+    EXPECT_EQ(sim.now(), 0);
+    EXPECT_EQ(sim.pending_events(), 2u);
+  }
+  EXPECT_FALSE(sim.run_until(5000));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.next_event_time(), far);
+  EXPECT_EQ(sim.now(), 5000);
+  // A same-instant event is due now, ahead of the heap's far timer.
+  sim.schedule(0, [&fired] { ++fired; });
+  EXPECT_EQ(sim.next_event_time(), 5000);
+  EXPECT_EQ(sim.now(), 5000);
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.now(), far);
+  EXPECT_EQ(sim.next_event_time(), Simulation::kNoEvent);
+}
+
+Task<> fail_now(std::vector<int>* order) {
+  order->push_back(3);
+  throw std::runtime_error("process failed");
+  co_return;
+}
+
+TEST(Simulation, ExceptionMidInstantLeavesTheRestQueuedInSeqOrder) {
+  // A callback throws from the heap's share of an instant: the events at
+  // that instant behind it, in the heap and in the FIFO, stay queued.
+  {
+    Simulation sim;
+    std::vector<int> order;
+    sim.schedule(10, [&] {
+      order.push_back(1);
+      sim.schedule(0, [&order] { order.push_back(4); });
+    });
+    sim.schedule(10, [&order] {
+      order.push_back(2);
+      throw std::runtime_error("callback failed");
+    });
+    sim.schedule(10, [&] {
+      order.push_back(3);
+      sim.schedule(0, [&order] { order.push_back(5); });
+    });
+    sim.schedule(20, [&order] { order.push_back(6); });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(sim.now(), 10);
+    EXPECT_EQ(sim.pending_events(), 3u);
+    EXPECT_EQ(sim.next_event_time(), 10);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  }
+  // A top-level process fails from the FIFO's share: run() stops after
+  // that event and the same-instant event queued behind it fires next run.
+  {
+    Simulation sim;
+    std::vector<int> order;
+    sim.schedule(10, [&] {
+      order.push_back(1);
+      sim.spawn(fail_now(&order));
+      sim.schedule(0, [&order] { order.push_back(4); });
+    });
+    sim.schedule(10, [&order] { order.push_back(2); });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(sim.now(), 10);
+  }
 }
 
 Task<> steady_hopper(Simulation& sim, int hops) {
@@ -648,9 +750,8 @@ TEST(Simulation, SteadyStateSchedulingDoesNotAllocate) {
   sim.spawn(steady_contender(sim, res, 7000));
   sim.spawn(steady_contender(sim, res, 7000));
   sim.schedule(0, Rescheduler{&sim, 14000});
-  // Warm up past a full level-1 rotation (4096 ns) so every wheel slot the
-  // measured window can touch already has capacity, then measure a window
-  // that stays clear of the next level-2 boundary at 3 * 4096 = 12288.
+  // Warm up until the same-instant FIFO and the heap have grown to the
+  // capacity this mix needs (they keep it across drains), then measure.
   ASSERT_FALSE(sim.run_until(9000));
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const auto pool_before = sim.frame_pool_stats();

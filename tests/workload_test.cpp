@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analytic/model.hpp"
+#include "cache/cache_fabric.hpp"
 #include "test_util.hpp"
 #include "workload/andrew.hpp"
 #include "workload/engines.hpp"
@@ -131,6 +132,65 @@ TEST(ParallelIo, BackgroundDrainReportedForRaidxWrites) {
   const auto r = run_parallel_io(eng, cfg);
   // Deferred image flushes finish after the last client's foreground end.
   EXPECT_GT(r.background_drain, 0);
+}
+
+sim::Task<> write_run(raid::ArrayController* eng, std::uint64_t lba,
+                      std::vector<std::byte> data) {
+  co_await eng->write(0, lba, data);
+}
+
+sim::Task<> read_run(raid::ArrayController* eng, int client,
+                     std::uint64_t lba, std::uint32_t nblocks,
+                     std::vector<std::byte>* out) {
+  out->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
+              std::byte{0});
+  co_await eng->read(client, lba, nblocks, *out);
+}
+
+TEST(ParallelIo, CachedReadsOfStoredBytesStayByteExact) {
+  // A world that stores bytes, with a cache: a read miss fills the cache
+  // from the reading client's buffer, so concurrent clients must not
+  // share one.  Each client's region holds bytes of its own first; a
+  // shared buffer would leave another client's bytes in the cache.  One
+  // chunk per op spans every disk, so the chunk's blocks land at different
+  // instants and other clients' blocks land in between, before the fill.
+  constexpr std::uint32_t kBs = 4096;
+  constexpr std::uint32_t kOpBlocks = 8;
+  constexpr int kOps = 2;
+  constexpr std::uint32_t kRegion = kOpBlocks * kOps;
+  Rig rig(test::small_cluster(4, 1, /*blocks_per_disk=*/4096, kBs));
+  cache::CacheParams cp;
+  cp.capacity_blocks = 256;
+  cp.cooperative = true;
+  cache::CacheFabric cache(rig.cluster, cp);
+  raid::EngineParams ep;
+  ep.read_chunk_blocks = kOpBlocks;
+  raid::RaidxController eng(rig.fabric, ep);
+  ParallelIoConfig cfg;
+  cfg.clients = 4;
+  cfg.op = IoOp::kRead;
+  cfg.bytes_per_op = kOpBlocks * kBs;
+  cfg.ops_per_client = kOps;
+  for (int c = 0; c < cfg.clients; ++c) {
+    const std::uint64_t lba = static_cast<std::uint64_t>(c) * kRegion;
+    rig.run(write_run(&eng, lba,
+                      test::pattern_run(lba, kRegion, kBs,
+                                        static_cast<std::uint8_t>(c + 1))));
+  }
+  // Attach after the pre-writes so every measured read misses and fills.
+  eng.attach_cache(&cache);
+  run_parallel_io(eng, cfg);
+  ASSERT_GT(cache.stats().misses, 0u);
+
+  for (int c = 0; c < cfg.clients; ++c) {
+    const std::uint64_t lba = static_cast<std::uint64_t>(c) * kRegion;
+    std::vector<std::byte> got;
+    rig.run(read_run(&eng, c, lba, kRegion, &got));
+    EXPECT_EQ(got, test::pattern_run(lba, kRegion, kBs,
+                                     static_cast<std::uint8_t>(c + 1)))
+        << "client " << c;
+  }
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(Engines, FactoryProducesAllArchitectures) {
