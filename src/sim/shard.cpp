@@ -64,13 +64,14 @@ void ShardGroup::deliver_pending() {
     for (Msg& m : merge_scratch_) {
       // A shard's clock moves only by dispatching inside a window, so it
       // stays below the last window end and a message normally lands in
-      // the destination's future.  The one exception is a shard whose parked daemon events
-      // resurface below an already-passed window end (possible only after
-      // the group went foreground-idle in that region); its peers' clocks
-      // are legitimately ahead, and the region between a stamp and the
-      // clock is provably event-free on the destination -- delivering at
-      // the clock instead of the stamp reorders nothing.  The clamp is
-      // deterministic: clocks are a pure function of the event history.
+      // the destination's future.  The one exception is a shard whose
+      // parked daemon events resurface below an already-passed window end
+      // (possible only after the group went foreground-idle in that
+      // region); its peers' clocks are legitimately ahead, and the region
+      // between a stamp and the clock is provably event-free on the
+      // destination -- delivering at the clock instead of the stamp
+      // reorders nothing.  The clamp is deterministic: clocks are a pure
+      // function of the event history.
       s.schedule_at(std::max(m.at, s.now()), std::move(m.fn));
       ++stats_.messages;
     }

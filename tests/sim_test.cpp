@@ -507,8 +507,8 @@ Task<> collide_driver(Simulation& sim, Time d, std::vector<int>* order) {
 }
 
 TEST(Simulation, CollidingCallbacksAndResumesFireInEnqueueOrder) {
-  // Equal-timestamp ordering must hold at every distance, from a few ns to
-  // past 2^48 ns (a queue with a time horizon would treat those apart).
+  // Equal-timestamp ordering must hold at every distance, from 1 ns to
+  // past 2^48 ns.
   const Time deltas[] = {1, 64, 4096, Time{1} << 30,
                          (Time{1} << 48) + 12345};
   for (Time d : deltas) {
