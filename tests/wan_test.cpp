@@ -278,8 +278,10 @@ TEST(WanFederation, RemoteReadRedirectsAroundADownLink) {
   EXPECT_EQ(fed.link_between(0, 1).bytes_carried(), 0u);
 }
 
+// `bytes` by value: the coroutine starts only when the simulation runs,
+// after a temporary argument would already be gone.
 sim::Task<> write_pattern(wan::Federation& fed, int site, std::uint64_t lba,
-                          const std::vector<std::byte>& bytes) {
+                          std::vector<std::byte> bytes) {
   co_await fed.engine(site).write(fed.gateway(lba), lba,
                                   block::Payload::copy(bytes));
 }
