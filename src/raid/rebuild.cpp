@@ -187,8 +187,11 @@ sim::Task<> Raid10Controller::rebuild_disk(int client, int disk_id,
                                   disk::IoPriority::kBackground, span.ctx());
         if (!r.ok) throw IoError("RAID-10 rebuild: mirror copy unavailable");
         co_await rebuild_throttle_gate(block_bytes());
-        co_await fabric_.write(client, disk_id, off, std::move(r.data),
-                               disk::IoPriority::kBackground, span.ctx());
+        cdd::Reply w = co_await fabric_.write(client, disk_id, off,
+                                              std::move(r.data),
+                                              disk::IoPriority::kBackground,
+                                              span.ctx());
+        if (!w.ok) throw IoError("RAID-10 rebuild: replacement disk failed");
       }
       // Mirror zone: this disk backs the previous node's primaries.
       if (has_mirror && backed_lba < logical_blocks()) {
@@ -199,9 +202,10 @@ sim::Task<> Raid10Controller::rebuild_disk(int client, int disk_id,
                                              span.ctx());
         if (!r.ok) throw IoError("RAID-10 rebuild: primary copy unavailable");
         co_await rebuild_throttle_gate(block_bytes());
-        co_await fabric_.write(client, disk_id, lay.mirror_zone_base() + off,
-                               std::move(r.data),
-                               disk::IoPriority::kBackground, span.ctx());
+        cdd::Reply w = co_await fabric_.write(
+            client, disk_id, lay.mirror_zone_base() + off, std::move(r.data),
+            disk::IoPriority::kBackground, span.ctx());
+        if (!w.ok) throw IoError("RAID-10 rebuild: replacement disk failed");
       }
     } catch (...) {
       err = std::current_exception();
@@ -243,8 +247,11 @@ sim::Task<> Raid1Controller::rebuild_disk(int client, int disk_id,
                                            span.ctx());
       if (!r.ok) throw IoError("RAID-1 rebuild: partner copy unavailable");
       co_await rebuild_throttle_gate(block_bytes());
-      co_await fabric_.write(client, disk_id, off, std::move(r.data),
-                             disk::IoPriority::kBackground, span.ctx());
+      cdd::Reply w = co_await fabric_.write(client, disk_id, off,
+                                            std::move(r.data),
+                                            disk::IoPriority::kBackground,
+                                            span.ctx());
+      if (!w.ok) throw IoError("RAID-1 rebuild: replacement disk failed");
     } catch (...) {
       err = std::current_exception();
     }
@@ -327,8 +334,11 @@ sim::Task<> RaidxController::rebuild_disk(int client, int disk_id,
           restored = std::move(r.data);
         }
         co_await rebuild_throttle_gate(bs);
-        co_await fabric_.write(client, disk_id, q, std::move(restored),
-                               disk::IoPriority::kBackground, span.ctx());
+        cdd::Reply w = co_await fabric_.write(client, disk_id, q,
+                                              std::move(restored),
+                                              disk::IoPriority::kBackground,
+                                              span.ctx());
+        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
       }
 
       // Clustered zone: if this disk clusters stripe `istripe`'s images,
@@ -364,9 +374,10 @@ sim::Task<> RaidxController::rebuild_disk(int client, int disk_id,
         }
         co_await rebuild_throttle_gate(
             static_cast<std::uint64_t>(imgs.clustered.nblocks) * bs);
-        co_await fabric_.write(client, imgs.clustered.disk,
-                               imgs.clustered.offset, std::move(run),
-                               disk::IoPriority::kBackground, span.ctx());
+        cdd::Reply w = co_await fabric_.write(
+            client, imgs.clustered.disk, imgs.clustered.offset,
+            std::move(run), disk::IoPriority::kBackground, span.ctx());
+        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
       }
 
       // Neighbor zone: if this disk holds the stray image of `istripe`.
@@ -378,9 +389,10 @@ sim::Task<> RaidxController::rebuild_disk(int client, int disk_id,
                                              span.ctx());
         if (!r.ok) throw IoError("RAID-x rebuild: data block unavailable");
         co_await rebuild_throttle_gate(bs);
-        co_await fabric_.write(client, imgs.neighbor.disk,
-                               imgs.neighbor.offset, std::move(r.data),
-                               disk::IoPriority::kBackground, span.ctx());
+        cdd::Reply w = co_await fabric_.write(
+            client, imgs.neighbor.disk, imgs.neighbor.offset,
+            std::move(r.data), disk::IoPriority::kBackground, span.ctx());
+        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
       }
     } catch (...) {
       err = std::current_exception();

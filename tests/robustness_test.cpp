@@ -4,6 +4,7 @@
 
 #include "raid/controller.hpp"
 #include "test_util.hpp"
+#include "workload/engines.hpp"
 #include "workload/parallel_io.hpp"
 
 namespace raidx {
@@ -161,6 +162,44 @@ TEST(RebuildAbort, SecondFailureFreezesTheWatermarkOnRaidx) {
   EXPECT_TRUE(aborted);
   EXPECT_TRUE(rig.cluster.disk(1).rebuilding());
   EXPECT_LT(rig.cluster.disk(1).rebuild_watermark(), 200u);
+}
+
+sim::Task<> rebuild_or_flag(raid::ArrayController* eng, int disk,
+                            bool* aborted) {
+  try {
+    co_await eng->rebuild_disk(0, disk);
+  } catch (const raid::IoError&) {
+    *aborted = true;
+  }
+}
+
+// The replacement itself dying mid-sweep aborts the rebuild the same way
+// a lost source does.  A sweep that ignored its own write replies would
+// return normally and clear rebuilding() on a disk that holds nothing, and
+// the orchestrator would count it as restored.
+TEST(RebuildAbort, ReplacementFailureAbortsTheSweep) {
+  for (workload::Arch arch :
+       {workload::Arch::kRaid1, workload::Arch::kRaid5,
+        workload::Arch::kRaid10, workload::Arch::kRaidX}) {
+    SCOPED_TRACE(workload::arch_name(arch));
+    Rig rig(test::small_cluster(4, 2, /*blocks_per_disk=*/200));
+    auto eng = workload::make_engine(arch, rig.fabric);
+    rig.run(write_all(eng.get(), 0, 64, 9));
+    const int victim = 2;
+    rig.cluster.disk(victim).fail();
+    rig.cluster.disk(victim).replace();
+
+    bool aborted = false;
+    rig.sim.spawn(rebuild_or_flag(eng.get(), victim, &aborted));
+    rig.sim.run_until(rig.sim.now() + sim::milliseconds(30));
+    ASSERT_TRUE(rig.cluster.disk(victim).rebuilding());
+    ASSERT_FALSE(aborted);
+    rig.cluster.disk(victim).fail();
+    rig.sim.run();
+
+    EXPECT_TRUE(aborted);
+    EXPECT_TRUE(rig.cluster.disk(victim).rebuilding());
+  }
 }
 
 TEST(MixedTraffic, ReadersAndWritersOnDisjointRangesStayCorrect) {
