@@ -70,7 +70,7 @@ sim::Task<> NfsEngine::write_chunk(int client, std::uint64_t lba,
   }
   const std::uint32_t bs = block_bytes();
   const auto nblocks = static_cast<std::uint32_t>(data.size() / bs);
-  auto extents = mapped_extents(lba, nblocks);
+  auto extents = raid::data_extents(layout_, lba, nblocks);
   sim::Joiner join(sim());
   auto write_extent = [](NfsEngine* self, int c, block::PhysExtent e,
                          block::Payload p, disk::IoPriority prio,
@@ -83,32 +83,8 @@ sim::Task<> NfsEngine::write_chunk(int client, std::uint64_t lba,
     }
   };
   for (auto& me : extents) {
-    // Contiguous server-disk extents slice the chunk payload in O(1);
-    // strided gathers materialize (see gather() in controller.cpp).
-    bool contiguous = true;
-    for (std::size_t i = 1; i < me.lbas.size(); ++i) {
-      if (me.lbas[i] != me.lbas[0] + i) {
-        contiguous = false;
-        break;
-      }
-    }
-    block::Payload payload;
-    if (contiguous) {
-      payload = data.slice(
-          static_cast<std::size_t>(me.lbas[0] - lba) * bs,
-          me.lbas.size() * bs);
-    } else if (data.is_zeros()) {
-      payload = block::Payload::zeros(me.lbas.size() * bs);
-    } else {
-      std::vector<std::byte> out(me.lbas.size() * bs);
-      for (std::size_t i = 0; i < me.lbas.size(); ++i) {
-        data.copy_to(std::span<std::byte>(out).subspan(i * bs, bs),
-                     static_cast<std::size_t>(me.lbas[i] - lba) * bs);
-      }
-      payload = block::Payload(std::move(out));
-    }
-    join.spawn(write_extent(this, client, me.extent, std::move(payload),
-                            prio, ctx));
+    join.spawn(write_extent(this, client, me.extent,
+                            gather(data, me.lbas, lba, bs), prio, ctx));
   }
   co_await join.wait();
 }

@@ -5,21 +5,10 @@
 
 namespace raidx::raid {
 
-namespace {
-
-void xor_into(std::span<std::byte> acc, std::span<const std::byte> src) {
-  assert(acc.size() == src.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= src[i];
-}
-
-// Gather the chunk blocks listed in `lbas` out of `data` (block-indexed
-// relative to chunk_lba) into one payload.  A contiguous ascending run --
-// the overwhelmingly common case -- is an O(1) slice; strided gathers
-// (e.g. RAID-0 extents that merge every width-th block) materialize, and
-// zero-runs stay zero-runs either way.
-block::Payload gather(const block::Payload& data,
-                      std::span<const std::uint64_t> lbas,
-                      std::uint64_t chunk_lba, std::uint32_t bs) {
+block::Payload ArrayController::gather(const block::Payload& data,
+                                       std::span<const std::uint64_t> lbas,
+                                       std::uint64_t chunk_lba,
+                                       std::uint32_t bs) {
   bool contiguous = true;
   for (std::size_t i = 1; i < lbas.size(); ++i) {
     if (lbas[i] != lbas[0] + i) {
@@ -40,33 +29,8 @@ block::Payload gather(const block::Payload& data,
   return block::Payload(std::move(out));
 }
 
-}  // namespace
-
 ArrayController::ArrayController(cdd::CddFabric& fabric, EngineParams params)
     : fabric_(fabric), params_(params) {}
-
-std::vector<ArrayController::MappedExtent> ArrayController::mapped_extents(
-    std::uint64_t lba, std::uint32_t nblocks) const {
-  std::vector<MappedExtent> extents;
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const block::PhysBlock pb = layout().data_location(lba + i);
-    bool merged = false;
-    for (auto& e : extents) {
-      if (e.extent.disk == pb.disk &&
-          e.extent.offset + e.extent.nblocks == pb.offset) {
-        ++e.extent.nblocks;
-        e.lbas.push_back(lba + i);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      extents.push_back(MappedExtent{block::PhysExtent{pb.disk, pb.offset, 1},
-                                     {lba + i}});
-    }
-  }
-  return extents;
-}
 
 sim::Task<> ArrayController::xor_cpu(int client, std::uint64_t bytes) {
   const auto t = static_cast<sim::Time>(params_.xor_ns_per_byte *
@@ -175,7 +139,7 @@ sim::Task<> ArrayController::write(int client, std::uint64_t lba,
       params_.use_locks ? fabric_.next_lock_owner() : 0;
   if (params_.use_locks) {
     for (std::uint64_t b = lba; b < lba + nblocks; ++b) {
-      const std::uint64_t g = lock_group_of(b);
+      const std::uint64_t g = layout().lock_group_of(b);
       if (groups.empty() || groups.back() != g) groups.push_back(g);
     }
     co_await fabric_.lock_groups(client, groups, owner, ctx);
@@ -219,7 +183,7 @@ sim::Task<> ArrayController::read_chunk(int client, std::uint64_t lba,
                                         std::uint32_t nblocks,
                                         std::span<std::byte> out,
                                         obs::TraceContext ctx) {
-  auto extents = mapped_extents(lba, nblocks);
+  auto extents = data_extents(layout(), lba, nblocks);
   sim::Joiner join(sim());
   for (auto& me : extents) {
     join.spawn(read_extent_into(client, me.extent, me.lbas, lba, out, ctx));
@@ -242,9 +206,62 @@ sim::Task<> ArrayController::read_extent_into(
     if (reply.ok) {
       reply.data.copy_to(dst, static_cast<std::size_t>(i) * bs);
     } else {
-      block::Payload rec =
-          co_await degraded_read_block(client, lbas[i], ctx);
+      block::Payload rec = co_await degraded_read_block(
+          client, block::PhysBlock{extent.disk, extent.offset + i}, ctx);
       rec.copy_to(dst);
+    }
+  }
+}
+
+sim::Task<block::Payload> ArrayController::degraded_read_block(
+    int client, block::PhysBlock failed, obs::TraceContext ctx) {
+  std::optional<block::Payload> got = co_await recover(
+      client, layout().source_of(failed.disk, failed.offset),
+      Fetch::kDegraded, ctx);
+  if (!got) {
+    throw IoError(name() + ": block at disk " + std::to_string(failed.disk) +
+                  " offset " + std::to_string(failed.offset) +
+                  " is lost (no readable redundancy)");
+  }
+  co_return std::move(*got);
+}
+
+sim::Task<> ArrayController::write_chunk(int client, std::uint64_t lba,
+                                         block::Payload data,
+                                         disk::IoPriority prio,
+                                         obs::TraceContext ctx) {
+  const std::uint32_t bs = block_bytes();
+  const auto nblocks = static_cast<std::uint32_t>(data.size() / bs);
+
+  // Every copy is updated synchronously.  Under RAID-10's chained
+  // declustering each block's mirror sits on a *different* disk, so a
+  // stripe write costs every disk one data write plus one scattered
+  // mirror write (Table 2: nB/2).
+  sim::Joiner join(sim());
+  auto write_copy = [](ArrayController* self, int c, block::PhysBlock pb,
+                       block::Payload payload, char* ok,
+                       disk::IoPriority prio,
+                       obs::TraceContext ctx) -> sim::Task<> {
+    cdd::Reply r = co_await self->fabric_.write(c, pb.disk, pb.offset,
+                                                std::move(payload), prio,
+                                                ctx);
+    if (r.ok) *ok = 1;
+  };
+  std::vector<char> ok(nblocks, 0);
+  for (std::uint32_t i = 0; i < nblocks; ++i) {
+    const block::Payload blk =
+        data.slice(static_cast<std::size_t>(i) * bs, bs);
+    join.spawn(write_copy(this, client, layout().data_location(lba + i), blk,
+                          &ok[i], prio, ctx));
+    for (const block::PhysBlock& m : layout().mirror_locations(lba + i)) {
+      join.spawn(write_copy(this, client, m, blk, &ok[i], prio, ctx));
+    }
+  }
+  co_await join.wait();
+  for (std::uint32_t i = 0; i < nblocks; ++i) {
+    if (!ok[i]) {
+      throw IoError(name() + ": every copy of block " +
+                    std::to_string(lba + i) + " failed");
     }
   }
 }
@@ -263,15 +280,6 @@ void ArrayController::preload(std::uint64_t lba,
       cluster.disk(m.disk).write_data(m.offset, blockdata);
     }
   }
-}
-
-sim::Task<block::Payload> ArrayController::degraded_read_block(
-    int client, std::uint64_t lba, obs::TraceContext ctx) {
-  (void)client;
-  (void)ctx;
-  throw IoError(name() + ": block " + std::to_string(lba) +
-                " lost (no redundancy)");
-  co_return block::Payload{};  // unreachable
 }
 
 // ------------------------------------------------------------ block cache --
@@ -432,7 +440,7 @@ sim::Task<bool> ArrayController::flush_block(int node, std::uint64_t lba) {
       sim(), {}, "engine.flush", obs::Track::kRequest, node,
       obs::SpanArgs{}.tag("node", node).tag(
           "lba", static_cast<std::int64_t>(lba)));
-  std::vector<std::uint64_t> groups{lock_group_of(lba)};
+  std::vector<std::uint64_t> groups{layout().lock_group_of(lba)};
   const std::uint64_t owner =
       params_.use_locks ? fabric_.next_lock_owner() : 0;
   if (params_.use_locks) {
@@ -484,7 +492,7 @@ sim::Task<> Raid0Controller::write_chunk(int client, std::uint64_t lba,
                                          obs::TraceContext ctx) {
   const std::uint32_t bs = block_bytes();
   const auto nblocks = static_cast<std::uint32_t>(data.size() / bs);
-  auto extents = mapped_extents(lba, nblocks);
+  auto extents = data_extents(layout_, lba, nblocks);
   sim::Joiner join(sim());
   auto write_extent = [](Raid0Controller* self, int c, block::PhysExtent e,
                          block::Payload p, disk::IoPriority prio,
@@ -744,59 +752,11 @@ void Raid5Controller::preload(std::uint64_t lba,
     for (std::uint32_t j = 0; j < width; ++j) {
       const block::PhysBlock pb =
           layout_.data_location(layout_.stripe_first_lba(s) + j);
-      const auto blk = cluster.disk(pb.disk).read_data(pb.offset, 1);
-      xor_into(parity, blk);
+      block::xor_into(parity, cluster.disk(pb.disk).read_payload(pb.offset, 1));
     }
     const block::PhysBlock pp = layout_.parity_location(s);
     cluster.disk(pp.disk).write_data(pp.offset, parity);
   }
-}
-
-sim::Task<block::Payload> Raid5Controller::degraded_read_block(
-    int client, std::uint64_t lba, obs::TraceContext ctx) {
-  const std::uint32_t bs = block_bytes();
-  const std::uint32_t width = layout_.stripe_width();
-  const std::uint64_t stripe = layout_.stripe_of(lba);
-  const std::uint64_t first = layout_.stripe_first_lba(stripe);
-
-  std::vector<cdd::Reply> replies(width + 1);
-  sim::Joiner join(sim());
-  auto read_one = [](Raid5Controller* self, int c, block::PhysBlock pb,
-                     cdd::Reply* out, obs::TraceContext ctx) -> sim::Task<> {
-    *out = co_await self->fabric_.read(c, pb.disk, pb.offset, 1,
-                                       disk::IoPriority::kForeground, ctx);
-  };
-  std::size_t slot = 0;
-  for (std::uint32_t j = 0; j < width; ++j) {
-    const std::uint64_t b = first + j;
-    if (b == lba) continue;
-    join.spawn(read_one(this, client, layout_.data_location(b),
-                        &replies[slot++], ctx));
-  }
-  join.spawn(read_one(this, client, layout_.parity_location(stripe),
-                      &replies[slot++], ctx));
-  co_await join.wait();
-
-  bool all_zero = true;
-  for (std::size_t i = 0; i < slot; ++i) {
-    if (!replies[i].ok) {
-      throw IoError("RAID-5: double failure reconstructing block " +
-                    std::to_string(lba));
-    }
-    if (!replies[i].data.is_zeros()) all_zero = false;
-  }
-  block::Payload out;
-  if (all_zero) {
-    out = block::Payload::zeros(bs);
-  } else {
-    std::vector<std::byte> acc(bs, std::byte{0});
-    for (std::size_t i = 0; i < slot; ++i) {
-      block::xor_into(acc, replies[i].data);
-    }
-    out = block::Payload(std::move(acc));
-  }
-  co_await xor_cpu(client, static_cast<std::uint64_t>(slot) * bs);
-  co_return out;
 }
 
 // --------------------------------------------------------------- RAID-10 --
@@ -814,103 +774,20 @@ sim::Task<> Raid10Controller::read_chunk(int client, std::uint64_t lba,
     co_await ArrayController::read_chunk(client, lba, nblocks, out, ctx);
     co_return;
   }
-  auto extents = mapped_extents(lba, nblocks);
+  auto extents = data_extents(layout_, lba, nblocks);
   sim::Joiner join(sim());
   for (auto& me : extents) {
     // Alternate copies by physical offset so a sequential scan spreads
-    // evenly over the primary and the chained backup.
-    const bool use_mirror = (me.extent.offset % 2) == 1;
-    join.spawn(balanced_read_extent(client, me.extent, use_mirror, me.lbas,
-                                    lba, out, ctx));
+    // evenly over the primary and the chained backup (whose copies of one
+    // primary extent are contiguous too).
+    block::PhysExtent target = me.extent;
+    if (target.offset % 2 == 1) {
+      const block::PhysBlock m = layout_.mirror_locations(me.lbas[0])[0];
+      target = block::PhysExtent{m.disk, m.offset, target.nblocks};
+    }
+    join.spawn(read_extent_into(client, target, me.lbas, lba, out, ctx));
   }
   co_await join.wait();
-}
-
-sim::Task<> Raid10Controller::balanced_read_extent(
-    int client, block::PhysExtent primary, bool use_mirror,
-    std::span<const std::uint64_t> lbas, std::uint64_t chunk_lba,
-    std::span<std::byte> out, obs::TraceContext ctx) {
-  const std::uint32_t bs = block_bytes();
-  block::PhysExtent target = primary;
-  if (use_mirror) {
-    const block::PhysBlock m = layout_.mirror_locations(lbas[0])[0];
-    target = block::PhysExtent{m.disk, m.offset, primary.nblocks};
-  }
-  cdd::Reply reply =
-      co_await fabric_.read(client, target.disk, target.offset,
-                            target.nblocks,
-                            disk::IoPriority::kForeground, ctx);
-  for (std::uint32_t i = 0; i < target.nblocks; ++i) {
-    auto dst = out.subspan(
-        static_cast<std::size_t>(lbas[i] - chunk_lba) * bs, bs);
-    if (reply.ok) {
-      reply.data.copy_to(dst, static_cast<std::size_t>(i) * bs);
-      continue;
-    }
-    // The chosen copy's disk failed: read the other copy of this block.
-    const block::PhysBlock other =
-        use_mirror ? layout_.data_location(lbas[i])
-                   : layout_.mirror_locations(lbas[i])[0];
-    cdd::Reply fallback =
-        co_await fabric_.read(client, other.disk, other.offset, 1,
-                              disk::IoPriority::kForeground, ctx);
-    if (!fallback.ok) {
-      throw IoError("RAID-10: both copies of block " +
-                    std::to_string(lbas[i]) + " unavailable");
-    }
-    fallback.data.copy_to(dst);
-  }
-}
-
-sim::Task<> Raid10Controller::write_chunk(int client, std::uint64_t lba,
-                                          block::Payload data,
-                                          disk::IoPriority prio,
-                                          obs::TraceContext ctx) {
-  const std::uint32_t bs = block_bytes();
-  const auto nblocks = static_cast<std::uint32_t>(data.size() / bs);
-
-  // Chained declustering updates both copies synchronously; the mirror of
-  // each block sits on a *different* disk, so a stripe write costs every
-  // disk one data write plus one scattered mirror write (Table 2: nB/2).
-  sim::Joiner join(sim());
-  auto write_one = [](Raid10Controller* self, int c, block::PhysBlock pb,
-                      block::Payload payload, char* ok,
-                      disk::IoPriority prio,
-                      obs::TraceContext ctx) -> sim::Task<> {
-    cdd::Reply r = co_await self->fabric_.write(c, pb.disk, pb.offset,
-                                                std::move(payload), prio,
-                                                ctx);
-    *ok = r.ok ? 1 : 0;
-  };
-  std::vector<char> pok(nblocks, 0), mok(nblocks, 0);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    block::Payload blk = data.slice(static_cast<std::size_t>(i) * bs, bs);
-    join.spawn(write_one(this, client, layout_.data_location(lba + i),
-                         blk, &pok[i], prio, ctx));
-    join.spawn(write_one(this, client,
-                         layout_.mirror_locations(lba + i)[0],
-                         std::move(blk), &mok[i], prio, ctx));
-  }
-  co_await join.wait();
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    if (!pok[i] && !mok[i]) {
-      throw IoError("RAID-10: both copies of block " +
-                    std::to_string(lba + i) + " failed");
-    }
-  }
-}
-
-sim::Task<block::Payload> Raid10Controller::degraded_read_block(
-    int client, std::uint64_t lba, obs::TraceContext ctx) {
-  const block::PhysBlock mirror = layout_.mirror_locations(lba)[0];
-  cdd::Reply r =
-      co_await fabric_.read(client, mirror.disk, mirror.offset, 1,
-                            disk::IoPriority::kForeground, ctx);
-  if (!r.ok) {
-    throw IoError("RAID-10: both copies of block " + std::to_string(lba) +
-                  " unavailable");
-  }
-  co_return std::move(r.data);
 }
 
 // ---------------------------------------------------------------- RAID-1 --
@@ -928,67 +805,14 @@ sim::Task<> Raid1Controller::read_chunk(int client, std::uint64_t lba,
   }
   // Balance over the pair: even physical offsets from the primary, odd
   // from the partner (both copies live at identical offsets).
-  auto extents = mapped_extents(lba, nblocks);
+  auto extents = data_extents(layout_, lba, nblocks);
   sim::Joiner join(sim());
-  auto read_copy = [](Raid1Controller* self, int c, block::PhysExtent e,
-                      std::span<const std::uint64_t> lbas,
-                      std::uint64_t chunk_lba, std::span<std::byte> dst,
-                      obs::TraceContext ctx) -> sim::Task<> {
-    co_await self->read_extent_into(c, e, lbas, chunk_lba, dst, ctx);
-  };
   for (auto& me : extents) {
     block::PhysExtent e = me.extent;
     if (e.offset % 2 == 1) e.disk += 1;  // partner copy
-    join.spawn(read_copy(this, client, e, me.lbas, lba, out, ctx));
+    join.spawn(read_extent_into(client, e, me.lbas, lba, out, ctx));
   }
   co_await join.wait();
-}
-
-sim::Task<> Raid1Controller::write_chunk(int client, std::uint64_t lba,
-                                         block::Payload data,
-                                         disk::IoPriority prio,
-                                         obs::TraceContext ctx) {
-  const std::uint32_t bs = block_bytes();
-  const auto nblocks = static_cast<std::uint32_t>(data.size() / bs);
-  sim::Joiner join(sim());
-  auto write_one = [](Raid1Controller* self, int c, block::PhysBlock pb,
-                      block::Payload payload, char* ok,
-                      disk::IoPriority prio,
-                      obs::TraceContext ctx) -> sim::Task<> {
-    cdd::Reply r = co_await self->fabric_.write(c, pb.disk, pb.offset,
-                                                std::move(payload), prio,
-                                                ctx);
-    *ok = r.ok ? 1 : 0;
-  };
-  std::vector<char> pok(nblocks, 0), mok(nblocks, 0);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    block::Payload blk = data.slice(static_cast<std::size_t>(i) * bs, bs);
-    join.spawn(write_one(this, client, layout_.data_location(lba + i),
-                         blk, &pok[i], prio, ctx));
-    join.spawn(write_one(this, client, layout_.mirror_locations(lba + i)[0],
-                         std::move(blk), &mok[i], prio, ctx));
-  }
-  co_await join.wait();
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    if (!pok[i] && !mok[i]) {
-      throw IoError("RAID-1: both copies of block " +
-                    std::to_string(lba + i) + " failed");
-    }
-  }
-}
-
-sim::Task<block::Payload> Raid1Controller::degraded_read_block(
-    int client, std::uint64_t lba, obs::TraceContext ctx) {
-  // Try the partner copy; if the chosen copy was already the partner
-  // (balanced reads), the primary serves instead.
-  const block::PhysBlock primary = layout_.data_location(lba);
-  const block::PhysBlock partner = layout_.mirror_locations(lba)[0];
-  for (const block::PhysBlock& pb : {partner, primary}) {
-    cdd::Reply r = co_await fabric_.read(client, pb.disk, pb.offset, 1,
-                                         disk::IoPriority::kForeground, ctx);
-    if (r.ok) co_return std::move(r.data);
-  }
-  throw IoError("RAID-1: pair of block " + std::to_string(lba) + " lost");
 }
 
 // ---------------------------------------------------------------- RAID-x --
@@ -1005,33 +829,15 @@ sim::Task<> RaidxController::read_chunk(int client, std::uint64_t lba,
     co_await ArrayController::read_chunk(client, lba, nblocks, out, ctx);
     co_return;
   }
-  // Spread single-block reads over the two copies; fall back to the other
-  // copy if the chosen one is unavailable.
-  const bool use_image = (lba % 2) == 1;
-  const block::PhysBlock data_pb = layout_.data_location(lba);
-  const block::PhysBlock image_pb = layout_.mirror_locations(lba)[0];
-  const block::PhysBlock first = use_image ? image_pb : data_pb;
-  const block::PhysBlock second = use_image ? data_pb : image_pb;
-  cdd::Reply r = co_await fabric_.read(client, first.disk, first.offset, 1,
-                                       disk::IoPriority::kForeground, ctx);
-  if (!r.ok) {
-    // Falling back to the image: an in-flight deferred flush is fresher
-    // than the image disk.  (The data-copy fallback needs no such check;
-    // data blocks are written in the foreground, under locks.)
-    if (second.disk == image_pb.disk && second.offset == image_pb.offset) {
-      if (const block::Payload* p = pending_image(lba)) {
-        p->copy_to(out);
-        co_return;
-      }
-    }
-    r = co_await fabric_.read(client, second.disk, second.offset, 1,
-                              disk::IoPriority::kForeground, ctx);
-  }
-  if (!r.ok) {
-    throw IoError("RAID-x: data and image of block " + std::to_string(lba) +
-                  " both unavailable");
-  }
-  r.data.copy_to(out);
+  // Spread single-block reads over the two copies; a failed copy falls
+  // back to the other through the degraded path.
+  const block::PhysBlock first = lba % 2 == 1
+                                     ? layout_.mirror_locations(lba)[0]
+                                     : layout_.data_location(lba);
+  const std::uint64_t lbas[1] = {lba};
+  co_await read_extent_into(client,
+                            block::PhysExtent{first.disk, first.offset, 1},
+                            lbas, lba, out, ctx);
 }
 
 sim::Task<> RaidxController::flush_stripe_images(
@@ -1198,20 +1004,6 @@ sim::Task<> RaidxController::write_chunk(int client, std::uint64_t lba,
       }
     }
   }
-}
-
-sim::Task<block::Payload> RaidxController::degraded_read_block(
-    int client, std::uint64_t lba, obs::TraceContext ctx) {
-  // An in-flight deferred flush holds fresher bytes than the image disk.
-  if (const block::Payload* p = pending_image(lba)) co_return *p;
-  const block::PhysBlock img = layout_.mirror_locations(lba)[0];
-  cdd::Reply r = co_await fabric_.read(client, img.disk, img.offset, 1,
-                                       disk::IoPriority::kForeground, ctx);
-  if (!r.ok) {
-    throw IoError("RAID-x: data and image of block " + std::to_string(lba) +
-                  " both unavailable");
-  }
-  co_return std::move(r.data);
 }
 
 }  // namespace raidx::raid

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -191,24 +192,24 @@ class ArrayController : public IoEngine {
   void set_write_observer(WriteObserver* obs) { write_observer_ = obs; }
   WriteObserver* write_observer() const { return write_observer_; }
 
-  /// Restore a replaced disk's contents from redundancy.  Levels with a
-  /// rebuild path (RAID-1/5/10/x) override; the base (RAID-0 has no
-  /// redundancy) fails with IoError.  `max_offset` bounds the sweep in the
-  /// level's own geometry units; the default covers the whole disk.
-  virtual sim::Task<> rebuild_disk(int client, int disk_id,
-                                   std::uint64_t max_offset = ~0ull);
+  /// Restore a replaced disk's contents from redundancy: sweep the
+  /// layout's rebuild rows, each under the lock groups of the blocks it
+  /// restores.  Fails with IoError when the layout has no redundancy
+  /// (RAID-0), or when a source or the replacement itself fails mid-sweep.
+  /// `max_offset` bounds the rows swept, in the layout's own geometry
+  /// units; the default covers the whole disk.
+  sim::Task<> rebuild_disk(int client, int disk_id,
+                           std::uint64_t max_offset = ~0ull);
 
   /// Repair one physically-addressed block whose stored bytes failed
   /// checksum verification: re-derive its correct contents from the
   /// layout's redundancy (mirror image, chained copy, parity XOR) and
-  /// rewrite it, under the same lock groups a client write of the
-  /// affected logical blocks would take -- so repair is byte-exact even
-  /// against concurrent writers.  Returns true when repaired; false when
-  /// the layout has no redundancy covering the block (the base
-  /// implementation: RAID-0's explicit *unrecoverable loss* verdict) or
-  /// when the redundant source is itself unavailable.
-  virtual sim::Task<bool> repair_block(int client, int disk_id,
-                                       std::uint64_t offset);
+  /// rewrite it, under the same lock group a client write of the block
+  /// would take -- so repair is byte-exact even against concurrent
+  /// writers.  Returns true when repaired; false when the layout has no
+  /// redundancy covering the block (RAID-0's explicit *unrecoverable loss*
+  /// verdict) or when a redundant source is itself unavailable.
+  sim::Task<bool> repair_block(int client, int disk_id, std::uint64_t offset);
 
   /// Cap rebuild-sweep write bandwidth with a token bucket (tokens are
   /// bytes).  Null (the default) removes the cap and leaves the sweep's
@@ -232,11 +233,13 @@ class ArrayController : public IoEngine {
                                  obs::TraceContext ctx = {});
   /// One write chunk: at most one stripe, stripe-aligned when full.
   /// `prio` is kForeground on the client write path and kBackground when
-  /// the cache flusher drains dirty blocks behind foreground traffic.
+  /// the cache flusher drains dirty blocks behind foreground traffic.  The
+  /// base writes every copy of each block synchronously (RAID-1 pairs,
+  /// RAID-10's chained backups) and fails only a block that lost them all.
   virtual sim::Task<> write_chunk(int client, std::uint64_t lba,
                                   block::Payload data,
                                   disk::IoPriority prio,
-                                  obs::TraceContext ctx = {}) = 0;
+                                  obs::TraceContext ctx = {});
 
   /// Node whose cache fronts requests from `client`.  Per-client caches by
   /// default; NFS overrides with the server node (server-side cache).
@@ -265,24 +268,15 @@ class ArrayController : public IoEngine {
   /// cache write-back both run under it).
   sim::Task<> background(sim::Task<> op);
 
-  /// Recover one block whose data disk failed; default throws IoError.
-  virtual sim::Task<block::Payload> degraded_read_block(
-      int client, std::uint64_t lba, obs::TraceContext ctx = {});
-
-  /// Lock group covering a logical block.  Default: per-block groups (no
-  /// false sharing between independent writers); RAID-5 overrides with
-  /// per-stripe groups because concurrent read-modify-writes within one
-  /// stripe would race on the parity block.
-  virtual std::uint64_t lock_group_of(std::uint64_t lba) const {
-    return lba;
+  /// The bytes of a still-in-flight deferred image flush of `lba`, which
+  /// are fresher than the image disk (RAID-x only; null elsewhere).
+  virtual const block::Payload* pending_image(std::uint64_t lba) const {
+    (void)lba;
+    return nullptr;
   }
 
   /// Charge client CPU for XOR work over `bytes`.
   sim::Task<> xor_cpu(int client, std::uint64_t bytes);
-
-  /// Account `bytes` of rebuild writes and, when a throttle is attached,
-  /// wait for that many tokens.  Called by every sweep before each write.
-  sim::Task<> rebuild_throttle_gate(std::uint64_t bytes);
 
   /// Read a contiguous physical extent, retrying per-block through
   /// degraded_read_block on disk failure.  Results land in `out` at the
@@ -306,17 +300,55 @@ class ArrayController : public IoEngine {
   /// Per-node "a flusher task is running" flags (write-back draining).
   std::vector<char> flusher_active_;
 
-  struct MappedExtent {
-    block::PhysExtent extent;
-    std::vector<std::uint64_t> lbas;  // logical block per extent position
-  };
-  std::vector<MappedExtent> mapped_extents(std::uint64_t lba,
-                                           std::uint32_t nblocks) const;
+  /// Gather the chunk blocks listed in `lbas` out of `data` (block-indexed
+  /// relative to chunk_lba) into one payload.  A contiguous ascending run
+  /// -- the overwhelmingly common case -- is an O(1) slice; strided
+  /// gathers (e.g. RAID-0 extents that merge every width-th block)
+  /// materialize, and zero-runs stay zero-runs either way.
+  static block::Payload gather(const block::Payload& data,
+                               std::span<const std::uint64_t> lbas,
+                               std::uint64_t chunk_lba, std::uint32_t bs);
 
  private:
   sim::Task<> windowed_op(sim::Task<> op, sim::Resource& window,
                           sim::Latch& done, std::exception_ptr& error,
                           obs::TraceContext ctx = {});
+
+  /// Recover the block whose copy at `failed` could not be read, from the
+  /// slot's sources; throws IoError when none is readable.
+  sim::Task<block::Payload> degraded_read_block(int client,
+                                                block::PhysBlock failed,
+                                                obs::TraceContext ctx = {});
+
+  /// How recover() reads a slot's sources.
+  enum class Fetch {
+    kSweep,     ///< rebuild: one at a time, background priority
+    kScrub,     ///< repair: like kSweep, with forced verification
+    kDegraded,  ///< client read: foreground, XOR peers in parallel
+  };
+  /// The bytes of a slot re-derived from its sources, or nullopt when a
+  /// needed source is unreadable (or the slot has none).
+  sim::Task<std::optional<block::Payload>> recover(int client,
+                                                   SlotSource src, Fetch how,
+                                                   obs::TraceContext ctx);
+
+  /// Run `body` holding the lock groups `groups` (sorted, unique) when
+  /// locks are on.  The groups are released even when `body` throws; the
+  /// exception then propagates.
+  sim::Task<> with_locks(int client, std::vector<std::uint64_t> groups,
+                         sim::Task<> body, obs::TraceContext ctx);
+  /// One rebuild row: restore each target extent from its slots' sources
+  /// and write it to the replacement as one write.
+  sim::Task<> restore_row(int client, std::vector<block::PhysExtent> targets,
+                          std::vector<SlotSource> slots,
+                          obs::TraceContext ctx);
+  /// Account `bytes` of rebuild writes and, when a throttle is attached,
+  /// wait for that many tokens.
+  sim::Task<> rebuild_throttle_gate(std::uint64_t bytes);
+  /// Repair's locked step: recover the slot and rewrite it; `*ok` reports
+  /// whether the rewrite landed.
+  sim::Task<> repair_slot(int client, block::PhysBlock slot, SlotSource src,
+                          bool* ok, obs::TraceContext ctx);
 };
 
 class Raid0Controller : public ArrayController {
@@ -339,16 +371,6 @@ class Raid5Controller : public ArrayController {
   const Layout& layout() const override { return layout_; }
   const Raid5Layout& raid5() const { return layout_; }
 
-  /// Rebuild a replaced disk's contents from the surviving N-1 disks.
-  /// `max_offset` bounds the sweep (physical stripes rebuilt); the default
-  /// covers the whole disk.
-  sim::Task<> rebuild_disk(int client, int disk_id,
-                           std::uint64_t max_offset = ~0ull) override;
-
-  /// Parity reconstruct: XOR of the stripe's surviving N-1 blocks.
-  sim::Task<bool> repair_block(int client, int disk_id,
-                               std::uint64_t offset) override;
-
   /// Direct placement must also keep parity consistent.
   void preload(std::uint64_t lba, std::span<const std::byte> data) override;
 
@@ -359,13 +381,6 @@ class Raid5Controller : public ArrayController {
   sim::Task<> write_chunk(int client, std::uint64_t lba,
                           block::Payload data, disk::IoPriority prio,
                           obs::TraceContext ctx = {}) override;
-  sim::Task<block::Payload> degraded_read_block(
-      int client, std::uint64_t lba, obs::TraceContext ctx = {}) override;
-  std::uint64_t lock_group_of(std::uint64_t lba) const override {
-    // Stripe-aligned groups: concurrent partial-stripe writers must never
-    // race on the same parity block.
-    return layout_.stripe_of(lba);
-  }
 
  private:
   /// Full-stripe write: XOR parity client-side, one write per disk.
@@ -386,38 +401,14 @@ class Raid10Controller : public ArrayController {
   Raid10Controller(cdd::CddFabric& fabric, EngineParams params = {});
   const Layout& layout() const override { return layout_; }
 
-  /// Re-copy a replaced disk's primary and mirror zones from the chained
-  /// neighbors.  `max_offset` bounds the data-zone rows swept.
-  sim::Task<> rebuild_disk(int client, int disk_id,
-                           std::uint64_t max_offset = ~0ull) override;
-
-  /// Re-fetch from the chained copy (primary zone from the next node's
-  /// mirror, mirror zone from the previous node's primary).
-  sim::Task<bool> repair_block(int client, int disk_id,
-                               std::uint64_t offset) override;
-
  protected:
   /// With balance_mirror_reads, alternate extents between the primary and
   /// the chained backup copy -- Hsiao & DeWitt's load-balancing read path.
   sim::Task<> read_chunk(int client, std::uint64_t lba, std::uint32_t nblocks,
                          std::span<std::byte> out,
                          obs::TraceContext ctx = {}) override;
-  sim::Task<> write_chunk(int client, std::uint64_t lba,
-                          block::Payload data, disk::IoPriority prio,
-                          obs::TraceContext ctx = {}) override;
-  sim::Task<block::Payload> degraded_read_block(
-      int client, std::uint64_t lba, obs::TraceContext ctx = {}) override;
 
  private:
-  /// Balanced read of one extent: possibly redirected to the mirror copy,
-  /// falling back to the other copy per block on failure.
-  sim::Task<> balanced_read_extent(int client, block::PhysExtent primary,
-                                   bool use_mirror,
-                                   std::span<const std::uint64_t> lbas,
-                                   std::uint64_t chunk_lba,
-                                   std::span<std::byte> out,
-                                   obs::TraceContext ctx = {});
-
   Raid10Layout layout_;
 };
 
@@ -429,23 +420,10 @@ class Raid1Controller : public ArrayController {
   Raid1Controller(cdd::CddFabric& fabric, EngineParams params = {});
   const Layout& layout() const override { return layout_; }
 
-  /// Re-copy a replaced disk from its pair partner.
-  sim::Task<> rebuild_disk(int client, int disk_id,
-                           std::uint64_t max_offset = ~0ull) override;
-
-  /// Re-fetch the block from the pair partner.
-  sim::Task<bool> repair_block(int client, int disk_id,
-                               std::uint64_t offset) override;
-
  protected:
   sim::Task<> read_chunk(int client, std::uint64_t lba, std::uint32_t nblocks,
                          std::span<std::byte> out,
                          obs::TraceContext ctx = {}) override;
-  sim::Task<> write_chunk(int client, std::uint64_t lba,
-                          block::Payload data, disk::IoPriority prio,
-                          obs::TraceContext ctx = {}) override;
-  sim::Task<block::Payload> degraded_read_block(
-      int client, std::uint64_t lba, obs::TraceContext ctx = {}) override;
 
  private:
   Raid1Layout layout_;
@@ -456,18 +434,6 @@ class RaidxController : public ArrayController {
   RaidxController(cdd::CddFabric& fabric, EngineParams params = {});
   const Layout& layout() const override { return layout_; }
   const RaidxLayout& raidx() const { return layout_; }
-
-  /// Restore a replaced disk: data blocks from their images, image zones
-  /// from the surviving data blocks.  `max_offset` bounds the data-zone
-  /// rows (q) swept.
-  sim::Task<> rebuild_disk(int client, int disk_id,
-                           std::uint64_t max_offset = ~0ull) override;
-
-  /// Data-zone blocks re-fetch from their mirror image (preferring a
-  /// still-in-flight deferred image); image-zone slots regenerate from
-  /// the data block they mirror.
-  sim::Task<bool> repair_block(int client, int disk_id,
-                               std::uint64_t offset) override;
 
  protected:
   /// With balance_mirror_reads, single-block reads alternate between the
@@ -481,8 +447,20 @@ class RaidxController : public ArrayController {
   sim::Task<> write_chunk(int client, std::uint64_t lba,
                           block::Payload data, disk::IoPriority prio,
                           obs::TraceContext ctx = {}) override;
-  sim::Task<block::Payload> degraded_read_block(
-      int client, std::uint64_t lba, obs::TraceContext ctx = {}) override;
+
+  /// Deferred image flushes (the OSM trick) run at background priority
+  /// AFTER the client's write has returned and released its locks, so the
+  /// on-disk image trails the data copy by up to one write.  Healthy reads
+  /// never notice -- they read data copies -- but the recovery paths
+  /// (degraded reads, rebuild and repair of a data slot) read images and
+  /// MUST prefer this buffer, or a client that just wrote a block can read
+  /// its previous contents back through the degraded path.  Healthy paths
+  /// deliberately do not consult it: serving a disk read from memory would
+  /// shift fault-free timings (and the committed baselines).
+  const block::Payload* pending_image(std::uint64_t lba) const override {
+    const auto it = pending_images_.find(lba);
+    return it == pending_images_.end() ? nullptr : &it->second.data;
+  }
 
  private:
   /// Flush a full stripe's images: one clustered run + one neighbor block.
@@ -493,22 +471,6 @@ class RaidxController : public ArrayController {
   sim::Task<> flush_block_image(int client, std::uint64_t lba,
                                 block::Payload data,
                                 obs::TraceContext ctx = {});
-
-  /// The image bytes of `lba` still in flight to the image disk, or null.
-  ///
-  /// Deferred image flushes (the OSM trick) run at background priority
-  /// AFTER the client's write has returned and released its locks, so the
-  /// on-disk image trails the data copy by up to one write.  Healthy reads
-  /// never notice -- they read data copies -- but the failure paths
-  /// (degraded reads, the rebuild sweep's data-zone restore) read images
-  /// and MUST prefer this buffer, or a client that just wrote a block can
-  /// read its previous contents back through the degraded path.  Healthy
-  /// paths deliberately do not consult it: serving a disk read from memory
-  /// would shift fault-free timings (and the committed baselines).
-  const block::Payload* pending_image(std::uint64_t lba) const {
-    const auto it = pending_images_.find(lba);
-    return it == pending_images_.end() ? nullptr : &it->second.data;
-  }
 
   struct PendingImage {
     std::uint64_t seq;  // newest write wins; stale flushes don't erase

@@ -24,4 +24,11 @@ std::vector<block::PhysBlock> Raid1Layout::mirror_locations(
   return {block::PhysBlock{primary.disk + 1, primary.offset}};
 }
 
+SlotSource Raid1Layout::source_of(int disk, std::uint64_t offset) const {
+  const std::uint64_t lba = offset * static_cast<std::uint64_t>(pairs()) +
+                            static_cast<std::uint64_t>(disk / 2);
+  const int partner = disk % 2 == 0 ? disk + 1 : disk - 1;
+  return copy_of(lba, block::PhysBlock{partner, offset});
+}
+
 }  // namespace raidx::raid

@@ -27,6 +27,16 @@ class Raid1Layout : public Layout {
   std::vector<block::PhysBlock> mirror_locations(
       std::uint64_t lba) const override;
 
+  /// Every slot is restored from the same offset on its pair partner.
+  SlotSource source_of(int disk, std::uint64_t offset) const override;
+  std::uint64_t rebuild_rows(int /*disk*/) const override {
+    return geo_.blocks_per_disk;
+  }
+  std::vector<block::PhysExtent> rebuild_row(
+      int disk, std::uint64_t row) const override {
+    return {block::PhysExtent{disk, row, 1}};
+  }
+
   /// Stripe width in blocks = number of pairs.
   std::uint32_t stripe_width() const override {
     return static_cast<std::uint32_t>(geo_.total_disks() / 2);

@@ -25,4 +25,36 @@ std::vector<block::PhysBlock> Raid10Layout::mirror_locations(
   return {block::PhysBlock{chained, mirror_zone_base() + primary.offset}};
 }
 
+SlotSource Raid10Layout::source_of(int disk, std::uint64_t offset) const {
+  const int n = geo_.nodes;
+  const int node = geo_.node_of(disk);
+  const int row = geo_.row_of(disk);
+  const auto nn = static_cast<std::uint64_t>(n);
+  if (holds_data(row) && offset < data_zone_blocks()) {
+    const std::uint64_t lba =
+        stripe_at(row, offset) * nn + static_cast<std::uint64_t>(node);
+    return copy_of(lba, mirror_locations(lba)[0]);
+  }
+  if (holds_images(row) && offset >= mirror_zone_base() &&
+      offset - mirror_zone_base() < data_zone_blocks()) {
+    const std::uint64_t lba =
+        stripe_at(data_row_of(row), offset - mirror_zone_base()) * nn +
+        static_cast<std::uint64_t>((node + n - 1) % n);
+    return copy_of(lba, data_location(lba));
+  }
+  return {};
+}
+
+std::vector<block::PhysExtent> Raid10Layout::rebuild_row(
+    int disk, std::uint64_t row) const {
+  std::vector<block::PhysExtent> out;
+  if (holds_data(geo_.row_of(disk))) {
+    out.push_back(block::PhysExtent{disk, row, 1});
+  }
+  if (holds_images(geo_.row_of(disk))) {
+    out.push_back(block::PhysExtent{disk, mirror_zone_base() + row, 1});
+  }
+  return out;
+}
+
 }  // namespace raidx::raid

@@ -41,6 +41,16 @@ class Raid10Layout : public Layout {
   std::vector<block::PhysBlock> mirror_locations(
       std::uint64_t lba) const override;
 
+  /// A primary is restored from its chained backup on the next node; a
+  /// backup from the previous node's primary.  Row r of a rebuild restores
+  /// the primary at offset r and the backup at mirror_zone_base() + r.
+  SlotSource source_of(int disk, std::uint64_t offset) const override;
+  std::uint64_t rebuild_rows(int /*disk*/) const override {
+    return data_zone_blocks();
+  }
+  std::vector<block::PhysExtent> rebuild_row(
+      int disk, std::uint64_t row) const override;
+
   /// First physical block of the mirror zone on a mirror-holding disk
   /// (0 in hybrid mode: the whole bottom-row disk is mirror zone).
   std::uint64_t mirror_zone_base() const {

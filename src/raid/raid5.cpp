@@ -24,4 +24,24 @@ block::PhysBlock Raid5Layout::data_location(std::uint64_t lba) const {
   return block::PhysBlock{disk, stripe};
 }
 
+SlotSource Raid5Layout::source_of(int disk, std::uint64_t offset) const {
+  const int pdisk = parity_disk(offset);
+  SlotSource src;
+  src.kind = SlotSource::Kind::kXor;
+  src.lock_group = offset;
+  if (disk != pdisk) {
+    src.lba = stripe_first_lba(offset) +
+              static_cast<std::uint64_t>(disk < pdisk ? disk : disk - 1);
+  }
+  // The data peers in logical order (every disk but parity, ascending),
+  // then the parity block when the slot is not itself parity.
+  for (int d = 0; d < geo_.total_disks(); ++d) {
+    if (d != disk && d != pdisk) {
+      src.from.push_back(block::PhysBlock{d, offset});
+    }
+  }
+  if (disk != pdisk) src.from.push_back(parity_location(offset));
+  return src;
+}
+
 }  // namespace raidx::raid

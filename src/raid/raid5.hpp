@@ -24,6 +24,23 @@ class Raid5Layout : public Layout {
 
   block::PhysBlock data_location(std::uint64_t lba) const override;
 
+  /// Stripe-aligned groups: concurrent partial-stripe writers must never
+  /// race on the same parity block.
+  std::uint64_t lock_group_of(std::uint64_t lba) const override {
+    return stripe_of(lba);
+  }
+
+  /// Physical offset o of every disk is stripe o: a lost block, data or
+  /// parity alike, is the XOR of the other disks' blocks at o.
+  SlotSource source_of(int disk, std::uint64_t offset) const override;
+  std::uint64_t rebuild_rows(int /*disk*/) const override {
+    return geo_.blocks_per_disk;
+  }
+  std::vector<block::PhysExtent> rebuild_row(
+      int disk, std::uint64_t row) const override {
+    return {block::PhysExtent{disk, row, 1}};
+  }
+
   /// A full stripe spans all disks; N-1 of its blocks carry data.
   std::uint32_t stripe_width() const override {
     return static_cast<std::uint32_t>(geo_.total_disks() - 1);

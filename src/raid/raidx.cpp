@@ -72,4 +72,57 @@ std::vector<block::PhysBlock> RaidxLayout::mirror_locations(
   return {block::PhysBlock{imgs.clustered.disk, imgs.clustered.offset + idx}};
 }
 
+SlotSource RaidxLayout::source_of(int disk, std::uint64_t offset) const {
+  const int n = geo_.nodes;
+  const int node = geo_.node_of(disk);
+  const int row = geo_.row_of(disk);
+  if (holds_data(row) && offset < q_max_) {
+    const std::uint64_t lba = stripe_first_lba(stripe_at(row, offset)) +
+                              static_cast<std::uint64_t>(node);
+    return copy_of(lba, mirror_locations(lba)[0],
+                   /*pending_image_fresher=*/true);
+  }
+  if (!holds_images(row) || offset < clustered_zone_base()) return {};
+  // Only ~1/n of the image slots are populated: those of stripes whose
+  // image node is this node (clustered) or its predecessor (neighbor).
+  const auto n1 = static_cast<std::uint64_t>(n - 1);
+  const bool clustered = offset < neighbor_zone_base();
+  const std::uint64_t q = clustered
+                              ? (offset - clustered_zone_base()) / n1
+                              : offset - neighbor_zone_base();
+  if (q >= q_max_) return {};
+  const std::uint64_t stripe = stripe_at(data_row_of(row), q);
+  const int d = image_node(stripe);
+  int slot = d;  // the neighbor image mirrors the image node's own block
+  if (clustered) {
+    // Run position i holds stripe slot i, skipping the image node.
+    const auto i = static_cast<int>((offset - clustered_zone_base()) % n1);
+    slot = i < d ? i : i + 1;
+  }
+  if ((clustered ? d : (d + 1) % n) != node) return {};
+  const std::uint64_t lba =
+      stripe_first_lba(stripe) + static_cast<std::uint64_t>(slot);
+  return copy_of(lba, data_location(lba));
+}
+
+std::vector<block::PhysExtent> RaidxLayout::rebuild_row(
+    int disk, std::uint64_t row) const {
+  const int n = geo_.nodes;
+  const int node = geo_.node_of(disk);
+  const int g = geo_.row_of(disk);
+  std::vector<block::PhysExtent> out;
+  if (holds_data(g)) out.push_back(block::PhysExtent{disk, row, 1});
+  if (holds_images(g)) {
+    const int d = image_node(stripe_at(data_row_of(g), row));
+    if (d == node) {
+      out.push_back(block::PhysExtent{
+          disk, clustered_zone_base() + row * static_cast<std::uint64_t>(n - 1),
+          static_cast<std::uint32_t>(n - 1)});
+    } else if ((d + 1) % n == node) {
+      out.push_back(block::PhysExtent{disk, neighbor_zone_base() + row, 1});
+    }
+  }
+  return out;
+}
+
 }  // namespace raidx::raid

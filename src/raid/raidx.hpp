@@ -84,6 +84,16 @@ class RaidxLayout : public Layout {
   };
   StripeImages stripe_images(std::uint64_t stripe) const;
 
+  /// A data slot is restored from its image (a still-pending deferred
+  /// flush is fresher); a populated image slot from the data block it
+  /// mirrors.  Row q of a rebuild restores the data slot at q, plus the
+  /// clustered run and the neighbor slot of stripe-row q when the disk
+  /// holds them.
+  SlotSource source_of(int disk, std::uint64_t offset) const override;
+  std::uint64_t rebuild_rows(int /*disk*/) const override { return q_max_; }
+  std::vector<block::PhysExtent> rebuild_row(
+      int disk, std::uint64_t row) const override;
+
   /// Zone boundaries (exposed for tests and the rebuild engine).
   std::uint64_t data_zone_blocks() const { return q_max_; }
   std::uint64_t clustered_zone_base() const { return hybrid_ ? 0 : q_max_; }

@@ -1,18 +1,21 @@
-// Rebuild engines: restore a replaced disk's contents from redundancy.
+// Recovery: restore slots from the layout's redundancy recipe.
+//
+// Every layout states one recipe (Layout::source_of): the logical block a
+// physical slot carries, its lock group, and the blocks its bytes can be
+// re-derived from -- other copies, or the XOR of its parity-stripe peers.
+// recover() follows it for all three consumers, which differ only in how
+// they read: the rebuild sweep and repair read one source at a time at
+// background priority (repair through scrub_read, so a rotten source fails
+// it), degraded client reads at foreground priority with XOR peers in
+// parallel.  RAID-x data slots prefer a still-in-flight deferred image
+// over the image disk, which trails it.
 //
 // Rebuilds run at background disk priority so foreground traffic keeps its
-// latency while redundancy is being re-established.  Each restore step is
-// a read-reconstruct-write over a stripe's surviving blocks, so it takes
-// the same lock groups a client write of those logical blocks would:
-// without the lock, a sweep that has read its sources can lose the CPU to
-// a foreground write of the same stripe and then stomp it with the stale
-// reconstruction.  Each level's sweep follows its own geometry:
-//  * RAID-5: every physical offset of the lost disk (data or parity alike)
-//    is the XOR of the other N-1 disks' blocks at the same offset.
-//  * RAID-10: primary zone re-copied from the chained mirror, mirror zone
-//    re-copied from the chained-from neighbor's primaries.
-//  * RAID-x: data zone restored from images, clustered and neighbor image
-//    zones regenerated from the surviving data blocks.
+// latency while redundancy is being re-established.  Each row of the sweep
+// (Layout::rebuild_row) is a read-reconstruct-write, so it takes the lock
+// groups a client write of the restored blocks would: without the lock, a
+// sweep that has read its sources can lose the CPU to a foreground write
+// of the same stripe and then stomp it with the stale reconstruction.
 #include <algorithm>
 
 #include "raid/controller.hpp"
@@ -45,15 +48,174 @@ class RebuildScope {
   disk::Device& disk_;
   bool completed_ = false;
 };
+
+/// A source read is usable only if it arrived AND every block of it passed
+/// verification (ordinary reads fail outright on a bad block).
+bool usable(const cdd::Reply& r) { return r.ok && r.bad_blocks.empty(); }
+
+/// `parts` as one payload: a single block as is, an all-zero run as a
+/// zero-run, anything else materialized.
+block::Payload concat(std::vector<block::Payload> parts, std::uint32_t bs) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  const bool all_zero =
+      std::all_of(parts.begin(), parts.end(),
+                  [](const block::Payload& p) { return p.is_zeros(); });
+  if (all_zero) return block::Payload::zeros(parts.size() * bs);
+  std::vector<std::byte> buf(parts.size() * bs);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    parts[i].copy_to(std::span<std::byte>(buf).subspan(i * bs, bs));
+  }
+  return block::Payload(std::move(buf));
+}
+
 }  // namespace
 
-sim::Task<> ArrayController::rebuild_disk(int /*client*/, int disk_id,
-                                          std::uint64_t /*max_offset*/) {
-  // Suspend once so the IoError surfaces at the caller's co_await like
-  // every other sweep failure, not synchronously out of the call.
-  co_await sim().delay(0);
-  throw IoError(name() + ": no rebuild path for disk " +
-                std::to_string(disk_id));
+sim::Task<std::optional<block::Payload>> ArrayController::recover(
+    int client, SlotSource src, Fetch how, obs::TraceContext ctx) {
+  auto fetch = [](ArrayController* self, int c, block::PhysBlock pb,
+                  Fetch how, cdd::Reply* out,
+                  obs::TraceContext ctx) -> sim::Task<> {
+    if (how == Fetch::kScrub) {
+      *out = co_await self->fabric_.scrub_read(c, pb.disk, pb.offset, 1, ctx);
+    } else {
+      *out = co_await self->fabric_.read(
+          c, pb.disk, pb.offset, 1,
+          how == Fetch::kDegraded ? disk::IoPriority::kForeground
+                                  : disk::IoPriority::kBackground,
+          ctx);
+    }
+  };
+
+  if (src.kind == SlotSource::Kind::kNone) co_return std::nullopt;
+  if (src.kind == SlotSource::Kind::kCopy) {
+    if (src.pending_image_fresher) {
+      if (const block::Payload* p = pending_image(*src.lba)) co_return *p;
+    }
+    for (const block::PhysBlock& pb : src.from) {
+      cdd::Reply r;
+      co_await fetch(this, client, pb, how, &r, ctx);
+      if (usable(r)) co_return std::move(r.data);
+    }
+    co_return std::nullopt;
+  }
+
+  // XOR of the stripe's peers.  Sweeps and repairs visit them in disk
+  // order and stop at the first unusable one.
+  std::vector<cdd::Reply> peers(src.from.size());
+  if (how == Fetch::kDegraded) {
+    sim::Joiner join(sim());
+    for (std::size_t i = 0; i < src.from.size(); ++i) {
+      join.spawn(fetch(this, client, src.from[i], how, &peers[i], ctx));
+    }
+    co_await join.wait();
+  } else {
+    std::sort(src.from.begin(), src.from.end(),
+              [](const block::PhysBlock& a, const block::PhysBlock& b) {
+                return a.disk < b.disk;
+              });
+    for (std::size_t i = 0; i < src.from.size(); ++i) {
+      co_await fetch(this, client, src.from[i], how, &peers[i], ctx);
+      if (!usable(peers[i])) co_return std::nullopt;
+    }
+  }
+  const std::uint32_t bs = block_bytes();
+  bool all_zero = true;
+  for (const cdd::Reply& r : peers) {
+    if (!usable(r)) co_return std::nullopt;
+    if (!r.data.is_zeros()) all_zero = false;
+  }
+  block::Payload out = block::Payload::zeros(bs);
+  if (!all_zero) {
+    std::vector<std::byte> acc(bs, std::byte{0});
+    for (const cdd::Reply& r : peers) block::xor_into(acc, r.data);
+    out = block::Payload(std::move(acc));
+  }
+  co_await xor_cpu(client, static_cast<std::uint64_t>(peers.size()) * bs);
+  co_return out;
+}
+
+sim::Task<> ArrayController::with_locks(int client,
+                                        std::vector<std::uint64_t> groups,
+                                        sim::Task<> body,
+                                        obs::TraceContext ctx) {
+  const std::uint64_t owner =
+      params_.use_locks ? fabric_.next_lock_owner() : 0;
+  if (params_.use_locks) {
+    co_await fabric_.lock_groups(client, groups, owner, ctx);
+  }
+  std::exception_ptr err;
+  try {
+    co_await std::move(body);
+  } catch (...) {
+    err = std::current_exception();
+  }
+  if (params_.use_locks) {
+    co_await fabric_.unlock_groups(client, std::move(groups), owner, ctx);
+  }
+  if (err) std::rethrow_exception(err);
+}
+
+sim::Task<> ArrayController::rebuild_disk(int client, int disk_id,
+                                          std::uint64_t max_offset) {
+  const Layout& lay = layout();
+  if (lay.rebuild_rows(disk_id) == 0) {
+    // Suspend once so the IoError surfaces at the caller's co_await like
+    // every other sweep failure, not synchronously out of the call.
+    co_await sim().delay(0);
+    throw IoError(name() + ": no rebuild path for disk " +
+                  std::to_string(disk_id));
+  }
+  obs::Span span = obs::trace_span(
+      sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
+      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
+  const std::uint64_t rows = std::min(max_offset, lay.rebuild_rows(disk_id));
+  RebuildScope scope(fabric_.cluster().disk(disk_id));
+
+  for (std::uint64_t row = 0; row < rows; ++row) {
+    scope.advance(row);
+    std::vector<block::PhysExtent> targets = lay.rebuild_row(disk_id, row);
+    std::vector<SlotSource> slots;
+    std::vector<std::uint64_t> groups;
+    for (const block::PhysExtent& t : targets) {
+      for (std::uint32_t i = 0; i < t.nblocks; ++i) {
+        slots.push_back(lay.source_of(t.disk, t.offset + i));
+        groups.push_back(slots.back().lock_group);
+      }
+    }
+    std::sort(groups.begin(), groups.end());
+    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+    co_await with_locks(client, std::move(groups),
+                        restore_row(client, std::move(targets),
+                                    std::move(slots), span.ctx()),
+                        span.ctx());
+  }
+  scope.complete();
+}
+
+sim::Task<> ArrayController::restore_row(
+    int client, std::vector<block::PhysExtent> targets,
+    std::vector<SlotSource> slots, obs::TraceContext ctx) {
+  const std::uint32_t bs = block_bytes();
+  std::size_t next = 0;
+  for (const block::PhysExtent& t : targets) {
+    std::vector<block::Payload> parts;
+    for (std::uint32_t i = 0; i < t.nblocks; ++i) {
+      std::optional<block::Payload> got =
+          co_await recover(client, std::move(slots[next++]), Fetch::kSweep,
+                           ctx);
+      if (!got) {
+        throw IoError(name() + " rebuild: no source left for disk " +
+                      std::to_string(t.disk) + " offset " +
+                      std::to_string(t.offset + i));
+      }
+      parts.push_back(std::move(*got));
+    }
+    co_await rebuild_throttle_gate(static_cast<std::uint64_t>(t.nblocks) * bs);
+    cdd::Reply w = co_await fabric_.write(client, t.disk, t.offset,
+                                          concat(std::move(parts), bs),
+                                          disk::IoPriority::kBackground, ctx);
+    if (!w.ok) throw IoError(name() + " rebuild: replacement disk failed");
+  }
 }
 
 sim::Task<> ArrayController::rebuild_throttle_gate(std::uint64_t bytes) {
@@ -61,349 +223,6 @@ sim::Task<> ArrayController::rebuild_throttle_gate(std::uint64_t bytes) {
   if (rebuild_throttle_ != nullptr) {
     co_await rebuild_throttle_->acquire(bytes);
   }
-}
-
-sim::Task<> Raid5Controller::rebuild_disk(int client, int disk_id,
-                                          std::uint64_t max_offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const std::uint32_t bs = block_bytes();
-  const std::uint64_t limit = std::min(max_offset, geo.blocks_per_disk);
-  const int total = geo.total_disks();
-  RebuildScope scope(fabric_.cluster().disk(disk_id));
-
-  for (std::uint64_t off = 0; off < limit; ++off) {
-    scope.advance(off);
-    // Physical offset `off` is stripe `off`; its writers all lock the
-    // stripe group, so holding it freezes data and parity alike.
-    std::vector<std::uint64_t> groups{off};
-    const std::uint64_t owner =
-        params_.use_locks ? fabric_.next_lock_owner() : 0;
-    if (params_.use_locks) {
-      co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-    }
-    std::exception_ptr err;
-    try {
-      // The missing block (data or parity) is the XOR of its stripe peers.
-      std::vector<cdd::Reply> peers;
-      peers.reserve(static_cast<std::size_t>(total - 1));
-      bool all_zero = true;
-      for (int d = 0; d < total; ++d) {
-        if (d == disk_id) continue;
-        cdd::Reply r = co_await fabric_.read(client, d, off, 1,
-                                             disk::IoPriority::kBackground,
-                                             span.ctx());
-        if (!r.ok) {
-          throw IoError("RAID-5 rebuild: second failure on disk " +
-                        std::to_string(d));
-        }
-        if (!r.data.is_zeros()) all_zero = false;
-        peers.push_back(std::move(r));
-      }
-      block::Payload rebuilt;
-      if (all_zero) {
-        rebuilt = block::Payload::zeros(bs);
-      } else {
-        std::vector<std::byte> acc(bs, std::byte{0});
-        for (const cdd::Reply& r : peers) block::xor_into(acc, r.data);
-        rebuilt = block::Payload(std::move(acc));
-      }
-      co_await xor_cpu(client, static_cast<std::uint64_t>(total - 1) * bs);
-      co_await rebuild_throttle_gate(bs);
-      cdd::Reply w = co_await fabric_.write(client, disk_id, off,
-                                            std::move(rebuilt),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      if (!w.ok) {
-        throw IoError("RAID-5 rebuild: replacement disk failed");
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (params_.use_locks) {
-      co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                     span.ctx());
-    }
-    if (err) std::rethrow_exception(err);
-  }
-  scope.complete();
-}
-
-sim::Task<> Raid10Controller::rebuild_disk(int client, int disk_id,
-                                           std::uint64_t max_offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const auto& lay = static_cast<const Raid10Layout&>(layout());
-  const int n = geo.nodes;
-  const int node = geo.node_of(disk_id);
-  const int row = geo.row_of(disk_id);
-  const std::uint64_t limit = std::min(max_offset, lay.data_zone_blocks());
-  const auto nk = static_cast<std::uint64_t>(n);
-  // Which halves of the layout this disk carries (both, unless hybrid
-  // split the roles across rows).
-  const bool has_primary = lay.holds_data(row);
-  const bool has_mirror = lay.holds_images(row);
-  RebuildScope scope(fabric_.cluster().disk(disk_id));
-
-  for (std::uint64_t off = 0; off < limit; ++off) {
-    scope.advance(off);
-    // Primary at `off` (if any) belongs to this row's stripe; the mirror
-    // slot at the same offset backs the chained-from data row's stripe.
-    const std::uint64_t stripe = lay.stripe_at(row, off);
-    const std::uint64_t backed_stripe =
-        lay.stripe_at(lay.data_row_of(row), off);
-    const std::uint64_t lba = stripe * nk + static_cast<std::uint64_t>(node);
-    const std::uint64_t backed_lba =
-        backed_stripe * nk + static_cast<std::uint64_t>((node + n - 1) % n);
-
-    // Writers lock per logical block; this row restores the primary of
-    // `lba` and the mirror of `backed_lba`.
-    std::vector<std::uint64_t> groups;
-    if (has_primary && lba < logical_blocks()) {
-      groups.push_back(lock_group_of(lba));
-    }
-    if (has_mirror && backed_lba < logical_blocks()) {
-      groups.push_back(lock_group_of(backed_lba));
-    }
-    std::sort(groups.begin(), groups.end());
-    const std::uint64_t owner =
-        params_.use_locks ? fabric_.next_lock_owner() : 0;
-    if (params_.use_locks && !groups.empty()) {
-      co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-    }
-    std::exception_ptr err;
-    try {
-      // Primary zone: block `lba` lived here; its copy is on the next
-      // node's mirror-holding row.
-      if (has_primary && lba < logical_blocks()) {
-        const int mirror_disk = geo.disk_id(lay.image_row(row), (node + 1) % n);
-        cdd::Reply r =
-            co_await fabric_.read(client, mirror_disk,
-                                  lay.mirror_zone_base() + off, 1,
-                                  disk::IoPriority::kBackground, span.ctx());
-        if (!r.ok) throw IoError("RAID-10 rebuild: mirror copy unavailable");
-        co_await rebuild_throttle_gate(block_bytes());
-        cdd::Reply w = co_await fabric_.write(client, disk_id, off,
-                                              std::move(r.data),
-                                              disk::IoPriority::kBackground,
-                                              span.ctx());
-        if (!w.ok) throw IoError("RAID-10 rebuild: replacement disk failed");
-      }
-      // Mirror zone: this disk backs the previous node's primaries.
-      if (has_mirror && backed_lba < logical_blocks()) {
-        const int primary_disk =
-            geo.disk_id(lay.data_row_of(row), (node + n - 1) % n);
-        cdd::Reply r = co_await fabric_.read(client, primary_disk, off, 1,
-                                             disk::IoPriority::kBackground,
-                                             span.ctx());
-        if (!r.ok) throw IoError("RAID-10 rebuild: primary copy unavailable");
-        co_await rebuild_throttle_gate(block_bytes());
-        cdd::Reply w = co_await fabric_.write(
-            client, disk_id, lay.mirror_zone_base() + off, std::move(r.data),
-            disk::IoPriority::kBackground, span.ctx());
-        if (!w.ok) throw IoError("RAID-10 rebuild: replacement disk failed");
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (params_.use_locks && !groups.empty()) {
-      co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                     span.ctx());
-    }
-    if (err) std::rethrow_exception(err);
-  }
-  scope.complete();
-}
-
-sim::Task<> Raid1Controller::rebuild_disk(int client, int disk_id,
-                                          std::uint64_t max_offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  // Both disks of a pair use the same offsets over the whole disk.
-  const std::uint64_t limit = std::min(max_offset, geo.blocks_per_disk);
-  const int partner = (disk_id % 2 == 0) ? disk_id + 1 : disk_id - 1;
-  RebuildScope scope(fabric_.cluster().disk(disk_id));
-
-  const auto pairs = static_cast<std::uint64_t>(geo.total_disks() / 2);
-  for (std::uint64_t off = 0; off < limit; ++off) {
-    scope.advance(off);
-    // Offset `off` of pair p holds logical block off*pairs + p.
-    const std::uint64_t lba =
-        off * pairs + static_cast<std::uint64_t>(disk_id / 2);
-    const bool lock = params_.use_locks && lba < logical_blocks();
-    std::vector<std::uint64_t> groups{lock_group_of(lba)};
-    const std::uint64_t owner = lock ? fabric_.next_lock_owner() : 0;
-    if (lock) co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-    std::exception_ptr err;
-    try {
-      cdd::Reply r = co_await fabric_.read(client, partner, off, 1,
-                                           disk::IoPriority::kBackground,
-                                           span.ctx());
-      if (!r.ok) throw IoError("RAID-1 rebuild: partner copy unavailable");
-      co_await rebuild_throttle_gate(block_bytes());
-      cdd::Reply w = co_await fabric_.write(client, disk_id, off,
-                                            std::move(r.data),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      if (!w.ok) throw IoError("RAID-1 rebuild: replacement disk failed");
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (lock) {
-      co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                     span.ctx());
-    }
-    if (err) std::rethrow_exception(err);
-  }
-  scope.complete();
-}
-
-sim::Task<> RaidxController::rebuild_disk(int client, int disk_id,
-                                          std::uint64_t max_offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const std::uint32_t bs = block_bytes();
-  const int n = geo.nodes;
-  const int node = geo.node_of(disk_id);
-  const int row = geo.row_of(disk_id);
-  const std::uint64_t limit =
-      std::min(max_offset, layout_.data_zone_blocks());
-  const auto nk = static_cast<std::uint64_t>(n);
-  RebuildScope scope(fabric_.cluster().disk(disk_id));
-
-  for (std::uint64_t q = 0; q < limit; ++q) {
-    scope.advance(q);
-    // Data stripe with a block on this disk (when the row holds data),
-    // and the stripe whose images this disk would hold (same row in the
-    // homogeneous layout, the paired data row in hybrid mode).
-    const bool has_data = layout_.holds_data(row);
-    const std::uint64_t stripe = layout_.stripe_at(row, q);
-    const std::uint64_t istripe =
-        layout_.stripe_at(layout_.data_row_of(row), q);
-    const std::uint64_t lba = stripe * nk + static_cast<std::uint64_t>(node);
-    const bool clusters =
-        layout_.holds_images(row) && layout_.image_node(istripe) == node;
-    const bool strays = layout_.holds_images(row) &&
-                        (layout_.image_node(istripe) + 1) % n == node;
-
-    // Lock every logical block this row touches: the restored data block,
-    // plus -- when this disk holds the stripe's images -- the data blocks
-    // whose images get regenerated.
-    std::vector<std::uint64_t> groups;
-    if (has_data) groups.push_back(lock_group_of(lba));
-    if (clusters || strays) {
-      const RaidxLayout::StripeImages imgs = layout_.stripe_images(istripe);
-      if (clusters) {
-        for (std::uint32_t i = 0; i < imgs.clustered.nblocks; ++i) {
-          groups.push_back(lock_group_of(imgs.clustered_lbas[i]));
-        }
-      }
-      if (strays) groups.push_back(lock_group_of(imgs.neighbor_lba));
-    }
-    std::sort(groups.begin(), groups.end());
-    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-    const std::uint64_t owner =
-        params_.use_locks ? fabric_.next_lock_owner() : 0;
-    if (params_.use_locks) {
-      co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-    }
-    std::exception_ptr err;
-    try {
-      // Data zone: restore this disk's data block from its image.  A
-      // deferred image flush still in flight is fresher than the image
-      // disk; restoring from the disk would freeze the previous write
-      // into the spare.
-      if (has_data) {
-        block::Payload restored;
-        if (const block::Payload* p = pending_image(lba)) {
-          restored = *p;
-        } else {
-          const block::PhysBlock img = layout_.mirror_locations(lba)[0];
-          cdd::Reply r = co_await fabric_.read(client, img.disk, img.offset,
-                                               1, disk::IoPriority::kBackground,
-                                               span.ctx());
-          if (!r.ok) throw IoError("RAID-x rebuild: image unavailable");
-          restored = std::move(r.data);
-        }
-        co_await rebuild_throttle_gate(bs);
-        cdd::Reply w = co_await fabric_.write(client, disk_id, q,
-                                              std::move(restored),
-                                              disk::IoPriority::kBackground,
-                                              span.ctx());
-        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
-      }
-
-      // Clustered zone: if this disk clusters stripe `istripe`'s images,
-      // regenerate the run from the surviving data blocks.
-      if (clusters) {
-        const RaidxLayout::StripeImages imgs = layout_.stripe_images(istripe);
-        std::vector<cdd::Reply> blocks;
-        blocks.reserve(imgs.clustered.nblocks);
-        bool all_zero = true;
-        for (std::uint32_t i = 0; i < imgs.clustered.nblocks; ++i) {
-          const block::PhysBlock src =
-              layout_.data_location(imgs.clustered_lbas[i]);
-          cdd::Reply r = co_await fabric_.read(client, src.disk, src.offset,
-                                               1, disk::IoPriority::kBackground,
-                                               span.ctx());
-          if (!r.ok) throw IoError("RAID-x rebuild: data block unavailable");
-          if (!r.data.is_zeros()) all_zero = false;
-          blocks.push_back(std::move(r));
-        }
-        block::Payload run;
-        if (all_zero) {
-          run = block::Payload::zeros(
-              static_cast<std::size_t>(imgs.clustered.nblocks) * bs);
-        } else {
-          std::vector<std::byte> buf(
-              static_cast<std::size_t>(imgs.clustered.nblocks) * bs);
-          for (std::uint32_t i = 0; i < imgs.clustered.nblocks; ++i) {
-            blocks[i].data.copy_to(
-                std::span<std::byte>(buf).subspan(
-                    static_cast<std::size_t>(i) * bs, bs));
-          }
-          run = block::Payload(std::move(buf));
-        }
-        co_await rebuild_throttle_gate(
-            static_cast<std::uint64_t>(imgs.clustered.nblocks) * bs);
-        cdd::Reply w = co_await fabric_.write(
-            client, imgs.clustered.disk, imgs.clustered.offset,
-            std::move(run), disk::IoPriority::kBackground, span.ctx());
-        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
-      }
-
-      // Neighbor zone: if this disk holds the stray image of `istripe`.
-      if (strays) {
-        const RaidxLayout::StripeImages imgs = layout_.stripe_images(istripe);
-        const block::PhysBlock src = layout_.data_location(imgs.neighbor_lba);
-        cdd::Reply r = co_await fabric_.read(client, src.disk, src.offset, 1,
-                                             disk::IoPriority::kBackground,
-                                             span.ctx());
-        if (!r.ok) throw IoError("RAID-x rebuild: data block unavailable");
-        co_await rebuild_throttle_gate(bs);
-        cdd::Reply w = co_await fabric_.write(
-            client, imgs.neighbor.disk, imgs.neighbor.offset,
-            std::move(r.data), disk::IoPriority::kBackground, span.ctx());
-        if (!w.ok) throw IoError("RAID-x rebuild: replacement disk failed");
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (params_.use_locks) {
-      co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                     span.ctx());
-    }
-    if (err) std::rethrow_exception(err);
-  }
-  scope.complete();
 }
 
 }  // namespace raidx::raid

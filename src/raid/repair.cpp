@@ -1,12 +1,12 @@
-// Per-layout block repair: rewrite one physically-addressed block whose
-// stored bytes failed checksum verification (src/integrity).
+// Block repair: rewrite one physically-addressed block whose stored bytes
+// failed checksum verification (src/integrity).
 //
 // Repair is a miniature, single-block rebuild: re-derive the block's
-// correct contents from the layout's redundancy and write them back.
-// Three rules keep it correct under live traffic:
-//  * every repair runs under the same lock groups a client write of the
-//    affected logical blocks would take, so a repair can neither read a
-//    half-written source nor stomp a concurrent writer (byte-exact);
+// correct contents from the layout's redundancy recipe and write them
+// back.  Three rules keep it correct under live traffic:
+//  * every repair runs under the lock group a client write of the block
+//    would take, so a repair can neither read a half-written source nor
+//    stomp a concurrent writer (byte-exact);
 //  * every redundancy *source* is read with forced verification
 //    (CddFabric::scrub_read) -- copying an unverified source would
 //    launder a second latent error into a freshly-checksummed block;
@@ -14,314 +14,42 @@
 //    clean copies of the affected logical block, so a cache warmed
 //    through an unverified read can never keep serving stale bytes.
 // All I/O runs at background disk priority: repair is maintenance and
-// yields to foreground traffic.  The base implementation is RAID-0's
-// verdict: no redundancy, the block is unrecoverable.
-#include <algorithm>
-
+// yields to foreground traffic.  A slot with no source (RAID-0, or an
+// unused slot) gets the explicit verdict: unrecoverable.
 #include "raid/controller.hpp"
 
 namespace raidx::raid {
 
-namespace {
-
-/// A scrub-verified source read is usable only if it arrived AND every
-/// block of it passed verification.
-bool source_good(const cdd::Reply& r) { return r.ok && r.bad_blocks.empty(); }
-
-}  // namespace
-
-sim::Task<bool> ArrayController::repair_block(int /*client*/, int /*disk_id*/,
-                                              std::uint64_t /*offset*/) {
-  // No redundancy (RAID-0): the loss is explicit and unrecoverable.
-  co_return false;
-}
-
-sim::Task<bool> Raid1Controller::repair_block(int client, int disk_id,
+sim::Task<bool> ArrayController::repair_block(int client, int disk_id,
                                               std::uint64_t offset) {
+  SlotSource src = layout().source_of(disk_id, offset);
+  if (src.kind == SlotSource::Kind::kNone) co_return false;
   obs::Span span = obs::trace_span(
       sim(), {}, "engine.repair", obs::Track::kRequest, client,
       obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const int partner = (disk_id % 2 == 0) ? disk_id + 1 : disk_id - 1;
-  const auto pairs = static_cast<std::uint64_t>(geo.total_disks() / 2);
-  const std::uint64_t lba =
-      offset * pairs + static_cast<std::uint64_t>(disk_id / 2);
-  if (lba >= logical_blocks()) co_return false;
-
-  const bool lock = params_.use_locks;
-  std::vector<std::uint64_t> groups{lock_group_of(lba)};
-  const std::uint64_t owner = lock ? fabric_.next_lock_owner() : 0;
-  if (lock) co_await fabric_.lock_groups(client, groups, owner, span.ctx());
+  const std::optional<std::uint64_t> lba = src.lba;
+  std::vector<std::uint64_t> groups{src.lock_group};
   bool ok = false;
-  std::exception_ptr err;
-  try {
-    cdd::Reply r =
-        co_await fabric_.scrub_read(client, partner, offset, 1, span.ctx());
-    if (source_good(r)) {
-      cdd::Reply w = co_await fabric_.write(client, disk_id, offset,
-                                            std::move(r.data),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      ok = w.ok;
-    }
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (lock) {
-    co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                   span.ctx());
-  }
-  if (err) std::rethrow_exception(err);
-  if (ok && cache_ != nullptr && cache_->enabled()) {
-    cache_->invalidate_for_repair(lba);
+  co_await with_locks(client, std::move(groups),
+                      repair_slot(client, block::PhysBlock{disk_id, offset},
+                                  std::move(src), &ok, span.ctx()),
+                      span.ctx());
+  if (ok && lba && cache_ != nullptr && cache_->enabled()) {
+    cache_->invalidate_for_repair(*lba);
   }
   co_return ok;
 }
 
-sim::Task<bool> Raid5Controller::repair_block(int client, int disk_id,
-                                              std::uint64_t offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.repair", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const std::uint32_t bs = block_bytes();
-  const int total = geo.total_disks();
-
-  // Physical offset `offset` is stripe `offset`; locking the stripe group
-  // freezes its data and parity blocks alike.
-  std::vector<std::uint64_t> groups{offset};
-  const std::uint64_t owner =
-      params_.use_locks ? fabric_.next_lock_owner() : 0;
-  if (params_.use_locks) {
-    co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-  }
-  bool ok = false;
-  std::exception_ptr err;
-  try {
-    // The bad block (data or parity alike) is the XOR of its peers.
-    std::vector<cdd::Reply> peers;
-    peers.reserve(static_cast<std::size_t>(total - 1));
-    bool sources_good = true;
-    bool all_zero = true;
-    for (int d = 0; d < total && sources_good; ++d) {
-      if (d == disk_id) continue;
-      cdd::Reply r =
-          co_await fabric_.scrub_read(client, d, offset, 1, span.ctx());
-      if (!source_good(r)) {
-        sources_good = false;
-        break;
-      }
-      if (!r.data.is_zeros()) all_zero = false;
-      peers.push_back(std::move(r));
-    }
-    if (sources_good) {
-      block::Payload rebuilt;
-      if (all_zero) {
-        rebuilt = block::Payload::zeros(bs);
-      } else {
-        std::vector<std::byte> acc(bs, std::byte{0});
-        for (const cdd::Reply& r : peers) block::xor_into(acc, r.data);
-        rebuilt = block::Payload(std::move(acc));
-      }
-      co_await xor_cpu(client, static_cast<std::uint64_t>(total - 1) * bs);
-      cdd::Reply w = co_await fabric_.write(client, disk_id, offset,
-                                            std::move(rebuilt),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      ok = w.ok;
-    }
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (params_.use_locks) {
-    co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                   span.ctx());
-  }
-  if (err) std::rethrow_exception(err);
-
-  const int pdisk = layout_.parity_disk(offset);
-  if (ok && disk_id != pdisk && cache_ != nullptr && cache_->enabled()) {
-    const int pos = disk_id < pdisk ? disk_id : disk_id - 1;
-    const std::uint64_t lba = layout_.stripe_first_lba(offset) +
-                              static_cast<std::uint64_t>(pos);
-    if (lba < logical_blocks()) cache_->invalidate_for_repair(lba);
-  }
-  co_return ok;
-}
-
-sim::Task<bool> Raid10Controller::repair_block(int client, int disk_id,
-                                               std::uint64_t offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.repair", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const auto& lay = static_cast<const Raid10Layout&>(layout());
-  const int n = geo.nodes;
-  const int node = geo.node_of(disk_id);
-  const int row = geo.row_of(disk_id);
-  const std::uint64_t m = lay.mirror_zone_base();
-  const auto nk = static_cast<std::uint64_t>(n);
-
-  // Invert the zone split: a primary-zone block re-fetches from the next
-  // node's mirror copy; a mirror-zone block re-copies the previous node's
-  // primary.  Hybrid mode distributes the zones across rows instead of
-  // within each disk, so the role check consults the layout's row map.
-  int src_disk = 0;
-  std::uint64_t src_off = 0;
-  std::uint64_t lba = 0;
-  if (lay.holds_data(row) && offset < lay.data_zone_blocks()) {
-    const std::uint64_t stripe = lay.stripe_at(row, offset);
-    lba = stripe * nk + static_cast<std::uint64_t>(node);
-    src_disk = geo.disk_id(lay.image_row(row), (node + 1) % n);
-    src_off = m + offset;
-  } else if (lay.holds_images(row) && offset >= m) {
-    const std::uint64_t moff = offset - m;
-    const std::uint64_t stripe = lay.stripe_at(lay.data_row_of(row), moff);
-    lba = stripe * nk + static_cast<std::uint64_t>((node + n - 1) % n);
-    src_disk = geo.disk_id(lay.data_row_of(row), (node + n - 1) % n);
-    src_off = moff;
-  } else {
-    co_return false;
-  }
-  if (lba >= logical_blocks()) co_return false;
-
-  const bool lock = params_.use_locks;
-  std::vector<std::uint64_t> groups{lock_group_of(lba)};
-  const std::uint64_t owner = lock ? fabric_.next_lock_owner() : 0;
-  if (lock) co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-  bool ok = false;
-  std::exception_ptr err;
-  try {
-    cdd::Reply r =
-        co_await fabric_.scrub_read(client, src_disk, src_off, 1, span.ctx());
-    if (source_good(r)) {
-      cdd::Reply w = co_await fabric_.write(client, disk_id, offset,
-                                            std::move(r.data),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      ok = w.ok;
-    }
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (lock) {
-    co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                   span.ctx());
-  }
-  if (err) std::rethrow_exception(err);
-  if (ok && cache_ != nullptr && cache_->enabled()) {
-    cache_->invalidate_for_repair(lba);
-  }
-  co_return ok;
-}
-
-sim::Task<bool> RaidxController::repair_block(int client, int disk_id,
-                                              std::uint64_t offset) {
-  obs::Span span = obs::trace_span(
-      sim(), {}, "engine.repair", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
-  const auto& geo = fabric_.cluster().geometry();
-  const int n = geo.nodes;
-  const int node = geo.node_of(disk_id);
-  const int row = geo.row_of(disk_id);
-  // The data row whose images this disk's image zones hold (identity when
-  // the layout is homogeneous).
-  const int irow = layout_.data_row_of(row);
-
-  // Invert the three-zone split (see raidx.hpp): which logical block's
-  // bytes does this physical slot carry, and where is the other copy?
-  const bool data_zone =
-      layout_.holds_data(row) && offset < layout_.data_zone_blocks();
-  std::uint64_t lba = 0;
-  if (data_zone) {
-    const std::uint64_t stripe = layout_.stripe_at(row, offset);
-    lba = stripe * static_cast<std::uint64_t>(n) +
-          static_cast<std::uint64_t>(node);
-    if (lba >= logical_blocks()) co_return false;
-  } else if (layout_.holds_images(row) &&
-             offset >= layout_.clustered_zone_base() &&
-             offset < layout_.neighbor_zone_base()) {
-    const std::uint64_t idx = offset - layout_.clustered_zone_base();
-    const std::uint64_t q = idx / static_cast<std::uint64_t>(n - 1);
-    const std::uint64_t i = idx % static_cast<std::uint64_t>(n - 1);
-    const std::uint64_t stripe = layout_.stripe_at(irow, q);
-    // Only ~1/n of the reserved image slots are populated; a slot whose
-    // stripe clusters elsewhere carries nothing recoverable (and nothing
-    // checksummed either).
-    if (layout_.image_node(stripe) != node) co_return false;
-    lba = layout_.stripe_images(stripe)
-              .clustered_lbas[static_cast<std::size_t>(i)];
-  } else if (layout_.holds_images(row) &&
-             offset >= layout_.neighbor_zone_base()) {
-    const std::uint64_t q = offset - layout_.neighbor_zone_base();
-    // Slack slots past the last stripe-row (blocks_per_disk need not be a
-    // zone multiple) carry nothing.
-    if (q >= layout_.data_zone_blocks()) co_return false;
-    const std::uint64_t stripe = layout_.stripe_at(irow, q);
-    const int img = layout_.image_node(stripe);
-    if ((img + 1) % n != node) co_return false;
-    lba = layout_.stripe_first_lba(stripe) + static_cast<std::uint64_t>(img);
-  } else {
-    co_return false;
-  }
-
-  std::vector<std::uint64_t> groups{lock_group_of(lba)};
-  const std::uint64_t owner =
-      params_.use_locks ? fabric_.next_lock_owner() : 0;
-  if (params_.use_locks) {
-    co_await fabric_.lock_groups(client, groups, owner, span.ctx());
-  }
-  bool ok = false;
-  std::exception_ptr err;
-  try {
-    block::Payload restored;
-    bool have = false;
-    if (data_zone) {
-      // Data block: its image.  A deferred image flush still in flight is
-      // fresher than the image disk (same rule as the rebuild sweep).
-      if (const block::Payload* p = pending_image(lba)) {
-        restored = *p;
-        have = true;
-      } else {
-        const block::PhysBlock img = layout_.mirror_locations(lba)[0];
-        cdd::Reply r = co_await fabric_.scrub_read(client, img.disk,
-                                                   img.offset, 1, span.ctx());
-        if (source_good(r)) {
-          restored = std::move(r.data);
-          have = true;
-        }
-      }
-    } else {
-      // Image slot: regenerate from the data block it mirrors.  The data
-      // copy on disk is current -- foreground writes land before their
-      // background image flush is even spawned.
-      const block::PhysBlock src = layout_.data_location(lba);
-      cdd::Reply r = co_await fabric_.scrub_read(client, src.disk,
-                                                 src.offset, 1, span.ctx());
-      if (source_good(r)) {
-        restored = std::move(r.data);
-        have = true;
-      }
-    }
-    if (have) {
-      cdd::Reply w = co_await fabric_.write(client, disk_id, offset,
-                                            std::move(restored),
-                                            disk::IoPriority::kBackground,
-                                            span.ctx());
-      ok = w.ok;
-    }
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (params_.use_locks) {
-    co_await fabric_.unlock_groups(client, std::move(groups), owner,
-                                   span.ctx());
-  }
-  if (err) std::rethrow_exception(err);
-  if (ok && cache_ != nullptr && cache_->enabled()) {
-    cache_->invalidate_for_repair(lba);
-  }
-  co_return ok;
+sim::Task<> ArrayController::repair_slot(int client, block::PhysBlock slot,
+                                         SlotSource src, bool* ok,
+                                         obs::TraceContext ctx) {
+  std::optional<block::Payload> got =
+      co_await recover(client, std::move(src), Fetch::kScrub, ctx);
+  if (!got) co_return;
+  cdd::Reply w = co_await fabric_.write(client, slot.disk, slot.offset,
+                                        std::move(*got),
+                                        disk::IoPriority::kBackground, ctx);
+  *ok = w.ok;
 }
 
 }  // namespace raidx::raid

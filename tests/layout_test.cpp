@@ -293,7 +293,7 @@ TEST(DataExtents, FullStripeBecomesOneRunPerDisk) {
   // 3 consecutive stripes: each disk must get exactly one 3-block run.
   const auto extents = data_extents(layout, 0, 12);
   ASSERT_EQ(extents.size(), 4u);
-  for (const auto& e : extents) EXPECT_EQ(e.nblocks, 3u);
+  for (const auto& e : extents) EXPECT_EQ(e.extent.nblocks, 3u);
 }
 
 TEST(DataExtents, SingleBlock) {
@@ -304,8 +304,9 @@ TEST(DataExtents, SingleBlock) {
   Raid0Layout layout(g);
   const auto extents = data_extents(layout, 7, 1);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].nblocks, 1u);
-  EXPECT_EQ(extents[0], (block::PhysExtent{
+  EXPECT_EQ(extents[0].extent.nblocks, 1u);
+  EXPECT_EQ(extents[0].lbas, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(extents[0].extent, (block::PhysExtent{
                             layout.data_location(7).disk,
                             layout.data_location(7).offset, 1}));
 }
@@ -319,7 +320,7 @@ TEST(DataExtents, TwoDimensionalArrayMergesPerDiskRuns) {
   // 2 full rounds of the 12-disk array: one 2-block run per disk.
   const auto extents = data_extents(layout, 0, 24);
   ASSERT_EQ(extents.size(), 12u);
-  for (const auto& e : extents) EXPECT_EQ(e.nblocks, 2u);
+  for (const auto& e : extents) EXPECT_EQ(e.extent.nblocks, 2u);
 }
 
 }  // namespace
