@@ -14,6 +14,8 @@
 #include "raid/raid10.hpp"
 #include "raid/raid5.hpp"
 #include "raid/raidx.hpp"
+#include "test_util.hpp"
+#include "workload/engines.hpp"
 
 namespace raidx::raid {
 namespace {
@@ -280,6 +282,118 @@ TEST_P(LayoutGeometries, RaidxSurvivesAnySingleDiskLossOnPaper) {
       EXPECT_FALSE(data_lost && image_lost) << "lba " << b;
     }
   }
+}
+
+// ---- redundancy recipe ------------------------------------------------------
+//
+// Layout::source_of is the one recipe that rebuild, repair and degraded
+// reads follow.  These checks hold it against real bytes: preload gives
+// every logical block distinct contents (and RAID-5 its parity), then each
+// slot is re-derived from its sources alone.  No simulated I/O runs.
+
+struct RecipeCase {
+  const char* name;
+  workload::Arch arch;
+  bool hybrid;
+};
+
+class Recipe : public ::testing::TestWithParam<RecipeCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, Recipe,
+    ::testing::Values(RecipeCase{"raid1", workload::Arch::kRaid1, false},
+                      RecipeCase{"raid5", workload::Arch::kRaid5, false},
+                      RecipeCase{"raid10", workload::Arch::kRaid10, false},
+                      RecipeCase{"raid10_hybrid", workload::Arch::kRaid10,
+                                 true},
+                      RecipeCase{"raidx", workload::Arch::kRaidX, false},
+                      RecipeCase{"raidx_hybrid", workload::Arch::kRaidX,
+                                 true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(Recipe, SlotsRebuildFromTheirSourcesAndRowsCoverExactlyThem) {
+  // 4 nodes x 2 disks x 32 blocks reaches every zone of every layout, plus
+  // RAID-x's unpopulated image slots and its slack past the last zone.
+  test::Rig rig(test::small_cluster(4, 2, 32, 64));
+  EngineParams params;
+  params.hybrid_mirrors = GetParam().hybrid;
+  auto engine = workload::make_engine(GetParam().arch, rig.fabric, params);
+  const Layout& layout = engine->layout();
+  const auto& geo = layout.geometry();
+  const std::uint32_t bs = engine->block_bytes();
+  ASSERT_LE(layout.logical_blocks(), 256u) << "patterns must stay distinct";
+  for (std::uint64_t lba = 0; lba < layout.logical_blocks(); ++lba) {
+    engine->preload(lba, test::pattern_block(lba, bs));
+  }
+  auto stored = [&](PhysBlock pb) {
+    return rig.cluster.disk(pb.disk).read_data(pb.offset, 1);
+  };
+
+  std::size_t sourced_total = 0;
+  for (int disk = 0; disk < geo.total_disks(); ++disk) {
+    std::set<std::uint64_t> sourced;
+    for (std::uint64_t off = 0; off < geo.blocks_per_disk; ++off) {
+      const PhysBlock slot{disk, off};
+      const SlotSource src = layout.source_of(disk, off);
+      if (src.kind == SlotSource::Kind::kNone) continue;
+      SCOPED_TRACE("disk " + std::to_string(disk) + " offset " +
+                   std::to_string(off));
+      sourced.insert(off);
+      ASSERT_FALSE(src.from.empty());
+      std::vector<std::byte> rebuilt(bs, std::byte{0});
+      for (const PhysBlock& pb : src.from) {
+        EXPECT_NE(pb.disk, disk) << "a source on the slot's own disk";
+        const auto bytes = stored(pb);
+        if (src.kind == SlotSource::Kind::kCopy) {
+          rebuilt = bytes;
+          EXPECT_EQ(rebuilt, stored(slot));
+        } else {
+          for (std::uint32_t i = 0; i < bs; ++i) rebuilt[i] ^= bytes[i];
+        }
+      }
+      EXPECT_EQ(rebuilt, stored(slot));
+
+      if (!src.lba) {
+        // Only parity carries no logical block.
+        EXPECT_EQ(src.kind, SlotSource::Kind::kXor);
+        continue;
+      }
+      EXPECT_EQ(stored(slot), test::pattern_block(*src.lba, bs));
+      EXPECT_EQ(src.lock_group, layout.lock_group_of(*src.lba));
+      // The slot is a copy of its block: the data location or a mirror.
+      std::set<std::pair<int, std::uint64_t>> copies;
+      const PhysBlock d = layout.data_location(*src.lba);
+      copies.insert({d.disk, d.offset});
+      for (const PhysBlock& m : layout.mirror_locations(*src.lba)) {
+        copies.insert({m.disk, m.offset});
+      }
+      EXPECT_EQ(copies.count({disk, off}), 1u);
+      if (src.kind == SlotSource::Kind::kCopy) {
+        // ...and its sources are exactly the block's other copies.
+        std::set<std::pair<int, std::uint64_t>> others;
+        for (const PhysBlock& pb : src.from) {
+          others.insert({pb.disk, pb.offset});
+        }
+        others.insert({disk, off});
+        EXPECT_EQ(others, copies);
+      }
+    }
+    sourced_total += sourced.size();
+
+    std::set<std::uint64_t> covered;
+    for (std::uint64_t row = 0; row < layout.rebuild_rows(disk); ++row) {
+      for (const block::PhysExtent& e : layout.rebuild_row(disk, row)) {
+        EXPECT_EQ(e.disk, disk);
+        for (std::uint32_t i = 0; i < e.nblocks; ++i) {
+          EXPECT_TRUE(covered.insert(e.offset + i).second)
+              << "disk " << disk << " offset " << e.offset + i
+              << " restored twice";
+        }
+      }
+    }
+    EXPECT_EQ(covered, sourced) << "disk " << disk;
+  }
+  EXPECT_GT(sourced_total, 0u);
 }
 
 // ---- extent merging ---------------------------------------------------------
