@@ -14,7 +14,7 @@
 //  * hot-spare failover: a per-node spare pool with an optional global
 //    overflow; taking a spare, waiting out the swap latency, and replacing
 //    the disk updates the cluster view atomically at one simulated instant;
-//  * auto-rebuild: the existing per-layout rebuild sweeps are launched
+//  * auto-rebuild: the array controller's rebuild sweep is launched
 //    automatically, rate-capped by a sim::TokenBucket so restoration does
 //    not starve foreground I/O, with detection latency and MTTR recorded
 //    per event for the obs registry;

@@ -95,11 +95,13 @@ SlotSource RaidxLayout::source_of(int disk, std::uint64_t offset) const {
   const int d = image_node(stripe);
   int slot = d;  // the neighbor image mirrors the image node's own block
   if (clustered) {
+    if (d != node) return {};
     // Run position i holds stripe slot i, skipping the image node.
     const auto i = static_cast<int>((offset - clustered_zone_base()) % n1);
     slot = i < d ? i : i + 1;
+  } else if ((d + 1) % n != node) {
+    return {};
   }
-  if ((clustered ? d : (d + 1) % n) != node) return {};
   const std::uint64_t lba =
       stripe_first_lba(stripe) + static_cast<std::uint64_t>(slot);
   return copy_of(lba, data_location(lba));
