@@ -88,12 +88,11 @@ class Layout {
 
   /// The extents of `disk` a rebuild restores at sweep row `row`, in
   /// restore order, all under one lock scope.  Over every row they cover
-  /// exactly the disk's slots that have a source.
+  /// exactly the disk's slots that have a source.  Default: the one slot
+  /// at offset `row`.
   virtual std::vector<block::PhysExtent> rebuild_row(int disk,
                                                      std::uint64_t row) const {
-    (void)disk;
-    (void)row;
-    return {};
+    return {block::PhysExtent{disk, row, 1}};
   }
 
   const block::ArrayGeometry& geometry() const { return geo_; }

@@ -32,10 +32,6 @@ class Raid1Layout : public Layout {
   std::uint64_t rebuild_rows(int /*disk*/) const override {
     return geo_.blocks_per_disk;
   }
-  std::vector<block::PhysExtent> rebuild_row(
-      int disk, std::uint64_t row) const override {
-    return {block::PhysExtent{disk, row, 1}};
-  }
 
   /// Stripe width in blocks = number of pairs.
   std::uint32_t stripe_width() const override {

@@ -36,10 +36,6 @@ class Raid5Layout : public Layout {
   std::uint64_t rebuild_rows(int /*disk*/) const override {
     return geo_.blocks_per_disk;
   }
-  std::vector<block::PhysExtent> rebuild_row(
-      int disk, std::uint64_t row) const override {
-    return {block::PhysExtent{disk, row, 1}};
-  }
 
   /// A full stripe spans all disks; N-1 of its blocks carry data.
   std::uint32_t stripe_width() const override {
