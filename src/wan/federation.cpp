@@ -180,9 +180,18 @@ sim::Task<bool> Federation::remote_read(int src, std::uint64_t lba,
     if (path.size() > 1) ++stats_.redirects;
     bool ok = co_await ship(path, src, 0, ctx);
     if (ok) {
-      co_await sites_[home].engine->read(gateway(lba), lba, nblocks, out, ctx);
+      // The origin answers with the data, or with an error header when
+      // its array lost the blocks; either way the reply crosses back.
+      bool served = true;
+      try {
+        co_await sites_[home].engine->read(gateway(lba), lba, nblocks, out,
+                                           ctx);
+      } catch (const raid::IoError&) {
+        served = false;
+      }
       const std::vector<Link*> back(path.rbegin(), path.rend());
-      ok = co_await ship(back, home, bytes, ctx);
+      ok = co_await ship(back, home, served ? bytes : 0, ctx);
+      if (!served) co_return false;
     }
     if (ok) {
       fetched = true;
@@ -212,7 +221,13 @@ sim::Task<bool> Federation::remote_read(int src, std::uint64_t lba,
         replicator_->stream(home, src).backlog > 0) {
       ++stats_.stale_served;
     }
-    co_await s.engine->read(gateway(lba), lba, nblocks, out, ctx);
+    bool served = true;
+    try {
+      co_await s.engine->read(gateway(lba), lba, nblocks, out, ctx);
+    } catch (const raid::IoError&) {
+      served = false;
+    }
+    if (!served) co_return false;
   }
   read_lat_.observe(static_cast<std::uint64_t>(sim_.now() - started));
   co_return true;
@@ -236,9 +251,21 @@ sim::Task<bool> Federation::remote_write(int src, std::uint64_t lba,
     co_return false;
   }
   // The origin commits it like any local write -- which also appends it
-  // to the origin's replication streams when geo-replication is on.
-  co_await sites_[home].engine->write(gateway(lba), lba,
-                                      block::Payload::zeros(bytes), ctx);
+  // to the origin's replication streams when geo-replication is on.  An
+  // origin that cannot commit (lost blocks, refused admission) answers
+  // with an error ack instead.
+  bool committed = true;
+  try {
+    co_await sites_[home].engine->write(gateway(lba), lba,
+                                        block::Payload::zeros(bytes), ctx);
+  } catch (const raid::IoError&) {
+    committed = false;
+  }
+  const std::vector<Link*> back(path.rbegin(), path.rend());
+  if (!committed) {
+    (void)co_await ship(back, home, 0, ctx);
+    co_return false;
+  }
   stats_.write_bytes += bytes;
   // The writer's site cache must not keep serving the old bytes.
   Site& s = sites_[src];
@@ -249,7 +276,6 @@ sim::Task<bool> Federation::remote_write(int src, std::uint64_t lba,
   }
   // Ack header back.  The write is already durable at the origin; a lost
   // ack is the link's problem, not the commit's.
-  const std::vector<Link*> back(path.rbegin(), path.rend());
   (void)co_await ship(back, home, 0, ctx);
   co_return true;
 }

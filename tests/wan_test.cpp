@@ -357,6 +357,36 @@ TEST(WanFederation, PartitionedOriginServesStaleMirrorThenHeals) {
   EXPECT_EQ(fed.stats().stale_served, 1u);  // unchanged: backlog is gone
 }
 
+sim::Task<> cross_site_ops(wan::Federation& fed, std::uint64_t lba,
+                           bool* read_ok, bool* write_ok) {
+  *read_ok = co_await fed.remote_read(0, lba, 1);
+  *write_ok = co_await fed.remote_write(0, lba, 1);
+}
+
+// A cross-site op into an origin that lost the block fails that op, the
+// way the same op fails at the origin's own clients: the gateway answers
+// false (the open-loop tier counts it as failed) and the run drains,
+// instead of the origin's I/O error escaping the simulation.
+TEST(WanFederation, FailedOriginFailsTheOpNotTheRun) {
+  sim::Simulation sim;
+  wan::FederationParams fp = small_federation(2, false);
+  fp.arch = workload::Arch::kRaid0;
+  wan::Federation fed(sim, fp);
+  const std::uint64_t lba = fed.region_base(1) + 3;
+  fed.cluster(1).disk(fed.engine(1).layout().data_location(lba).disk).fail();
+
+  bool read_ok = true, write_ok = true;
+  sim.spawn(cross_site_ops(fed, lba, &read_ok, &write_ok));
+  sim.run();
+
+  EXPECT_FALSE(read_ok);
+  EXPECT_FALSE(write_ok);
+  EXPECT_EQ(fed.stats().remote_reads, 1u);
+  EXPECT_EQ(fed.stats().remote_writes, 1u);
+  EXPECT_EQ(fed.stats().origin_reads, 0u);
+  EXPECT_EQ(fed.stats().write_bytes, 0u);
+}
+
 sim::Task<> write_many(wan::Federation& fed, int site, std::uint64_t base,
                        int count, std::uint32_t nblocks) {
   for (int i = 0; i < count; ++i) {
