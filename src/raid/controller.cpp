@@ -183,10 +183,20 @@ sim::Task<> ArrayController::read_chunk(int client, std::uint64_t lba,
                                         std::uint32_t nblocks,
                                         std::span<std::byte> out,
                                         obs::TraceContext ctx) {
+  const bool balance =
+      params_.balance_mirror_reads && layout().mirror_runs_contiguous();
   auto extents = data_extents(layout(), lba, nblocks);
   sim::Joiner join(sim());
   for (auto& me : extents) {
-    join.spawn(read_extent_into(client, me.extent, me.lbas, lba, out, ctx));
+    // Balanced mirror reads alternate copies by physical offset, so a
+    // sequential scan spreads evenly over the primary and its mirror
+    // (Hsiao & DeWitt's load-balancing read path).
+    block::PhysExtent target = me.extent;
+    if (balance && target.offset % 2 == 1) {
+      const block::PhysBlock m = layout().mirror_locations(me.lbas[0])[0];
+      target = block::PhysExtent{m.disk, m.offset, target.nblocks};
+    }
+    join.spawn(read_extent_into(client, target, me.lbas, lba, out, ctx));
   }
   co_await join.wait();
 }
@@ -766,54 +776,10 @@ Raid10Controller::Raid10Controller(cdd::CddFabric& fabric,
     : ArrayController(fabric, params),
       layout_(fabric.cluster().geometry(), params.hybrid_mirrors) {}
 
-sim::Task<> Raid10Controller::read_chunk(int client, std::uint64_t lba,
-                                         std::uint32_t nblocks,
-                                         std::span<std::byte> out,
-                                         obs::TraceContext ctx) {
-  if (!params_.balance_mirror_reads) {
-    co_await ArrayController::read_chunk(client, lba, nblocks, out, ctx);
-    co_return;
-  }
-  auto extents = data_extents(layout_, lba, nblocks);
-  sim::Joiner join(sim());
-  for (auto& me : extents) {
-    // Alternate copies by physical offset so a sequential scan spreads
-    // evenly over the primary and the chained backup (whose copies of one
-    // primary extent are contiguous too).
-    block::PhysExtent target = me.extent;
-    if (target.offset % 2 == 1) {
-      const block::PhysBlock m = layout_.mirror_locations(me.lbas[0])[0];
-      target = block::PhysExtent{m.disk, m.offset, target.nblocks};
-    }
-    join.spawn(read_extent_into(client, target, me.lbas, lba, out, ctx));
-  }
-  co_await join.wait();
-}
-
 // ---------------------------------------------------------------- RAID-1 --
 
 Raid1Controller::Raid1Controller(cdd::CddFabric& fabric, EngineParams params)
     : ArrayController(fabric, params), layout_(fabric.cluster().geometry()) {}
-
-sim::Task<> Raid1Controller::read_chunk(int client, std::uint64_t lba,
-                                        std::uint32_t nblocks,
-                                        std::span<std::byte> out,
-                                        obs::TraceContext ctx) {
-  if (!params_.balance_mirror_reads) {
-    co_await ArrayController::read_chunk(client, lba, nblocks, out, ctx);
-    co_return;
-  }
-  // Balance over the pair: even physical offsets from the primary, odd
-  // from the partner (both copies live at identical offsets).
-  auto extents = data_extents(layout_, lba, nblocks);
-  sim::Joiner join(sim());
-  for (auto& me : extents) {
-    block::PhysExtent e = me.extent;
-    if (e.offset % 2 == 1) e.disk += 1;  // partner copy
-    join.spawn(read_extent_into(client, e, me.lbas, lba, out, ctx));
-  }
-  co_await join.wait();
-}
 
 // ---------------------------------------------------------------- RAID-x --
 

@@ -66,7 +66,7 @@ struct EngineParams {
   /// ablation: n-1 scattered single-block image writes (chained-
   /// declustering style placement cost).
   bool clustered_images = true;
-  /// RAID-10: spread reads over primary and mirror copies.
+  /// RAID-1/10/x: spread reads over primary and mirror copies.
   bool balance_mirror_reads = false;
   /// RAID-1/10/x hybrid (HDA-style) placement: primaries on the top half
   /// of the disk rows (SSD in a heterogeneous cluster), mirror images on
@@ -226,7 +226,10 @@ class ArrayController : public IoEngine {
   virtual void preload(std::uint64_t lba, std::span<const std::byte> data);
 
  protected:
-  /// One read chunk: contiguous logical blocks, bounded size.
+  /// One read chunk: contiguous logical blocks, bounded size.  With
+  /// balance_mirror_reads, extents at odd physical offsets read the first
+  /// mirror instead, on layouts whose mirror runs are contiguous (RAID-1,
+  /// RAID-10).
   virtual sim::Task<> read_chunk(int client, std::uint64_t lba,
                                  std::uint32_t nblocks,
                                  std::span<std::byte> out,
@@ -401,13 +404,6 @@ class Raid10Controller : public ArrayController {
   Raid10Controller(cdd::CddFabric& fabric, EngineParams params = {});
   const Layout& layout() const override { return layout_; }
 
- protected:
-  /// With balance_mirror_reads, alternate extents between the primary and
-  /// the chained backup copy -- Hsiao & DeWitt's load-balancing read path.
-  sim::Task<> read_chunk(int client, std::uint64_t lba, std::uint32_t nblocks,
-                         std::span<std::byte> out,
-                         obs::TraceContext ctx = {}) override;
-
  private:
   Raid10Layout layout_;
 };
@@ -419,11 +415,6 @@ class Raid1Controller : public ArrayController {
  public:
   Raid1Controller(cdd::CddFabric& fabric, EngineParams params = {});
   const Layout& layout() const override { return layout_; }
-
- protected:
-  sim::Task<> read_chunk(int client, std::uint64_t lba, std::uint32_t nblocks,
-                         std::span<std::byte> out,
-                         obs::TraceContext ctx = {}) override;
 
  private:
   Raid1Layout layout_;

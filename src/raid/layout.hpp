@@ -65,6 +65,13 @@ class Layout {
     return {};
   }
 
+  /// Does the first mirror of a contiguous per-disk data run form one
+  /// contiguous run too?  RAID-1 pairs and RAID-10's chained backups keep
+  /// a run's copies together, so a balanced read can move the whole
+  /// extent; RAID-x clusters each stripe's images on one disk, so it
+  /// cannot, and layouts without mirrors have nothing to move.
+  virtual bool mirror_runs_contiguous() const { return false; }
+
   /// Lock group covering a logical block.  Per-block groups by default (no
   /// false sharing between independent writers); RAID-5 locks whole
   /// stripes, because concurrent read-modify-writes within one stripe

@@ -26,6 +26,7 @@ class Raid1Layout : public Layout {
   block::PhysBlock data_location(std::uint64_t lba) const override;
   std::vector<block::PhysBlock> mirror_locations(
       std::uint64_t lba) const override;
+  bool mirror_runs_contiguous() const override { return true; }
 
   /// Every slot is restored from the same offset on its pair partner.
   SlotSource source_of(int disk, std::uint64_t offset) const override;

@@ -40,6 +40,7 @@ class Raid10Layout : public Layout {
   block::PhysBlock data_location(std::uint64_t lba) const override;
   std::vector<block::PhysBlock> mirror_locations(
       std::uint64_t lba) const override;
+  bool mirror_runs_contiguous() const override { return true; }
 
   /// A primary is restored from its chained backup on the next node; a
   /// backup from the previous node's primary.  Row r of a rebuild restores
