@@ -651,6 +651,15 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  if (warm > 0 && (!open_loop_spec.empty() || !replay_file.empty() ||
+                   workload_kind == "andrew")) {
+    std::fprintf(stderr,
+                 "%s: --warm runs unmeasured passes of the synthetic "
+                 "parallel I/O workload; --open-loop, --replay and "
+                 "--workload andrew have none (drop --warm)\n",
+                 argv[0]);
+    return 2;
+  }
   if (coop_cache && !cache_on) {
     std::fprintf(stderr,
                  "%s: --coop-cache requires a cache; add --cache-mb\n",
@@ -830,10 +839,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0 || warm > 0) {
+        fail_threshold > 0) {
       std::fprintf(stderr,
                    "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold/--warm are single-site features (use "
+                   "--fail-threshold are single-site features (use "
                    "--faults for WAN chaos)\n",
                    argv[0]);
       return 2;
@@ -885,10 +894,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0 || warm > 0) {
+        fail_threshold > 0) {
       std::fprintf(stderr,
                    "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold/--warm are single-shard features "
+                   "--fail-threshold are single-shard features "
                    "(use --faults for sharded chaos)\n",
                    argv[0]);
       return 2;
