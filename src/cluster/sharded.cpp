@@ -1,15 +1,24 @@
 #include "cluster/sharded.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "block/payload.hpp"
-#include "obs/collect.hpp"
 
 namespace raidx::cluster {
+
+ShardedCluster::Shard::Shard(sim::Simulation& sim,
+                             const ClusterParams& group_params,
+                             const WorldParams& params)
+    : World(sim, group_params, params), uplink_tx(sim, 1), uplink_rx(sim, 1) {
+  sim.set_hub(&hub);
+}
+
+// The hub dies before the World's tiers; detach it so nothing torn down
+// after it can reach it through the Simulation.
+ShardedCluster::Shard::~Shard() { sim().set_hub(nullptr); }
 
 ShardedCluster::ShardedCluster(const ClusterParams& group_params,
                                const ShardedParams& sp)
@@ -18,27 +27,14 @@ ShardedCluster::ShardedCluster(const ClusterParams& group_params,
       group_(sp.shards, sp.hop_latency) {
   shards_.reserve(static_cast<std::size_t>(sp.shards));
   for (int s = 0; s < sp.shards; ++s) {
-    sim::Simulation& sim = group_.sim(s);
-    // Every coroutine frame this shard's world creates -- the CDD server
-    // loops the fabric constructor spawns, and all later I/O -- must come
-    // from this shard's pool so it recycles on whichever worker drives it.
-    sim::FramePool::Scope scope(&sim.frame_pool());
-    auto sh = std::make_unique<Shard>();
-    sh->cluster = std::make_unique<Cluster>(sim, group_params);
-    sh->fabric = std::make_unique<cdd::CddFabric>(*sh->cluster, sp.cdd);
-    sh->cache = std::make_unique<cache::CacheFabric>(*sh->cluster, sp.cache);
-    sh->engine = workload::make_engine(sp.arch, *sh->fabric, sp.engine);
-    sh->engine->attach_cache(sh->cache.get());
-    sim.set_hub(&sh->hub);
-    sh->uplink_tx = std::make_unique<sim::Resource>(sim, 1);
-    sh->uplink_rx = std::make_unique<sim::Resource>(sim, 1);
-    shards_.push_back(std::move(sh));
+    shards_.push_back(
+        std::make_unique<Shard>(group_.sim(s), group_params, sp));
+    worlds_.push_back(shards_.back().get());
   }
 }
 
 // Members declare group_ before shards_, so the sub-worlds die before
-// their Simulations; within a Shard the orchestrator precedes the fabric's
-// destruction as its contract requires.
+// their Simulations.
 ShardedCluster::~ShardedCluster() = default;
 
 sim::Time ShardedCluster::spine_ns(std::uint64_t bytes) const {
@@ -59,7 +55,7 @@ sim::Task<bool> ShardedCluster::remote_io(int src, int dst, bool write,
   {
     // Serialize the request onto this group's spine uplink: full payload
     // for writes, a header for reads.
-    auto guard = co_await a.uplink_tx->acquire();
+    auto guard = co_await a.uplink_tx.acquire();
     co_await ssim.delay(
         spine_ns(write ? bytes + sharded_params_.header_bytes
                        : sharded_params_.header_bytes));
@@ -85,7 +81,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(nblocks) * eng.block_bytes();
   {
-    auto guard = co_await b.uplink_rx->acquire();
+    auto guard = co_await b.uplink_rx.acquire();
     co_await dsim.delay(
         spine_ns(write ? bytes + sharded_params_.header_bytes
                        : sharded_params_.header_bytes));
@@ -106,9 +102,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
                         std::span<std::byte>(b.remote_scratch.data(),
                                              static_cast<std::size_t>(bytes)));
     }
-  } catch (const raid::IoError&) {
-    ok = false;
-  } catch (const raid::AdmissionError&) {
+  } catch (const raid::IoError&) {  // lost blocks or refused admission
     ok = false;
   }
   if (ok) {
@@ -118,7 +112,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
   }
   {
     // Reply rides the spine back: payload for reads, an ack for writes.
-    auto guard = co_await b.uplink_tx->acquire();
+    auto guard = co_await b.uplink_tx.acquire();
     co_await dsim.delay(
         spine_ns(write ? sharded_params_.header_bytes
                        : bytes + sharded_params_.header_bytes));
@@ -128,51 +122,23 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
 }
 
 void ShardedCluster::arm_faults(const ha::FaultPlan& plan,
-                                const ha::HaParams* orch) {
-  const int dps = disks_per_shard();
-  const int nps = nodes_per_shard();
-  for (const ha::FaultEvent& ev : plan.events()) {
-    ha::FaultEvent local = ev;
-    int s;
-    if (ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-        ev.kind == ha::FaultEvent::Kind::kJoinNode) {
-      s = ev.target / nps;
-      local.target = ev.target % nps;
-    } else {
-      s = ev.target / dps;
-      local.target = ev.target % dps;
-    }
-    if (s < 0 || s >= shards()) {
-      throw std::invalid_argument(
-          "fault plan targets a disk/node outside the federation");
-    }
-    shard(s).faults.add(local);
+                                const ha::HaParams* orch,
+                                const integrity::IntegrityParams* integrity) {
+  if (plan.has_wan()) {
+    throw std::invalid_argument(
+        "site and link faults need a WAN federation, not placement groups");
   }
-  for (int s = 0; s < shards(); ++s) {
-    Shard& sh = shard(s);
-    sim::FramePool::Scope scope(&group_.sim(s).frame_pool());
-    if (orch != nullptr) {
-      sh.orchestrator = std::make_unique<ha::Orchestrator>(*sh.engine, *orch);
-    }
-    if (!sh.faults.empty()) {
-      sh.faults.arm(*sh.cluster, sh.orchestrator.get(), nullptr);
-    }
-  }
+  (void)arm_worlds(plan, worlds_, orch, integrity);
 }
 
 std::string ShardedCluster::merged_snapshot_json() {
-  // Collect once: collect_cluster adds into each shard's hub registry (on
-  // top of whatever the load tier already exported there), so a second
-  // call would double-count.
+  // Each group's hub holds what its load tier exported during the run;
+  // its collected counters fold in under the same prefix.
   obs::Registry merged;
-  char prefix[16];
   for (int s = 0; s < shards(); ++s) {
-    Shard& sh = shard(s);
-    obs::collect_cluster(sh.hub.registry(), *sh.cluster, sh.fabric.get(),
-                         sh.cache.get(), sh.orchestrator.get(), nullptr);
-    std::snprintf(prefix, sizeof(prefix), "shard.%03d.", s);
-    merged.merge_from(sh.hub.registry(), prefix);
+    merged.merge_from(shard(s).hub.registry(), world_prefix("shard", s));
   }
+  merge_worlds(merged, "shard", worlds_);
   merged.counter("sim.shard.windows").inc(group_.stats().windows);
   merged.counter("sim.shard.messages").inc(group_.stats().messages);
   std::uint64_t sent = 0, served = 0, failed = 0;

@@ -6,9 +6,10 @@
 // nearly every request cross-shard and serialize on shared state.  The
 // scale-out model here is the one real deployments of the paper's design
 // use (and the OSDF federation papers measure): the cluster is a set of
-// placement groups.  Each shard owns a complete sub-world -- Cluster,
-// CddFabric, cache fabric, array controller, obs registry -- living
-// entirely on that shard's Simulation, so the intra-group fast paths
+// placement groups.  Each shard owns a complete cluster::World -- Cluster,
+// CddFabric, cache fabric, array controller, and the recovery, integrity
+// and QoS tiers a run arms -- plus an obs hub, living entirely on that
+// shard's Simulation, so the intra-group fast paths
 // (symmetric-transfer resumes, the local CDD path, lock groups) run
 // untouched and lock-free.  Groups are coupled only by an inter-group
 // spine: a client in group A reaches data homed in group B through a
@@ -23,29 +24,21 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "cache/cache_fabric.hpp"
-#include "cdd/cdd.hpp"
-#include "cluster/cluster.hpp"
-#include "ha/fault_plan.hpp"
-#include "ha/ha.hpp"
+#include "cluster/world.hpp"
 #include "obs/obs.hpp"
 #include "sim/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
 #include "sim/task.hpp"
-#include "workload/engines.hpp"
 
 namespace raidx::cluster {
 
-struct ShardedParams {
+struct ShardedParams : WorldParams {
   int shards = 1;
-  workload::Arch arch = workload::Arch::kRaidX;
-  raid::EngineParams engine = {};
-  cache::CacheParams cache = {};
-  cdd::CddParams cdd = {};
   /// Inter-group spine: per-group uplink serialization bandwidth and the
   /// one-way hop latency.  The hop is the ShardGroup lookahead, so it must
   /// be positive; the default models a gigabit spine above the groups'
@@ -66,19 +59,18 @@ class ShardedCluster {
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
-  /// One group's complete sub-world, in the construction order of
-  /// bench::World so a 1-shard federation is event-for-event the plain
-  /// single-Simulation world.
-  struct Shard {
+  /// One group: its World, on the shard's own Simulation, plus what the
+  /// spine gives it -- the shard's observability hub (its load tier
+  /// exports there), the uplink serializers and the gateway's state.  A
+  /// 1-shard federation is event-for-event the plain single-Simulation
+  /// world.
+  struct Shard : World {
+    Shard(sim::Simulation& sim, const ClusterParams& group_params,
+          const WorldParams& params);
+    ~Shard();
     obs::Hub hub;
-    std::unique_ptr<Cluster> cluster;
-    std::unique_ptr<cdd::CddFabric> fabric;
-    std::unique_ptr<cache::CacheFabric> cache;
-    std::unique_ptr<raid::ArrayController> engine;
-    std::unique_ptr<ha::Orchestrator> orchestrator;  // arm_faults(with_orch)
-    ha::FaultPlan faults;                            // this group's slice
-    std::unique_ptr<sim::Resource> uplink_tx;
-    std::unique_ptr<sim::Resource> uplink_rx;
+    sim::Resource uplink_tx;
+    sim::Resource uplink_rx;
     std::vector<std::byte> remote_scratch;  // gateway read landing buffer
     std::uint64_t next_gateway = 0;         // round-robin gateway node
     std::uint64_t remote_sent = 0;
@@ -95,6 +87,7 @@ class ShardedCluster {
 
   sim::ShardGroup& group() { return group_; }
   Shard& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
+  std::span<World* const> worlds() const { return worlds_; }
   raid::ArrayController& engine(int s) { return *shard(s).engine; }
   sim::Simulation& sim(int s) { return group_.sim(s); }
 
@@ -108,17 +101,19 @@ class ShardedCluster {
   sim::Task<bool> remote_io(int src, int dst, bool write, std::uint64_t lba,
                             std::uint32_t nblocks);
 
-  /// Partition a global fault plan (disk/node ids in federation-global
-  /// space: shard s owns disks [s*disks_per_shard, ...) and nodes
-  /// [s*nodes_per_shard, ...)) into per-shard plans and arm each against
-  /// its group, with a per-group recovery orchestrator when `orch` is
-  /// non-null.  Call before run().
-  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* orch);
+  /// Split a plan written in federation-global ids (shard s owns disks
+  /// [s*disks_per_shard, ...) and nodes [s*nodes_per_shard, ...)) into
+  /// per-shard slices and arm each group with it (cluster::arm_worlds),
+  /// building a per-group orchestrator when `orch` is given and integrity
+  /// plane when `integrity` is.  Site and link events need a WAN
+  /// federation and are rejected.  Call before run().
+  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* orch,
+                  const integrity::IntegrityParams* integrity = nullptr);
 
-  /// Collect every group's registry (obs::collect_cluster per shard) and
-  /// fold them under "shard.NNN." prefixes in shard order, appending the
-  /// federation-level keys (sim.shard.windows/messages, remote.*).  The
-  /// result is byte-deterministic for fixed (seed, shards).
+  /// Fold every group's hub registry (the load tier's keys) and its
+  /// collected counters under "shard.NNN." prefixes in shard order, then
+  /// append the federation-level keys (sim.shard.windows/messages,
+  /// remote.*).  Byte-deterministic for fixed (seed, shards).
   std::string merged_snapshot_json();
 
  private:
@@ -130,6 +125,7 @@ class ShardedCluster {
   ShardedParams sharded_params_;
   sim::ShardGroup group_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<World*> worlds_;  // shards_, as the worlds they are
 };
 
 }  // namespace raidx::cluster

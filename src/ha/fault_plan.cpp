@@ -416,12 +416,7 @@ bool FaultPlan::has_corruption() const {
 
 bool FaultPlan::has_wan() const {
   return std::any_of(events_.begin(), events_.end(),
-                     [](const FaultEvent& ev) {
-                       return ev.kind == FaultEvent::Kind::kPartitionSite ||
-                              ev.kind == FaultEvent::Kind::kHealSite ||
-                              ev.kind == FaultEvent::Kind::kBrownoutLink ||
-                              ev.kind == FaultEvent::Kind::kHealLink;
-                     });
+                     [](const FaultEvent& ev) { return ev.wan(); });
 }
 
 void FaultPlan::arm(cluster::Cluster& cluster, Orchestrator* orch,

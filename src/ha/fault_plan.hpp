@@ -76,6 +76,13 @@ struct FaultEvent {
   std::uint64_t block = 0;  // kCorruptBlock: physical block on that disk
   double mbs = 0.0;         // kBrownoutLink: degraded bandwidth, MB/s
   sim::Time at = 0;
+
+  /// A WAN site/link event: it belongs to the federation's links, not to
+  /// any one cluster.
+  bool wan() const {
+    return kind == Kind::kPartitionSite || kind == Kind::kHealSite ||
+           kind == Kind::kBrownoutLink || kind == Kind::kHealLink;
+  }
 };
 
 class FaultPlan {

@@ -12,6 +12,7 @@
 #include "load/qos.hpp"
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
+#include "wan/federation.hpp"
 
 namespace raidx::load {
 
@@ -408,6 +409,46 @@ OpenLoopResult run_open_loop(raid::ArrayController& engine,
   return driver.finish();
 }
 
+ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world) {
+  ShardedLoadResult out;
+  for (const OpenLoopResult& r : per_world) {
+    if (out.tenants.size() < r.tenants.size()) {
+      out.tenants.resize(r.tenants.size());
+    }
+    for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+      TenantResult& to = out.tenants[t];
+      const TenantResult& from = r.tenants[t];
+      to.offered += from.offered;
+      to.completed += from.completed;
+      to.rejected += from.rejected;
+      to.shed += from.shed;
+      to.failed += from.failed;
+      to.cap_dropped += from.cap_dropped;
+      to.bytes_completed += from.bytes_completed;
+      to.latency.merge(from.latency);
+      to.offered_mbs += from.offered_mbs;
+      to.goodput_mbs += from.goodput_mbs;
+    }
+    out.latency.merge(r.latency);
+    out.offered += r.offered;
+    out.completed += r.completed;
+    out.rejected += r.rejected;
+    out.shed += r.shed;
+    out.failed += r.failed;
+    out.cap_dropped += r.cap_dropped;
+    out.bytes_offered += r.bytes_offered;
+    out.bytes_completed += r.bytes_completed;
+    out.peak_in_flight += r.peak_in_flight;
+    out.duration = std::max(out.duration, r.duration);
+    out.drained_at = std::max(out.drained_at, r.drained_at);
+    out.offered_mbs += r.offered_mbs;
+    out.goodput_mbs += r.goodput_mbs;
+    out.remote_ops += r.remote_ops;
+  }
+  out.per_shard = std::move(per_world);
+  return out;
+}
+
 ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
                                         const OpenLoopConfig& per_shard_config,
                                         double remote_fraction, int threads) {
@@ -433,33 +474,44 @@ ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
                                nblocks);
       };
     }
-    drivers.push_back(std::make_unique<OpenLoopDriver>(world.engine(s), cfg,
-                                                       nullptr));
+    drivers.push_back(std::make_unique<OpenLoopDriver>(
+        world.engine(s), cfg, world.shard(s).gate.get()));
     drivers.back()->start();
   }
 
   world.run(threads);
 
-  ShardedLoadResult out;
-  out.per_shard.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    out.per_shard.push_back(drivers[static_cast<std::size_t>(s)]->finish());
-    const OpenLoopResult& r = out.per_shard.back();
-    out.offered += r.offered;
-    out.completed += r.completed;
-    out.rejected += r.rejected;
-    out.shed += r.shed;
-    out.failed += r.failed;
-    out.cap_dropped += r.cap_dropped;
-    out.remote_ops += r.remote_ops;
-    out.bytes_completed += r.bytes_completed;
-    out.peak_in_flight += r.peak_in_flight;
-    out.drained_at = std::max(out.drained_at, r.drained_at);
-    out.offered_mbs += r.offered_mbs;
-    out.goodput_mbs += r.goodput_mbs;
-    out.latency.merge(r.latency);
+  std::vector<OpenLoopResult> per_shard;
+  per_shard.reserve(drivers.size());
+  for (auto& d : drivers) per_shard.push_back(d->finish());
+  return fold_results(std::move(per_shard));
+}
+
+ShardedLoadResult run_open_loop_sites(wan::Federation& fed,
+                                      const OpenLoopConfig& per_site_config,
+                                      double remote_fraction) {
+  std::vector<std::unique_ptr<OpenLoopDriver>> drivers;
+  for (int s = 0; s < fed.sites(); ++s) {
+    OpenLoopConfig cfg = per_site_config;
+    cfg.seed = per_site_config.seed + static_cast<std::uint64_t>(s);
+    cfg.base_lba = fed.region_base(s);
+    if (remote_fraction > 0.0) {
+      cfg.remote.fraction = remote_fraction;
+      cfg.remote.exec = [&fed, s](std::uint64_t slot, std::uint32_t nblocks,
+                                  bool write) {
+        return fed.remote_io(s, slot, nblocks, write);
+      };
+    }
+    drivers.push_back(std::make_unique<OpenLoopDriver>(
+        fed.engine(s), cfg, fed.site(s).gate.get()));
   }
-  return out;
+  for (auto& d : drivers) d->start();
+  fed.sim().run();
+
+  std::vector<OpenLoopResult> per_site;
+  per_site.reserve(drivers.size());
+  for (auto& d : drivers) per_site.push_back(d->finish());
+  return fold_results(std::move(per_site));
 }
 
 }  // namespace raidx::load

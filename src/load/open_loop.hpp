@@ -38,6 +38,9 @@
 namespace raidx::cluster {
 class ShardedCluster;
 }
+namespace raidx::wan {
+class Federation;
+}
 
 namespace raidx::load {
 
@@ -193,32 +196,35 @@ class OpenLoopDriver {
   std::unique_ptr<State> state_;
 };
 
-/// Federation totals of one sharded open-loop run.
-struct ShardedLoadResult {
-  std::vector<OpenLoopResult> per_shard;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cap_dropped = 0;
-  std::uint64_t remote_ops = 0;
-  std::uint64_t bytes_completed = 0;
-  std::uint64_t peak_in_flight = 0;  // summed over groups
-  sim::Time drained_at = 0;          // slowest group
-  double offered_mbs = 0.0;          // summed
-  double goodput_mbs = 0.0;          // summed
-  obs::Histogram latency;            // all groups' completions
+/// Federation totals of one open-loop run over several worlds (shards or
+/// sites): OpenLoopResult's sums, per tenant too, with every world's
+/// completions in `latency`, the slowest world's drain, and rates and
+/// `peak_in_flight` summed over the worlds.
+struct ShardedLoadResult : OpenLoopResult {
+  std::vector<OpenLoopResult> per_shard;  // each world's own, in order
 };
+
+/// Fold per-world results into federation totals.
+ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world);
 
 /// Drive `per_shard_config` on every group of a federation at once under
 /// the conservative synchronizer, redirecting `remote_fraction` of each
-/// group's arrivals across the spine to the next group (ring order).
-/// Shard s forks its RNG root from per_shard_config.seed + s, so the run
-/// is a pure function of (seed, shard count) -- `threads` changes only
-/// wall-clock time, never results.
+/// group's arrivals across the spine to the next group (ring order), each
+/// group admitting through its own World::gate when it has one.  Shard s
+/// forks its RNG root from per_shard_config.seed + s, so the run is a pure
+/// function of (seed, shard count) -- `threads` changes only wall-clock
+/// time, never results.
 ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
                                         const OpenLoopConfig& per_shard_config,
                                         double remote_fraction, int threads);
+
+/// Drive `per_site_config` on every site of a WAN federation at once: site
+/// s seeds from per_site_config.seed + s, carves its tenants from its own
+/// primary region, admits through its World::gate when it has one, and
+/// sends `remote_fraction` of its arrivals to peer sites over the WAN
+/// (Federation::remote_io).
+ShardedLoadResult run_open_loop_sites(wan::Federation& fed,
+                                      const OpenLoopConfig& per_site_config,
+                                      double remote_fraction);
 
 }  // namespace raidx::load

@@ -4,22 +4,17 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/collect.hpp"
 #include "raid/admission.hpp"
 
 namespace raidx::wan {
 
 /// Hangs on every site engine's write-observer hook: committed client
 /// writes inside the site's own primary region feed the replication log.
-struct Federation::SiteObserver : raid::WriteObserver {
-  Federation* fed = nullptr;
-  int site = 0;
-  void on_client_write(int client, std::uint64_t lba,
-                       std::uint32_t nblocks) override {
-    (void)client;
-    fed->note_site_write(site, lba, nblocks);
-  }
-};
+void Federation::SiteObserver::on_client_write(int client, std::uint64_t lba,
+                                               std::uint32_t nblocks) {
+  (void)client;
+  fed->note_site_write(site, lba, nblocks);
+}
 
 Federation::Federation(sim::Simulation& sim, FederationParams params)
     : sim_(sim), params_(std::move(params)) {
@@ -33,22 +28,15 @@ Federation::Federation(sim::Simulation& sim, FederationParams params)
   }
   sites_.reserve(static_cast<std::size_t>(params_.sites));
   for (int s = 0; s < params_.sites; ++s) {
-    Site site;
-    site.cluster = std::make_unique<cluster::Cluster>(sim_, params_.cluster);
-    site.fabric = std::make_unique<cdd::CddFabric>(*site.cluster, params_.cdd);
-    site.cache =
-        std::make_unique<cache::CacheFabric>(*site.cluster, params_.cache);
-    site.engine =
-        workload::make_engine(params_.arch, *site.fabric, params_.engine);
-    site.engine->attach_cache(site.cache.get());
-    site.observer = std::make_unique<SiteObserver>();
-    site.observer->fed = this;
-    site.observer->site = s;
-    site.engine->set_write_observer(site.observer.get());
+    auto site = std::make_unique<Site>(sim_, params_.cluster, params_);
+    site->observer.fed = this;
+    site->observer.site = s;
+    site->engine->set_write_observer(&site->observer);
+    worlds_.push_back(site.get());
     sites_.push_back(std::move(site));
   }
-  block_bytes_ = sites_[0].engine->block_bytes();
-  region_blocks_ = sites_[0].engine->logical_blocks() /
+  block_bytes_ = sites_[0]->engine->block_bytes();
+  region_blocks_ = sites_[0]->engine->logical_blocks() /
                    static_cast<std::uint64_t>(params_.sites);
   if (region_blocks_ == 0) {
     throw std::invalid_argument(
@@ -69,7 +57,7 @@ Federation::Federation(sim::Simulation& sim, FederationParams params)
 }
 
 Federation::~Federation() {
-  for (Site& s : sites_) s.engine->set_write_observer(nullptr);
+  for (auto& s : sites_) s->engine->set_write_observer(nullptr);
 }
 
 Link& Federation::link_between(int a, int b) {
@@ -143,7 +131,7 @@ sim::Task<bool> Federation::remote_read(int src, std::uint64_t lba,
       static_cast<std::uint64_t>(nblocks) * block_bytes_;
   std::vector<std::byte> buf(bytes);
   const std::span<std::byte> out(buf);
-  Site& s = sites_[src];
+  Site& s = *sites_[src];
 
   // 1. The local site's cache fabric: every block must hit for the read
   //    to stay on-site.
@@ -184,7 +172,7 @@ sim::Task<bool> Federation::remote_read(int src, std::uint64_t lba,
       // its array lost the blocks; either way the reply crosses back.
       bool served = true;
       try {
-        co_await sites_[home].engine->read(gateway(lba), lba, nblocks, out,
+        co_await sites_[home]->engine->read(gateway(lba), lba, nblocks, out,
                                            ctx);
       } catch (const raid::IoError&) {
         served = false;
@@ -256,7 +244,7 @@ sim::Task<bool> Federation::remote_write(int src, std::uint64_t lba,
   // with an error ack instead.
   bool committed = true;
   try {
-    co_await sites_[home].engine->write(gateway(lba), lba,
+    co_await sites_[home]->engine->write(gateway(lba), lba,
                                         block::Payload::zeros(bytes), ctx);
   } catch (const raid::IoError&) {
     committed = false;
@@ -268,7 +256,7 @@ sim::Task<bool> Federation::remote_write(int src, std::uint64_t lba,
   }
   stats_.write_bytes += bytes;
   // The writer's site cache must not keep serving the old bytes.
-  Site& s = sites_[src];
+  Site& s = *sites_[src];
   if (s.cache->enabled()) {
     for (std::uint32_t i = 0; i < nblocks; ++i) {
       s.cache->invalidate_for_repair(lba + i);
@@ -281,7 +269,7 @@ sim::Task<bool> Federation::remote_write(int src, std::uint64_t lba,
 }
 
 void Federation::set_site_up(int site, bool up) {
-  Site& s = sites_[site];
+  Site& s = *sites_[site];
   if (s.up == up) return;
   s.up = up;
   for (auto& l : links_) {
@@ -289,7 +277,7 @@ void Federation::set_site_up(int site, bool up) {
     // A link is up only when BOTH endpoints are: healing one site must
     // not resurrect a link whose far end is still partitioned.
     const int peer = l->peer_of(site);
-    l->set_up(up && sites_[peer].up);
+    l->set_up(up && sites_[peer]->up);
   }
   char detail[48];
   std::snprintf(detail, sizeof(detail), "site=%d", site);
@@ -297,64 +285,24 @@ void Federation::set_site_up(int site, bool up) {
                  detail);
 }
 
-void Federation::arm_faults(const ha::FaultPlan& plan) {
-  if (plan.empty()) return;
-  const int per_site = sites_[0].cluster->total_disks();
-  std::vector<ha::FaultEvent> events = plan.events();
-  for (const ha::FaultEvent& ev : events) {
-    switch (ev.kind) {
-      case ha::FaultEvent::Kind::kFailDisk:
-      case ha::FaultEvent::Kind::kHealDisk:
-        if (ev.target >= per_site * params_.sites) {
-          throw std::invalid_argument(
-              "fault plan disk id out of range for the federation");
-        }
-        break;
-      case ha::FaultEvent::Kind::kPartitionNode:
-      case ha::FaultEvent::Kind::kJoinNode:
-      case ha::FaultEvent::Kind::kCorruptBlock:
-        throw std::invalid_argument(
-            "node partitions and corruption are single-site features: "
-            "drop --sites or the clause");
-      case ha::FaultEvent::Kind::kPartitionSite:
-      case ha::FaultEvent::Kind::kHealSite:
-      case ha::FaultEvent::Kind::kBrownoutLink:
-      case ha::FaultEvent::Kind::kHealLink:
-        break;  // range-checked at parse time
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
+void Federation::arm_faults(const ha::FaultPlan& plan,
+                            const ha::HaParams* ha,
+                            const integrity::IntegrityParams* integrity) {
+  std::vector<ha::FaultEvent> links =
+      cluster::arm_worlds(plan, worlds_, ha, integrity).events();
+  if (links.empty()) return;
+  std::stable_sort(links.begin(), links.end(),
                    [](const ha::FaultEvent& a, const ha::FaultEvent& b) {
                      return a.at < b.at;
                    });
-  sim_.spawn(fault_driver(std::move(events)));
+  sim_.spawn(fault_driver(std::move(links)));
 }
 
 sim::Task<> Federation::fault_driver(std::vector<ha::FaultEvent> events) {
-  char detail[64];
-  const int per_site = sites_[0].cluster->total_disks();
   for (const ha::FaultEvent& ev : events) {
     const sim::Time now = sim_.now();
     if (ev.at > now) co_await sim_.delay(ev.at - now);
     switch (ev.kind) {
-      case ha::FaultEvent::Kind::kFailDisk: {
-        // Federation-global disk ids: site = id / disks_per_site.
-        const int site = ev.target / per_site;
-        sites_[site].cluster->disk(ev.target % per_site).fail();
-        std::snprintf(detail, sizeof(detail), "disk=%d site=%d", ev.target,
-                      site);
-        obs::log_event(sim_, "fault.disk_failed", detail);
-        break;
-      }
-      case ha::FaultEvent::Kind::kHealDisk: {
-        const int site = ev.target / per_site;
-        auto& disk = sites_[site].cluster->disk(ev.target % per_site);
-        if (disk.failed()) disk.replace();
-        std::snprintf(detail, sizeof(detail), "disk=%d site=%d", ev.target,
-                      site);
-        obs::log_event(sim_, "fault.disk_serviced", detail);
-        break;
-      }
       case ha::FaultEvent::Kind::kPartitionSite:
         set_site_up(ev.target, false);
         break;
@@ -367,23 +315,14 @@ sim::Task<> Federation::fault_driver(std::vector<ha::FaultEvent> events) {
       case ha::FaultEvent::Kind::kHealLink:
         link_by_id(ev.target).set_brownout(0.0);
         break;
-      case ha::FaultEvent::Kind::kPartitionNode:
-      case ha::FaultEvent::Kind::kJoinNode:
-      case ha::FaultEvent::Kind::kCorruptBlock:
-        break;  // unreachable: arm_faults rejects these
+      default:
+        break;  // unreachable: arm_faults hands the sites their events
     }
   }
 }
 
 void Federation::collect(obs::Registry& reg) {
-  char prefix[24];
-  for (int s = 0; s < params_.sites; ++s) {
-    obs::Registry site_reg;
-    obs::collect_cluster(site_reg, *sites_[s].cluster,
-                         sites_[s].fabric.get(), sites_[s].cache.get());
-    std::snprintf(prefix, sizeof(prefix), "site.%03d.", s);
-    reg.merge_from(site_reg, prefix);
-  }
+  cluster::merge_worlds(reg, "site", worlds_);
   char name[64];
   for (const auto& l : links_) {
     const int base = std::snprintf(name, sizeof(name), "wan.link.%03d.",

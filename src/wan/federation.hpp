@@ -1,11 +1,12 @@
 // Multi-site composition: today's single-switch clusters become the
 // *sites* of a WAN federation.
 //
-// Every site is a complete sub-world -- Cluster, CDD fabric, cache
-// fabric, array controller -- sharing ONE simulation (a site is the same
-// unit the sharded engine advances; composing N of them under one event
-// loop keeps the federation a pure function of the seed).  Sites are
-// joined by a full mesh of wan::Links (src/wan/link.hpp).
+// Every site is a cluster::World -- Cluster, CDD fabric, cache fabric,
+// array controller, and the recovery, integrity and QoS tiers a run arms
+// -- sharing ONE simulation (a site is the same unit the sharded engine
+// advances; composing N of them under one event loop keeps the
+// federation a pure function of the seed).  Sites are joined by a full
+// mesh of wan::Links (src/wan/link.hpp).
 //
 // Namespace: every site's array exposes the same logical geometry, and
 // the federation splits it into `sites` equal regions.  Region h is site
@@ -41,35 +42,28 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "cache/cache_fabric.hpp"
-#include "cdd/cdd.hpp"
-#include "cluster/cluster.hpp"
+#include "cluster/world.hpp"
 #include "ha/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "raid/controller.hpp"
 #include "sim/task.hpp"
 #include "wan/link.hpp"
 #include "wan/replication.hpp"
-#include "workload/engines.hpp"
 
 namespace raidx::wan {
 
-struct FederationParams {
+struct FederationParams : cluster::WorldParams {
   int sites = 2;
   /// Applied to every inter-site link (full mesh).
   LinkParams link;
   /// Asynchronous cross-site mirrors (per-site replication log).
   bool geo_rep = false;
   ReplicationParams repl;
-  /// Per-site world construction.
+  /// One site's cluster.
   cluster::ClusterParams cluster;
-  workload::Arch arch = workload::Arch::kRaidX;
-  raid::EngineParams engine;
-  cache::CacheParams cache;
-  cdd::CddParams cdd;
 };
 
 /// Federation-level counters (exported as `wan.*`).
@@ -100,10 +94,12 @@ class Federation {
   int sites() const { return params_.sites; }
   bool geo_rep() const { return params_.geo_rep; }
 
-  cluster::Cluster& cluster(int site) { return *sites_[site].cluster; }
-  cdd::CddFabric& fabric(int site) { return *sites_[site].fabric; }
-  cache::CacheFabric& cache(int site) { return *sites_[site].cache; }
-  raid::ArrayController& engine(int site) { return *sites_[site].engine; }
+  cluster::World& site(int s) { return *sites_[s]; }
+  std::span<cluster::World* const> worlds() const { return worlds_; }
+  cluster::Cluster& cluster(int site) { return *sites_[site]->cluster; }
+  cdd::CddFabric& fabric(int site) { return *sites_[site]->fabric; }
+  cache::CacheFabric& cache(int site) { return *sites_[site]->cache; }
+  raid::ArrayController& engine(int site) { return *sites_[site]->engine; }
 
   int num_links() const { return static_cast<int>(links_.size()); }
   Link& link_by_id(int id) { return *links_[id]; }
@@ -147,34 +143,40 @@ class Federation {
 
   /// Partition/heal a site: every incident link goes down/up.
   void set_site_up(int site, bool up);
-  bool site_up(int site) const { return sites_[site].up; }
+  bool site_up(int site) const { return sites_[site]->up; }
 
-  /// Arm a fault plan against the federation: site partitions, link
-  /// brownouts, and disk fail/heal in federation-global disk ids
-  /// (site = id / disks_per_site).  Node partitions, corruption, and
-  /// orchestrated recovery are single-site features; arm() rejects them
-  /// with std::invalid_argument (the CLI validates first and exits 2).
-  void arm_faults(const ha::FaultPlan& plan);
+  /// Arm a fault plan in federation-global ids.  Disk, node and
+  /// corruption events are split across the sites (site = id /
+  /// disks_per_site, or nodes_per_site for node events) and armed by
+  /// each site, with a per-site orchestrator when `ha` is given and
+  /// integrity plane when `integrity` is (cluster::arm_worlds).  Site
+  /// partitions and link brownouts drive the WAN.  Call before the run.
+  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* ha = nullptr,
+                  const integrity::IntegrityParams* integrity = nullptr);
 
   Replicator* replicator() { return replicator_.get(); }
   const WanStats& stats() const { return stats_; }
   /// Remote read latency (ns), all resolutions.
   const obs::Histogram& remote_read_latency() const { return read_lat_; }
 
-  /// Export per-site registries under `site.NNN.` plus the federation's
-  /// own `wan.*` counters/histograms into `reg`.
+  /// Export per-site counters under `site.NNN.` (cluster::merge_worlds)
+  /// plus the federation's own `wan.*` counters/histograms into `reg`.
   void collect(obs::Registry& reg);
 
  private:
   friend class Replicator;
 
-  struct SiteObserver;
-  struct Site {
-    std::unique_ptr<cluster::Cluster> cluster;
-    std::unique_ptr<cdd::CddFabric> fabric;
-    std::unique_ptr<cache::CacheFabric> cache;
-    std::unique_ptr<raid::ArrayController> engine;
-    std::unique_ptr<SiteObserver> observer;
+  struct SiteObserver : raid::WriteObserver {
+    Federation* fed = nullptr;
+    int site = 0;
+    void on_client_write(int client, std::uint64_t lba,
+                         std::uint32_t nblocks) override;
+  };
+  /// A site's World plus what the WAN gives it: the hook feeding its
+  /// replication log, and whether its links are up.
+  struct Site : cluster::World {
+    using cluster::World::World;
+    SiteObserver observer;
     bool up = true;
   };
 
@@ -189,7 +191,8 @@ class Federation {
 
   sim::Simulation& sim_;
   FederationParams params_;
-  std::vector<Site> sites_;
+  std::vector<std::unique_ptr<Site>> sites_;
+  std::vector<cluster::World*> worlds_;  // sites_, as the worlds they are
   std::vector<std::unique_ptr<Link>> links_;
   std::unique_ptr<Replicator> replicator_;
   std::uint64_t region_blocks_ = 0;
