@@ -11,17 +11,20 @@
 // Prints aggregate and sustained bandwidth, per-op latency percentiles,
 // and per-resource utilization.
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "cache/cache_fabric.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/sharded.hpp"
+#include "cluster/world.hpp"
 #include "ha/fault_plan.hpp"
 #include "ha/ha.hpp"
 #include "integrity/integrity.hpp"
@@ -50,14 +53,21 @@ namespace {
       "  --shards S         partition the cluster into S placement groups\n"
       "                     simulated in parallel under conservative time-\n"
       "                     window sync (default 1 = the classic engine).\n"
-      "                     S > 1 needs --open-loop, nodes divisible by S,\n"
-      "                     and at least 2 nodes per shard\n"
+      "                     Every group is a full world (cache, QoS, HA,\n"
+      "                     integrity, device mix).  S > 1 needs:\n"
+      "                       --open-loop (closed loops run one world)\n"
+      "                       nodes divisible by S, >= 2 nodes per group\n"
+      "                       (the groups are identical arrays)\n"
+      "                       a block engine (nfs has one central server)\n"
+      "                       no --trace/--trace-sample/--slo/--watch\n"
+      "                       (each shard has its own hub; not merged yet)\n"
       "  --threads T        worker threads driving the shards (default =\n"
       "                     shards; changes wall-clock only, never results)\n"
       "  --sites S          federate S identical sites (each a full\n"
-      "                     --nodes x --disks cluster) over a WAN mesh\n"
+      "                     --nodes x --disks world) over a WAN mesh\n"
       "                     (default 1 = the classic engine).  S > 1 needs\n"
-      "                     --open-loop and conflicts with --shards\n"
+      "                     --open-loop and a block engine, as --shards\n"
+      "                     does, and does not combine with --shards yet\n"
       "  --wan-rtt MS       inter-site round-trip propagation (default 40)\n"
       "  --wan-bw MBS       inter-site link bandwidth, MB/s (default 60)\n"
       "  --wan-window SZ    per-flow in-flight window, K/M suffix ok\n"
@@ -76,7 +86,8 @@ namespace {
       "  --ops N            ops per client (default 1)\n"
       "  --scattered        scatter ops over the client region\n"
       "  --block SZ         stripe unit (default 32K)\n"
-      "  --fail D           fail disk D before the run (repeatable)\n"
+      "  --fail D           fail disk D before the run (repeatable; ids\n"
+      "                     span every shard or site, like --faults)\n"
       "  --disk-type T      hdd|ssd|hybrid device mix (default hdd).\n"
       "                     ssd and hybrid accept ':key=val,...' tuning:\n"
       "                       op=F            over-provisioning fraction "
@@ -101,9 +112,11 @@ namespace {
       "                     the 5-phase Andrew benchmark (stores real bytes)\n"
       "  --faults SPEC      chaos plan, e.g. 'fail:disk=3@2s;heal:disk=3@8s'\n"
       "                     or 'rand:seed=7,faults=2,window=10s,heal=3s';\n"
-      "                     implies --ha unless --no-ha is given.  Silent\n"
+      "                     implies --ha unless --no-ha is given (or the\n"
+      "                     plan only touches WAN sites and links).  Silent\n"
       "                     corruption: 'corrupt:disk=3,block=17@2s' or\n"
       "                     'rot:seed=7,errors=5,window=10s' (bit-rot storm).\n"
+      "                     Disk and node ids span every shard or site.\n"
       "                     WAN chaos (needs --sites > 1):\n"
       "                     'partition:site=1@5s;heal:site=1@15s' or\n"
       "                     'brownout:link=0,bw=5@3s;heal:link=0@9s'\n"
@@ -510,12 +523,13 @@ workload::Arch parse_arch(const std::string& s) {
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Every flag of one run.  parse_args() fills it, validate() checks every
+/// combination in one place and parses the specs, and run() builds, arms,
+/// drives and reports the run's worlds.
+struct Scenario {
   workload::Arch arch = workload::Arch::kRaidX;
   int nodes = 16, disks = 1, clients = 8, ops = 1, window = 2;
-  int shards = 1, threads = 0;
+  int shards = 1, threads = 0, sites = 1;
   std::uint64_t bytes = 64ull << 20;
   std::uint32_t block = 32'768;
   bool is_write = false, scattered = false, verbose = false;
@@ -536,11 +550,9 @@ int main(int argc, char** argv) {
   bool verify_reads = false;
   double scrub_rate = 0.0;
   int fail_threshold = 0;
-  std::string open_loop_spec;
+  std::string open_loop_spec, disk_type_spec;
   std::string slo_spec, watch_spec, trace_sample_spec;
   bool slo_on = false, watch_on = false, trace_sample_on = false;
-  std::string disk_type_spec;
-  int sites = 1;
   double wan_rtt_ms = 40.0, wan_bw = 60.0;
   std::uint64_t wan_window = std::uint64_t{1} << 20;
   bool geo_rep = false;
@@ -548,6 +560,24 @@ int main(int argc, char** argv) {
   bool wan_rtt_set = false, wan_bw_set = false, wan_window_set = false,
        geo_rep_mbs_set = false;
 
+  // Parsed specs, filled by validate().
+  OpenLoopCli olcli;
+  DiskTypeCli dtcli;
+  obs::SloConfig slo_cfg;
+  WatchCli wcli;
+  obs::SampleConfig ts_cfg;
+  cache::CacheParams cache;
+
+  bool open_loop() const { return !open_loop_spec.empty(); }
+  /// Sub-worlds the run builds: S placement groups, N sites, or one.
+  int worlds() const { return shards > 1 ? shards : sites; }
+  const char* world_kind() const { return shards > 1 ? "shard" : "site"; }
+  /// --nodes is the total under --shards and per site under --sites.
+  int nodes_per_world() const { return shards > 1 ? nodes / shards : nodes; }
+};
+
+Scenario parse_args(int argc, char** argv) {
+  Scenario sc;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     // Accept --flag=value as well as --flag value.
@@ -572,620 +602,321 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--arch") arch = parse_arch(next());
-    else if (a == "--nodes") nodes = std::atoi(next().c_str());
-    else if (a == "--shards") shards = std::atoi(next().c_str());
-    else if (a == "--sites") sites = std::atoi(next().c_str());
-    else if (a == "--wan-rtt") { wan_rtt_ms = std::atof(next().c_str()); wan_rtt_set = true; }
-    else if (a == "--wan-bw") { wan_bw = std::atof(next().c_str()); wan_bw_set = true; }
-    else if (a == "--wan-window") { wan_window = parse_size(next()); wan_window_set = true; }
-    else if (a == "--geo-rep") geo_rep = true;
-    else if (a == "--geo-rep-mbs") { geo_rep_mbs = std::atof(next().c_str()); geo_rep_mbs_set = true; }
-    else if (a == "--threads") threads = std::atoi(next().c_str());
-    else if (a == "--disks") disks = std::atoi(next().c_str());
-    else if (a == "--clients") clients = std::atoi(next().c_str());
-    else if (a == "--op") is_write = (next() == "write");
-    else if (a == "--bytes") bytes = parse_size(next());
-    else if (a == "--ops") ops = std::atoi(next().c_str());
-    else if (a == "--scattered") scattered = true;
-    else if (a == "--block") block = static_cast<std::uint32_t>(parse_size(next()));
-    else if (a == "--fail") fails.push_back(std::atoi(next().c_str()));
-    else if (a == "--disk-type") disk_type_spec = next();
-    else if (a == "--no-bg-mirrors") bg_mirrors = false;
-    else if (a == "--no-locks") locks = false;
-    else if (a == "--window") window = std::atoi(next().c_str());
+    if (a == "--arch") sc.arch = parse_arch(next());
+    else if (a == "--nodes") sc.nodes = std::atoi(next().c_str());
+    else if (a == "--shards") sc.shards = std::atoi(next().c_str());
+    else if (a == "--sites") sc.sites = std::atoi(next().c_str());
+    else if (a == "--wan-rtt") { sc.wan_rtt_ms = std::atof(next().c_str()); sc.wan_rtt_set = true; }
+    else if (a == "--wan-bw") { sc.wan_bw = std::atof(next().c_str()); sc.wan_bw_set = true; }
+    else if (a == "--wan-window") { sc.wan_window = parse_size(next()); sc.wan_window_set = true; }
+    else if (a == "--geo-rep") sc.geo_rep = true;
+    else if (a == "--geo-rep-mbs") { sc.geo_rep_mbs = std::atof(next().c_str()); sc.geo_rep_mbs_set = true; }
+    else if (a == "--threads") sc.threads = std::atoi(next().c_str());
+    else if (a == "--disks") sc.disks = std::atoi(next().c_str());
+    else if (a == "--clients") sc.clients = std::atoi(next().c_str());
+    else if (a == "--op") sc.is_write = (next() == "write");
+    else if (a == "--bytes") sc.bytes = parse_size(next());
+    else if (a == "--ops") sc.ops = std::atoi(next().c_str());
+    else if (a == "--scattered") sc.scattered = true;
+    else if (a == "--block") sc.block = static_cast<std::uint32_t>(parse_size(next()));
+    else if (a == "--fail") sc.fails.push_back(std::atoi(next().c_str()));
+    else if (a == "--disk-type") sc.disk_type_spec = next();
+    else if (a == "--no-bg-mirrors") sc.bg_mirrors = false;
+    else if (a == "--no-locks") sc.locks = false;
+    else if (a == "--window") sc.window = std::atoi(next().c_str());
     else if (a == "--cache-mb") {
-      cache_mb = std::atof(next().c_str());
-      if (cache_mb < 0.0) {
+      sc.cache_mb = std::atof(next().c_str());
+      if (sc.cache_mb < 0.0) {
         std::fprintf(stderr, "--cache-mb must be >= 0\n");
-        return 2;
+        std::exit(2);
       }
     }
-    else if (a == "--cache-policy") cache_policy = next();
-    else if (a == "--cache-evict") cache_evict = next();
-    else if (a == "--coop-cache") coop_cache = true;
-    else if (a == "--warm") warm = std::atoi(next().c_str());
-    else if (a == "--workload") workload_kind = next();
-    else if (a == "--faults") faults_spec = next();
-    else if (a == "--ha") ha_on = true;
-    else if (a == "--no-ha") no_ha = true;
-    else if (a == "--spares") spares = std::atoi(next().c_str());
-    else if (a == "--global-spares") global_spares = std::atoi(next().c_str());
-    else if (a == "--rebuild-mbs") rebuild_mbs = std::atof(next().c_str());
-    else if (a == "--timeout-ms") timeout_ms = std::atof(next().c_str());
-    else if (a == "--verify-reads") verify_reads = true;
-    else if (a == "--scrub-rate") scrub_rate = std::atof(next().c_str());
-    else if (a == "--fail-threshold") fail_threshold = std::atoi(next().c_str());
-    else if (a == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    else if (a == "--open-loop") open_loop_spec = next();
-    else if (a == "--replay") replay_file = next();
-    else if (a == "--dump-trace") dump_trace_file = next();
-    else if (a == "--trace") trace_out = next();
-    else if (a == "--trace-sample") { trace_sample_spec = next(); trace_sample_on = true; }
-    else if (a == "--slo") { slo_spec = next(); slo_on = true; }
-    else if (a == "--watch") { watch_spec = next(); watch_on = true; }
-    else if (a == "--metrics") metrics_out = next();
-    else if (a == "--verbose") verbose = true;
+    else if (a == "--cache-policy") sc.cache_policy = next();
+    else if (a == "--cache-evict") sc.cache_evict = next();
+    else if (a == "--coop-cache") sc.coop_cache = true;
+    else if (a == "--warm") sc.warm = std::atoi(next().c_str());
+    else if (a == "--workload") sc.workload_kind = next();
+    else if (a == "--faults") sc.faults_spec = next();
+    else if (a == "--ha") sc.ha_on = true;
+    else if (a == "--no-ha") sc.no_ha = true;
+    else if (a == "--spares") sc.spares = std::atoi(next().c_str());
+    else if (a == "--global-spares") sc.global_spares = std::atoi(next().c_str());
+    else if (a == "--rebuild-mbs") sc.rebuild_mbs = std::atof(next().c_str());
+    else if (a == "--timeout-ms") sc.timeout_ms = std::atof(next().c_str());
+    else if (a == "--verify-reads") sc.verify_reads = true;
+    else if (a == "--scrub-rate") sc.scrub_rate = std::atof(next().c_str());
+    else if (a == "--fail-threshold") sc.fail_threshold = std::atoi(next().c_str());
+    else if (a == "--seed") sc.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+    else if (a == "--open-loop") sc.open_loop_spec = next();
+    else if (a == "--replay") sc.replay_file = next();
+    else if (a == "--dump-trace") sc.dump_trace_file = next();
+    else if (a == "--trace") sc.trace_out = next();
+    else if (a == "--trace-sample") { sc.trace_sample_spec = next(); sc.trace_sample_on = true; }
+    else if (a == "--slo") { sc.slo_spec = next(); sc.slo_on = true; }
+    else if (a == "--watch") { sc.watch_spec = next(); sc.watch_on = true; }
+    else if (a == "--metrics") sc.metrics_out = next();
+    else if (a == "--verbose") sc.verbose = true;
     else {
       std::fprintf(stderr, "%s: unknown option %s\n\n", argv[0], a.c_str());
       usage(argv[0]);
     }
     if (has_inline && !consumed_value) {
       std::fprintf(stderr, "%s: %s takes no value\n", argv[0], a.c_str());
-      return 2;
+      std::exit(2);
     }
   }
-  if (nodes < 2 || disks < 1 || clients < 1 || ops < 1) usage(argv[0]);
+  if (sc.nodes < 2 || sc.disks < 1 || sc.clients < 1 || sc.ops < 1) {
+    usage(argv[0]);
+  }
+  return sc;
+}
 
-  // Reject flag combinations that would silently do nothing (or fail only
-  // after a long simulation).
-  const bool cache_on = cache_mb > 0.0 && cache_policy != "none";
-  if (warm < 0) {
-    std::fprintf(stderr, "%s: --warm must be >= 0\n", argv[0]);
-    return 2;
+/// Print "argv0: <message>" to stderr; returns exit code 2.
+[[gnu::format(printf, 2, 3)]] int reject(const char* argv0, const char* fmt,
+                                         ...) {
+  std::fprintf(stderr, "%s: ", argv0);
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  return 2;
+}
+
+/// Reject every flag combination that would silently do nothing, or that
+/// no world can run, before anything expensive is built; each rejection
+/// states its reason.  Parses the specs into `sc`.  Returns 0 or exit 2.
+int validate(const char* argv0, Scenario& sc) {
+  const bool cache_on = sc.cache_mb > 0.0 && sc.cache_policy != "none";
+  if (sc.warm < 0) return reject(argv0, "--warm must be >= 0");
+  if (sc.warm > 0 && !cache_on) {
+    return reject(argv0,
+        "--warm only makes sense with a cache; add --cache-mb (or drop "
+        "--warm)");
   }
-  if (warm > 0 && !cache_on) {
-    std::fprintf(stderr,
-                 "%s: --warm only makes sense with a cache; add --cache-mb "
-                 "(or drop --warm)\n",
-                 argv[0]);
-    return 2;
+  if (sc.warm > 0 && (sc.open_loop() || !sc.replay_file.empty() ||
+                      sc.workload_kind == "andrew")) {
+    return reject(argv0,
+        "--warm runs unmeasured passes of the synthetic parallel I/O "
+        "workload; --open-loop, --replay and --workload andrew have none "
+        "(drop --warm)");
   }
-  if (warm > 0 && (!open_loop_spec.empty() || !replay_file.empty() ||
-                   workload_kind == "andrew")) {
-    std::fprintf(stderr,
-                 "%s: --warm runs unmeasured passes of the synthetic "
-                 "parallel I/O workload; --open-loop, --replay and "
-                 "--workload andrew have none (drop --warm)\n",
-                 argv[0]);
-    return 2;
+  if (sc.coop_cache && !cache_on) {
+    return reject(argv0, "--coop-cache requires a cache; add --cache-mb");
   }
-  if (coop_cache && !cache_on) {
-    std::fprintf(stderr,
-                 "%s: --coop-cache requires a cache; add --cache-mb\n",
-                 argv[0]);
-    return 2;
+  if (sc.workload_kind != "io" && sc.workload_kind != "andrew") {
+    return reject(argv0, "unknown workload '%s' (io|andrew)",
+                  sc.workload_kind.c_str());
   }
-  if (workload_kind != "io" && workload_kind != "andrew") {
-    std::fprintf(stderr, "%s: unknown workload '%s' (io|andrew)\n", argv[0],
-                 workload_kind.c_str());
-    return 2;
+  if (sc.ha_on && sc.no_ha) return reject(argv0, "--ha and --no-ha conflict");
+  if (sc.spares < 0 || sc.global_spares < 0 || sc.rebuild_mbs < 0 ||
+      sc.timeout_ms < 0) {
+    return reject(argv0,
+        "--spares/--global-spares/--rebuild-mbs/--timeout-ms must be >= 0");
   }
-  if (ha_on && no_ha) {
-    std::fprintf(stderr, "%s: --ha and --no-ha conflict\n", argv[0]);
-    return 2;
+  if (sc.scrub_rate < 0 || sc.fail_threshold < 0) {
+    return reject(argv0, "--scrub-rate/--fail-threshold must be >= 0");
   }
-  if (spares < 0 || global_spares < 0 || rebuild_mbs < 0 ||
-      timeout_ms < 0) {
-    std::fprintf(stderr,
-                 "%s: --spares/--global-spares/--rebuild-mbs/--timeout-ms "
-                 "must be >= 0\n",
-                 argv[0]);
-    return 2;
+  if (sc.workload_kind == "andrew" && !sc.replay_file.empty()) {
+    return reject(argv0, "--workload andrew and --replay conflict");
   }
-  if (scrub_rate < 0 || fail_threshold < 0) {
-    std::fprintf(stderr,
-                 "%s: --scrub-rate/--fail-threshold must be >= 0\n",
-                 argv[0]);
-    return 2;
+  if (sc.open_loop() && (sc.workload_kind == "andrew" ||
+                         !sc.replay_file.empty() ||
+                         !sc.dump_trace_file.empty())) {
+    return reject(argv0,
+        "--open-loop replaces the workload; it conflicts with --workload "
+        "andrew, --replay, and --dump-trace");
   }
-  if (workload_kind == "andrew" && !replay_file.empty()) {
-    std::fprintf(stderr, "%s: --workload andrew and --replay conflict\n",
-                 argv[0]);
-    return 2;
-  }
-  if (!open_loop_spec.empty() &&
-      (workload_kind == "andrew" || !replay_file.empty() ||
-       !dump_trace_file.empty())) {
-    std::fprintf(stderr,
-                 "%s: --open-loop replaces the workload; it conflicts with "
-                 "--workload andrew, --replay, and --dump-trace\n",
-                 argv[0]);
-    return 2;
-  }
-  // Parse the spec before building anything expensive (a bad clause must
+  // Parse the specs before building anything expensive (a bad clause must
   // fail in milliseconds), but only when given.
-  OpenLoopCli olcli;
-  if (!open_loop_spec.empty()) {
-    olcli = parse_open_loop_spec(argv[0], open_loop_spec);
+  if (sc.open_loop()) sc.olcli = parse_open_loop_spec(argv0, sc.open_loop_spec);
+  if (!sc.disk_type_spec.empty()) {
+    sc.dtcli = parse_disk_type_spec(argv0, sc.disk_type_spec);
   }
-  // Device mix: parse first, then check the combinations the layouts can
-  // actually place.
-  DiskTypeCli dtcli;
-  if (!disk_type_spec.empty()) {
-    dtcli = parse_disk_type_spec(argv[0], disk_type_spec);
-  }
-  if (dtcli.kind == DiskTypeCli::Kind::kHybrid) {
-    if (arch != workload::Arch::kRaid1 && arch != workload::Arch::kRaid10 &&
-        arch != workload::Arch::kRaidX) {
-      std::fprintf(stderr,
-                   "%s: --disk-type hybrid places primaries on SSD and "
-                   "mirror images on HDD; it needs a mirrored layout "
-                   "(--arch raid1|raid10|raidx)\n",
-                   argv[0]);
-      return 2;
+  if (sc.dtcli.kind == DiskTypeCli::Kind::kHybrid) {
+    if (sc.arch != workload::Arch::kRaid1 &&
+        sc.arch != workload::Arch::kRaid10 &&
+        sc.arch != workload::Arch::kRaidX) {
+      return reject(argv0,
+          "--disk-type hybrid places primaries on SSD and mirror images on "
+          "HDD; it needs a mirrored layout (--arch raid1|raid10|raidx)");
     }
-    if (arch != workload::Arch::kRaid1 && disks % 2 != 0) {
-      std::fprintf(stderr,
-                   "%s: --disk-type hybrid splits each node's disk rows in "
-                   "half (SSD data rows over HDD image rows); --disks %d "
-                   "must be even\n",
-                   argv[0], disks);
-      return 2;
+    if (sc.arch != workload::Arch::kRaid1 && sc.disks % 2 != 0) {
+      return reject(argv0,
+          "--disk-type hybrid splits each node's disk rows in half (SSD "
+          "data rows over HDD image rows); --disks %d must be even",
+          sc.disks);
     }
   }
-  if (dtcli.kind != DiskTypeCli::Kind::kHdd && shards > 1) {
-    std::fprintf(stderr,
-                 "%s: --disk-type %s builds a heterogeneous device map; "
-                 "the sharded runner is spindle-only (drop --shards)\n",
-                 argv[0],
-                 dtcli.kind == DiskTypeCli::Kind::kSsd ? "ssd" : "hybrid");
-    return 2;
+
+  // Federations: --shards and --sites build S or N identical worlds.
+  if (sc.shards < 1) return reject(argv0, "--shards must be >= 1 (got %d)", sc.shards);
+  if (sc.threads < 0) {
+    return reject(argv0, "--threads must be >= 0 (got %d)", sc.threads);
   }
-  // Sharded-engine validation: every rejected combination cites the clause
-  // that makes it impossible, so a bad invocation fails in milliseconds
-  // with an actionable message instead of after a long build.
-  if (shards < 1) {
-    std::fprintf(stderr, "%s: --shards must be >= 1 (got %d)\n", argv[0],
-                 shards);
-    return 2;
+  if (sc.threads > 0 && sc.shards == 1) {
+    return reject(argv0,
+        "--threads drives the shard worker pool; it needs --shards > 1");
   }
-  if (threads < 0) {
-    std::fprintf(stderr, "%s: --threads must be >= 0 (got %d)\n", argv[0],
-                 threads);
-    return 2;
+  if (sc.olcli.remote > 0.0 && sc.shards == 1 && sc.sites == 1) {
+    return reject(argv0,
+        "--open-loop remote=%g sends traffic across shards or sites; it "
+        "needs --shards > 1 or --sites > 1",
+        sc.olcli.remote);
   }
-  if (threads > 0 && shards == 1) {
-    std::fprintf(stderr,
-                 "%s: --threads drives the shard worker pool; it needs "
-                 "--shards > 1\n",
-                 argv[0]);
-    return 2;
+  if (sc.sites < 1) return reject(argv0, "--sites must be >= 1 (got %d)", sc.sites);
+  if (sc.sites == 1 &&
+      (sc.wan_rtt_set || sc.wan_bw_set || sc.wan_window_set || sc.geo_rep)) {
+    return reject(argv0,
+        "--wan-rtt/--wan-bw/--wan-window/--geo-rep shape the inter-site "
+        "WAN; they need --sites > 1");
   }
-  if (olcli.remote > 0.0 && shards == 1 && sites == 1) {
-    std::fprintf(stderr,
-                 "%s: --open-loop remote=%g sends traffic across shards or "
-                 "sites; it needs --shards > 1 or --sites > 1\n",
-                 argv[0], olcli.remote);
-    return 2;
+  if (sc.geo_rep_mbs_set && !sc.geo_rep) {
+    return reject(argv0, "--geo-rep-mbs throttles replication catch-up; add --geo-rep");
   }
-  // WAN federation validation: every rejected combination cites the flag
-  // that makes it impossible.
-  if (sites < 1) {
-    std::fprintf(stderr, "%s: --sites must be >= 1 (got %d)\n", argv[0],
-                 sites);
-    return 2;
-  }
-  if (sites == 1 &&
-      (wan_rtt_set || wan_bw_set || wan_window_set || geo_rep)) {
-    std::fprintf(stderr,
-                 "%s: --wan-rtt/--wan-bw/--wan-window/--geo-rep shape the "
-                 "inter-site WAN; they need --sites > 1\n",
-                 argv[0]);
-    return 2;
-  }
-  if (geo_rep_mbs_set && !geo_rep) {
-    std::fprintf(stderr,
-                 "%s: --geo-rep-mbs throttles replication catch-up; add "
-                 "--geo-rep\n",
-                 argv[0]);
-    return 2;
-  }
-  if (sites > 1) {
-    if (shards > 1) {
-      std::fprintf(stderr,
-                   "%s: --sites and --shards are different federations "
-                   "(WAN mesh vs threaded placement groups); pick one\n",
-                   argv[0]);
-      return 2;
+  if (sc.worlds() > 1) {
+    const char* flag = sc.shards > 1 ? "--shards" : "--sites";
+    if (sc.shards > 1 && sc.sites > 1) {
+      return reject(argv0,
+          "--sites and --shards do not compose yet (sites placed on shards "
+          "are a planned follow-up); pick one");
     }
-    if (open_loop_spec.empty()) {
-      std::fprintf(stderr,
-                   "%s: --sites %d drives each site with open-loop "
-                   "traffic; add --open-loop SPEC\n",
-                   argv[0], sites);
-      return 2;
+    if (!sc.open_loop()) {
+      return reject(argv0,
+          "%s %d drives each world with open-loop traffic; add --open-loop "
+          "SPEC (the closed-loop workloads run one world; per-world closed "
+          "loops are a planned follow-up)",
+          flag, sc.worlds());
     }
-    if (arch == workload::Arch::kNfs) {
-      std::fprintf(stderr,
-                   "%s: --sites needs a block engine per site; --arch nfs "
-                   "has one central server and cannot federate\n",
-                   argv[0]);
-      return 2;
-    }
-    if (wan_rtt_ms <= 0 || wan_bw <= 0 || wan_window == 0) {
-      std::fprintf(stderr,
-                   "%s: --wan-rtt/--wan-bw/--wan-window must be > 0\n",
-                   argv[0]);
-      return 2;
-    }
-    if (geo_rep_mbs < 0) {
-      std::fprintf(stderr, "%s: --geo-rep-mbs must be >= 0\n", argv[0]);
-      return 2;
-    }
-    if (ha_on) {
-      std::fprintf(stderr,
-                   "%s: --ha orchestration is per-site and not federated "
-                   "yet; WAN chaos runs raw (drop --ha)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (olcli.qos_mbs > 0.0) {
-      std::fprintf(stderr,
-                   "%s: --open-loop qos-mbs gates one array; the WAN "
-                   "federation does not gate yet (drop qos-mbs or "
-                   "--sites)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0) {
-      std::fprintf(stderr,
-                   "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold are single-site features (use "
-                   "--faults for WAN chaos)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (watch_on) {
-      std::fprintf(stderr,
-                   "%s: --watch scrapes one cluster's resources; it does "
-                   "not support --sites > 1 yet\n",
-                   argv[0]);
-      return 2;
+    if (sc.arch == workload::Arch::kNfs) {
+      return reject(argv0,
+          "%s needs a block engine per world; --arch nfs has one central "
+          "server and cannot federate",
+          flag);
     }
   }
-  if (shards > 1) {
-    if (open_loop_spec.empty()) {
-      std::fprintf(stderr,
-                   "%s: --shards %d partitions the open-loop engine; add "
-                   "--open-loop SPEC (the closed-loop workloads run "
-                   "single-shard)\n",
-                   argv[0], shards);
-      return 2;
+  if (sc.sites > 1) {
+    if (sc.wan_rtt_ms <= 0 || sc.wan_bw <= 0 || sc.wan_window == 0) {
+      return reject(argv0, "--wan-rtt/--wan-bw/--wan-window must be > 0");
     }
-    if (arch == workload::Arch::kNfs) {
-      std::fprintf(stderr,
-                   "%s: --shards needs a block engine per group; --arch "
-                   "nfs has one central server and cannot shard\n",
-                   argv[0]);
-      return 2;
+    if (sc.geo_rep_mbs < 0) return reject(argv0, "--geo-rep-mbs must be >= 0");
+  }
+  if (sc.shards > 1) {
+    if (sc.nodes % sc.shards != 0) {
+      return reject(argv0,
+          "--nodes %d is not divisible by --shards %d (every placement "
+          "group must be identical)",
+          sc.nodes, sc.shards);
     }
-    if (nodes % shards != 0) {
-      std::fprintf(stderr,
-                   "%s: --nodes %d is not divisible by --shards %d (every "
-                   "placement group must be identical)\n",
-                   argv[0], nodes, shards);
-      return 2;
+    if (sc.nodes / sc.shards < 2) {
+      return reject(argv0,
+          "--nodes %d over --shards %d leaves %d node(s) per group; the "
+          "array geometry needs >= 2",
+          sc.nodes, sc.shards, sc.nodes / sc.shards);
     }
-    if (nodes / shards < 2) {
-      std::fprintf(stderr,
-                   "%s: --nodes %d over --shards %d leaves %d node(s) per "
-                   "group; the array geometry needs >= 2\n",
-                   argv[0], nodes, shards, nodes / shards);
-      return 2;
-    }
-    if (olcli.qos_mbs > 0.0) {
-      std::fprintf(stderr,
-                   "%s: --open-loop qos-mbs is per-array admission; the "
-                   "sharded runner does not gate yet (drop qos-mbs or "
-                   "--shards)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0) {
-      std::fprintf(stderr,
-                   "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold are single-shard features "
-                   "(use --faults for sharded chaos)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!trace_out.empty() || trace_sample_on || slo_on || watch_on) {
-      std::fprintf(stderr,
-                   "%s: --trace/--trace-sample/--slo/--watch attach to one "
-                   "simulation's hub; they do not support --shards > 1 "
-                   "yet\n",
-                   argv[0]);
-      return 2;
+    if (!sc.trace_out.empty() || sc.trace_sample_on || sc.slo_on ||
+        sc.watch_on) {
+      return reject(argv0,
+          "--trace/--trace-sample/--slo/--watch attach to one simulation's "
+          "hub, and every shard has its own; they do not support --shards "
+          "> 1 yet");
     }
   }
-  // Telemetry specs: same fail-fast rule.  A sampler without a trace file,
-  // or an SLO with no open-loop traffic to observe, would silently do
-  // nothing -- reject them.
-  if (trace_sample_on && trace_out.empty()) {
-    std::fprintf(stderr, "%s: --trace-sample needs --trace FILE\n", argv[0]);
-    return 2;
+
+  // Telemetry specs: a sampler without a trace file, or an SLO with no
+  // open-loop traffic to observe, would silently do nothing.
+  if (sc.trace_sample_on && sc.trace_out.empty()) {
+    return reject(argv0, "--trace-sample needs --trace FILE");
   }
-  if (slo_on && open_loop_spec.empty()) {
-    std::fprintf(stderr,
-                 "%s: --slo monitors open-loop traffic; add --open-loop\n",
-                 argv[0]);
-    return 2;
+  if (sc.slo_on && !sc.open_loop()) {
+    return reject(argv0, "--slo monitors open-loop traffic; add --open-loop");
   }
-  obs::SloConfig slo_cfg;
-  if (slo_on) slo_cfg = parse_slo_spec(argv[0], slo_spec);
-  WatchCli wcli;
-  if (watch_on) wcli = parse_watch_spec(argv[0], watch_spec);
-  obs::SampleConfig ts_cfg;
-  if (trace_sample_on) {
-    ts_cfg = parse_trace_sample_spec(argv[0], trace_sample_spec);
+  if (sc.slo_on) sc.slo_cfg = parse_slo_spec(argv0, sc.slo_spec);
+  if (sc.watch_on) sc.wcli = parse_watch_spec(argv0, sc.watch_spec);
+  if (sc.trace_sample_on) {
+    sc.ts_cfg = parse_trace_sample_spec(argv0, sc.trace_sample_spec);
   }
-  if (!replay_file.empty() && !dump_trace_file.empty()) {
-    std::fprintf(stderr,
-                 "%s: --replay and --dump-trace conflict (replay consumes a "
-                 "trace, dump-trace only generates one)\n",
-                 argv[0]);
-    return 2;
+  if (!sc.replay_file.empty() && !sc.dump_trace_file.empty()) {
+    return reject(argv0,
+        "--replay and --dump-trace conflict (replay consumes a trace, "
+        "dump-trace only generates one)");
   }
   // Validate output paths up front so a bad path fails in milliseconds,
   // not after the whole simulation has run.
-  for (const std::string* out : {&trace_out, &metrics_out, &wcli.out}) {
+  for (const std::string* out : {&sc.trace_out, &sc.metrics_out, &sc.wcli.out}) {
     if (out->empty()) continue;
     std::ofstream probe(*out);
-    if (!probe) {
-      std::fprintf(stderr, "%s: cannot write %s\n", argv[0], out->c_str());
-      return 2;
-    }
+    if (!probe) return reject(argv0, "cannot write %s", out->c_str());
   }
 
-  if (!dump_trace_file.empty()) {
-    workload::TraceGenConfig tg;
-    tg.clients = clients;
-    tg.ops_per_client = ops;
-    tg.write_fraction = is_write ? 0.7 : 0.3;
-    tg.seed = seed;
-    std::ofstream out(dump_trace_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", dump_trace_file.c_str());
-      return 1;
-    }
-    out << workload::format_trace(workload::generate_trace(tg));
-    std::printf("wrote %d x %d trace records to %s\n", clients, ops,
-                dump_trace_file.c_str());
-    return 0;
-  }
-
-  // Engine / CDD / cache knobs are shared by the classic single-simulation
-  // path and the sharded federation; build them once, fail fast on a bad
-  // value.
-  cdd::CddParams cddp;
-  if (timeout_ms > 0) cddp.request_timeout = sim::milliseconds(timeout_ms);
-
-  raid::EngineParams ep;
-  ep.background_mirrors = bg_mirrors;
-  ep.use_locks = locks;
-  ep.read_window = window;
-  ep.write_window = window;
-  // RAID-1 pairs are already split even/odd by the device map; only the
-  // row-split layouts need the hybrid placement variant.
-  ep.hybrid_mirrors = dtcli.kind == DiskTypeCli::Kind::kHybrid &&
-                      arch != workload::Arch::kRaid1;
-
-  cache::CacheParams cp;
-  if (cache_policy == "none") {
-    cp.capacity_blocks = 0;
-  } else if (cache_policy == "wt" || cache_policy == "wb") {
-    cp.capacity_blocks = static_cast<std::uint64_t>(
-        cache_mb * 1024.0 * 1024.0 / static_cast<double>(block));
-    cp.write_policy = cache_policy == "wb"
-                          ? cache::WritePolicy::kWriteBack
-                          : cache::WritePolicy::kWriteThrough;
+  if (sc.cache_policy == "none") {
+    sc.cache.capacity_blocks = 0;
+  } else if (sc.cache_policy == "wt" || sc.cache_policy == "wb") {
+    sc.cache.capacity_blocks = static_cast<std::uint64_t>(
+        sc.cache_mb * 1024.0 * 1024.0 / static_cast<double>(sc.block));
+    sc.cache.write_policy = sc.cache_policy == "wb"
+                                ? cache::WritePolicy::kWriteBack
+                                : cache::WritePolicy::kWriteThrough;
   } else {
-    std::fprintf(stderr, "unknown cache policy: %s\n", cache_policy.c_str());
+    std::fprintf(stderr, "unknown cache policy: %s\n",
+                 sc.cache_policy.c_str());
     return 2;
   }
-  if (cache_evict == "2q") cp.eviction = cache::EvictionPolicy::k2Q;
-  else if (cache_evict != "lru") {
-    std::fprintf(stderr, "unknown eviction policy: %s\n", cache_evict.c_str());
+  if (sc.cache_evict == "2q") {
+    sc.cache.eviction = cache::EvictionPolicy::k2Q;
+  } else if (sc.cache_evict != "lru") {
+    std::fprintf(stderr, "unknown eviction policy: %s\n",
+                 sc.cache_evict.c_str());
     return 2;
   }
-  cp.cooperative = coop_cache;
+  sc.cache.cooperative = sc.coop_cache;
+  return 0;
+}
 
-  if (shards > 1) {
-    // Sharded federation: S identical placement groups advanced in
-    // parallel under the conservative synchronizer, open-loop traffic per
-    // group, optional ring-ordered cross-shard redirection.
-    auto gparams = cluster::ClusterParams::trojans();
-    gparams.geometry.nodes = nodes / shards;
-    gparams.geometry.disks_per_node = disks;
-    gparams.geometry.block_bytes = block;
-    gparams.geometry.blocks_per_disk = (10ull << 30) / block;
-    gparams.disk.store_data = false;
-
-    cluster::ShardedParams sp;
-    sp.shards = shards;
-    sp.arch = arch;
-    sp.engine = ep;
-    sp.cache = cp;
-    sp.cdd = cddp;
-
-    // Chaos plan in federation-global ids: shard s owns disks
-    // [s * nodes/shards * disks, ...) and nodes [s * nodes/shards, ...).
-    ha::FaultPlan plan;
-    if (!faults_spec.empty()) {
-      try {
-        plan = ha::FaultPlan::parse(faults_spec, nodes * disks,
-                                    gparams.geometry.blocks_per_disk);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-      for (const ha::FaultEvent& ev : plan.events()) {
-        if (ev.kind == ha::FaultEvent::Kind::kPartitionNode &&
-            timeout_ms <= 0) {
-          std::fprintf(stderr,
-                       "%s: part: faults need --timeout-ms, or requests at "
-                       "the partitioned node block forever\n",
-                       argv[0]);
-          return 2;
-        }
-        if ((ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-             ev.kind == ha::FaultEvent::Kind::kJoinNode) &&
-            (ev.target < 0 || ev.target >= nodes)) {
-          std::fprintf(stderr, "%s: no such node: %d\n", argv[0], ev.target);
-          return 2;
-        }
-        if (ev.kind == ha::FaultEvent::Kind::kCorruptBlock) {
-          std::fprintf(stderr,
-                       "%s: corrupt: faults need the integrity plane, which "
-                       "is single-shard; use fail:/part: chaos under "
-                       "--shards\n",
-                       argv[0]);
-          return 2;
-        }
-      }
-    }
-    const bool want_orch = ha_on || (!faults_spec.empty() && !no_ha);
-
-    cluster::ShardedCluster world(gparams, sp);
-    if (!plan.empty() || want_orch) {
-      ha::HaParams hp;
-      hp.spares_per_node = spares;
-      hp.global_spares = global_spares;
-      hp.rebuild_mbs = rebuild_mbs;
-      if (!plan.empty()) {
-        std::printf("fault plan (%s, partitioned over %d shards):\n%s",
-                    want_orch ? "orchestrated" : "raw", shards,
-                    plan.describe().c_str());
-      }
-      try {
-        world.arm_faults(plan, want_orch ? &hp : nullptr);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-    }
-
-    load::OpenLoopConfig ocfg;
-    ocfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                        olcli.shape);
-    ocfg.duration = sim::seconds(olcli.duration_s);
-    ocfg.seed = seed;
-    ocfg.max_in_flight = olcli.cap;
-
-    const int nthreads = threads > 0 ? threads : shards;
-    std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
-                "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
-                "%.1f%%, %d worker(s)\n",
-                world.engine(0).name().c_str(), shards, nodes / shards,
-                olcli.tenants, olcli.shape.rate_ops, 100.0 * olcli.remote,
-                nthreads);
-    load::ShardedLoadResult sr;
-    try {
-      sr = load::run_open_loop_sharded(world, ocfg, olcli.remote, nthreads);
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s)\n",
-                sr.offered_mbs, static_cast<unsigned long long>(sr.offered),
-                olcli.duration_s);
-    std::printf("goodput             : %8.2f MB/s (%llu completed, slowest "
-                "shard drained at %.3f s)\n",
-                sr.goodput_mbs,
-                static_cast<unsigned long long>(sr.completed),
-                sim::to_seconds(sr.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(sr.rejected),
-                static_cast<unsigned long long>(sr.shed),
-                static_cast<unsigned long long>(sr.failed),
-                static_cast<unsigned long long>(sr.cap_dropped));
-    std::printf("cross-shard         : %llu of %llu arrivals over the "
-                "spine\n",
-                static_cast<unsigned long long>(sr.remote_ops),
-                static_cast<unsigned long long>(sr.offered));
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 "
-                "%.2f ms\n",
-                sr.latency.quantile(0.50) / 1e6,
-                sr.latency.quantile(0.99) / 1e6,
-                sr.latency.quantile(0.999) / 1e6);
-    const sim::ShardGroup::Stats& gs = world.group().stats();
-    std::printf("sync                : %llu windows, %llu cross-shard "
-                "messages\n",
-                static_cast<unsigned long long>(gs.windows),
-                static_cast<unsigned long long>(gs.messages));
-    if (verbose) {
-      for (int s = 0; s < shards; ++s) {
-        const load::OpenLoopResult& r =
-            sr.per_shard[static_cast<std::size_t>(s)];
-        std::printf("  shard %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, %llu remote\n",
-                    s, r.offered_mbs, r.goodput_mbs,
-                    r.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(r.remote_ops));
-      }
-    }
-    if (want_orch) {
-      std::uint64_t det = 0, reb = 0;
-      for (int s = 0; s < shards; ++s) {
-        const ha::HaStats& hs = world.shard(s).orchestrator->stats();
-        det += hs.detections;
-        reb += hs.rebuilds_completed;
-      }
-      std::printf("ha                  : %llu detections, %llu rebuilds "
-                  "across %d shards\n",
-                  static_cast<unsigned long long>(det),
-                  static_cast<unsigned long long>(reb), shards);
-    }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      out << world.merged_snapshot_json() << "\n";
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
-    }
-    return 0;
+int dump_trace(const Scenario& sc) {
+  workload::TraceGenConfig tg;
+  tg.clients = sc.clients;
+  tg.ops_per_client = sc.ops;
+  tg.write_fraction = sc.is_write ? 0.7 : 0.3;
+  tg.seed = sc.seed;
+  std::ofstream out(sc.dump_trace_file);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", sc.dump_trace_file.c_str());
+    return 1;
   }
+  out << workload::format_trace(workload::generate_trace(tg));
+  std::printf("wrote %d x %d trace records to %s\n", sc.clients, sc.ops,
+              sc.dump_trace_file.c_str());
+  return 0;
+}
 
+/// One world's cluster: --nodes x --disks (nodes per group under
+/// --shards), with the device mix --disk-type asks for.
+cluster::ClusterParams world_cluster(const Scenario& sc) {
   auto params = cluster::ClusterParams::trojans();
+  const int nodes = sc.nodes_per_world();
   params.geometry.nodes = nodes;
-  params.geometry.disks_per_node = disks;
-  params.geometry.block_bytes = block;
-  params.geometry.blocks_per_disk = (10ull << 30) / block;
+  params.geometry.disks_per_node = sc.disks;
+  params.geometry.block_bytes = sc.block;
+  params.geometry.blocks_per_disk = (10ull << 30) / sc.block;
   // Andrew builds a real file system and verifies its bytes, so the disks
   // must store data; the synthetic sweeps only measure timing.
-  params.disk.store_data = workload_kind == "andrew";
+  params.disk.store_data = sc.workload_kind == "andrew";
 
   // Device mix: ssd makes every slot flash; hybrid puts the top disk rows
   // (data) on flash and the bottom rows (mirror images) on spindles --
   // except RAID-1, whose mirror pairs are adjacent global ids, so the map
   // splits even (primary, SSD) from odd (mirror, HDD) instead.
-  params.flash = dtcli.flash;
-  if (dtcli.kind != DiskTypeCli::Kind::kHdd) {
-    const int total = nodes * disks;
+  params.flash = sc.dtcli.flash;
+  if (sc.dtcli.kind != DiskTypeCli::Kind::kHdd) {
+    const int total = nodes * sc.disks;
     params.device_map.assign(static_cast<std::size_t>(total),
                              disk::DeviceClass::kHdd);
     for (int id = 0; id < total; ++id) {
       bool ssd = true;
-      if (dtcli.kind == DiskTypeCli::Kind::kHybrid) {
-        ssd = arch == workload::Arch::kRaid1 ? id % 2 == 0
-                                             : id / nodes < disks / 2;
+      if (sc.dtcli.kind == DiskTypeCli::Kind::kHybrid) {
+        ssd = sc.arch == workload::Arch::kRaid1 ? id % 2 == 0
+                                                : id / nodes < sc.disks / 2;
       }
       if (ssd) {
         params.device_map[static_cast<std::size_t>(id)] =
@@ -1193,375 +924,475 @@ int main(int argc, char** argv) {
       }
     }
   }
+  return params;
+}
 
-  sim::Simulation sim;
-  obs::Hub hub;
-  if (!trace_out.empty() || !metrics_out.empty() || slo_on || watch_on) {
-    hub.tracing = !trace_out.empty();
-    if (trace_sample_on) hub.tracer().set_selective(ts_cfg);
-    // The attribution matrix rides the metrics snapshot; enabling it has
-    // zero effect on simulated timestamps (pure bookkeeping at existing
-    // span boundaries).
-    if (!metrics_out.empty()) hub.enable_attribution();
-    if (slo_on) hub.enable_slo(slo_cfg);
-    sim.set_hub(&hub);
+cluster::WorldParams world_params(const Scenario& sc) {
+  cluster::WorldParams wp;
+  wp.arch = sc.arch;
+  if (sc.timeout_ms > 0) {
+    wp.cdd.request_timeout = sim::milliseconds(sc.timeout_ms);
   }
+  wp.engine.background_mirrors = sc.bg_mirrors;
+  wp.engine.use_locks = sc.locks;
+  wp.engine.read_window = sc.window;
+  wp.engine.write_window = sc.window;
+  // RAID-1 pairs are already split even/odd by the device map; only the
+  // row-split layouts need the hybrid placement variant.
+  wp.engine.hybrid_mirrors = sc.dtcli.kind == DiskTypeCli::Kind::kHybrid &&
+                             sc.arch != workload::Arch::kRaid1;
+  wp.cache = sc.cache;
+  return wp;
+}
 
-  if (sites > 1) {
-    // WAN federation: N identical sites (each the full --nodes x --disks
-    // cluster) under one simulation, joined by a full mesh of BDP-limited
-    // links, driven by per-site open-loop traffic with optional cross-site
-    // redirection and geo-replicated mirrors.
-    wan::FederationParams fp;
-    fp.sites = sites;
-    fp.link.bandwidth_mbs = wan_bw;
-    fp.link.rtt = sim::milliseconds(wan_rtt_ms);
-    fp.link.window_bytes = wan_window;
-    fp.geo_rep = geo_rep;
-    fp.repl.ship_mbs = geo_rep_mbs;
-    fp.cluster = params;
-    fp.arch = arch;
-    fp.engine = ep;
-    fp.cache = cp;
-    fp.cdd = cddp;
+/// Cache counters summed over every world.
+cache::CacheStats cache_totals(std::span<cluster::World* const> worlds) {
+  cache::CacheStats t;
+  for (cluster::World* w : worlds) {
+    const cache::CacheStats& s = w->cache->stats();
+    t.hits += s.hits;
+    t.peer_hits += s.peer_hits;
+    t.misses += s.misses;
+    t.fills += s.fills;
+    t.writes_absorbed += s.writes_absorbed;
+    t.invalidations += s.invalidations;
+    t.flushes += s.flushes;
+    t.evictions += s.evictions;
+    t.directory_peak_entries += s.directory_peak_entries;
+    t.directory_peak_sharers =
+        std::max(t.directory_peak_sharers, s.directory_peak_sharers);
+  }
+  return t;
+}
 
-    // Chaos plan in federation-global ids: site s owns disks
-    // [s * nodes * disks, ...); partition:site=/brownout:link= clauses are
-    // range-checked by the parser against the mesh.
-    ha::FaultPlan plan;
-    if (!faults_spec.empty()) {
-      try {
-        plan = ha::FaultPlan::parse(faults_spec, sites * nodes * disks,
-                                    params.geometry.blocks_per_disk, sites,
-                                    wan::Federation::mesh_links(sites));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-      for (const ha::FaultEvent& ev : plan.events()) {
-        if (ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-            ev.kind == ha::FaultEvent::Kind::kJoinNode) {
-          std::fprintf(stderr,
-                       "%s: part:/join: node faults are single-site "
-                       "features; use partition:site= under --sites\n",
-                       argv[0]);
-          return 2;
-        }
-        if (ev.kind == ha::FaultEvent::Kind::kCorruptBlock) {
-          std::fprintf(stderr,
-                       "%s: corrupt:/rot: faults need the integrity plane, "
-                       "which is single-site; use fail:/partition: chaos "
-                       "under --sites\n",
-                       argv[0]);
-          return 2;
-        }
-      }
+/// The recovery summary, summed over every world's orchestrator.
+void print_ha_summary(std::span<cluster::World* const> worlds,
+                      const std::string& across) {
+  if (!worlds.front()->orchestrator) return;
+  ha::HaStats hs;
+  int spares_left = 0;
+  for (cluster::World* w : worlds) {
+    const ha::HaStats& s = w->orchestrator->stats();
+    hs.detections += s.detections;
+    hs.detections_by_traffic += s.detections_by_traffic;
+    hs.detections_by_probe += s.detections_by_probe;
+    hs.failovers += s.failovers;
+    hs.rebuilds_completed += s.rebuilds_completed;
+    hs.mttr_ns.insert(hs.mttr_ns.end(), s.mttr_ns.begin(), s.mttr_ns.end());
+    spares_left += w->orchestrator->spares().total_available();
+  }
+  std::printf("ha                  : %llu detections (%llu traffic, %llu "
+              "probe), %llu failovers, %llu rebuilds, %d spares left%s\n",
+              static_cast<unsigned long long>(hs.detections),
+              static_cast<unsigned long long>(hs.detections_by_traffic),
+              static_cast<unsigned long long>(hs.detections_by_probe),
+              static_cast<unsigned long long>(hs.failovers),
+              static_cast<unsigned long long>(hs.rebuilds_completed),
+              spares_left, across.c_str());
+  if (!hs.mttr_ns.empty()) {
+    double sum = 0;
+    for (sim::Time t : hs.mttr_ns) sum += static_cast<double>(t);
+    std::printf("ha mttr             : %8.3f s mean over %zu recoveries\n",
+                sum / static_cast<double>(hs.mttr_ns.size()) * 1e-9,
+                hs.mttr_ns.size());
+  }
+}
+
+/// The integrity summary, summed over every world's plane (unrecoverable
+/// blocks cite run-global disk ids).  Returns nonzero when the scrub soak
+/// failed to converge: with the daemon on, every injected error must be
+/// accounted for -- detected (and repaired or explicitly listed
+/// unrecoverable), overwritten by traffic, or superseded by a whole-disk
+/// recovery -- and no repair may have errored out.  CI runs storms
+/// through this gate.
+int print_integrity_summary(std::span<cluster::World* const> worlds) {
+  if (!worlds.front()->plane) return 0;
+  const integrity::IntegrityParams& params = worlds.front()->plane->params();
+  integrity::IntegrityStats is;
+  std::uint64_t undetected = 0;
+  for (std::size_t w = 0; w < worlds.size(); ++w) {
+    const integrity::IntegrityPlane& plane = *worlds[w]->plane;
+    const integrity::IntegrityStats& s = plane.stats();
+    is.injected += s.injected;
+    is.detected += s.detected;
+    is.detected_by_read += s.detected_by_read;
+    is.detected_by_scrub += s.detected_by_scrub;
+    is.repaired += s.repaired;
+    is.unrecoverable += s.unrecoverable;
+    is.repairs_failed += s.repairs_failed;
+    is.superseded += s.superseded;
+    is.overwritten += s.overwritten;
+    is.escalations += s.escalations;
+    is.scrub_passes += s.scrub_passes;
+    is.blocks_scrubbed += s.blocks_scrubbed;
+    is.mttd_ns.insert(is.mttd_ns.end(), s.mttd_ns.begin(), s.mttd_ns.end());
+    const int base = static_cast<int>(w) * worlds[w]->cluster->total_disks();
+    for (const integrity::UnrecoverableBlock& b : s.unrecoverable_blocks) {
+      is.unrecoverable_blocks.push_back({base + b.disk, b.offset});
     }
-
-    std::unique_ptr<wan::Federation> fed;
-    try {
-      fed = std::make_unique<wan::Federation>(sim, fp);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+    undetected += plane.undetected();
+  }
+  std::printf("integrity           : %llu injected, %llu detected (%llu "
+              "read, %llu scrub), %llu repaired, %llu unrecoverable\n",
+              static_cast<unsigned long long>(is.injected),
+              static_cast<unsigned long long>(is.detected),
+              static_cast<unsigned long long>(is.detected_by_read),
+              static_cast<unsigned long long>(is.detected_by_scrub),
+              static_cast<unsigned long long>(is.repaired),
+              static_cast<unsigned long long>(is.unrecoverable));
+  if (is.overwritten > 0 || is.superseded > 0 || is.escalations > 0) {
+    std::printf("integrity (other)   : %llu overwritten, %llu superseded "
+                "by rebuild, %llu disks escalated\n",
+                static_cast<unsigned long long>(is.overwritten),
+                static_cast<unsigned long long>(is.superseded),
+                static_cast<unsigned long long>(is.escalations));
+  }
+  if (params.scrub) {
+    std::printf("scrub               : %llu passes, %llu blocks verified "
+                "(cap %.1f MB/s)\n",
+                static_cast<unsigned long long>(is.scrub_passes),
+                static_cast<unsigned long long>(is.blocks_scrubbed),
+                params.scrub_rate_mbs);
+  }
+  if (!is.mttd_ns.empty()) {
+    double sum = 0;
+    for (sim::Time t : is.mttd_ns) sum += static_cast<double>(t);
+    std::printf("integrity mttd      : %8.3f s mean over %zu detections\n",
+                sum / static_cast<double>(is.mttd_ns.size()) * 1e-9,
+                is.mttd_ns.size());
+  }
+  if (!is.unrecoverable_blocks.empty()) {
+    std::printf("unrecoverable blocks:");
+    for (const integrity::UnrecoverableBlock& b : is.unrecoverable_blocks) {
+      std::printf(" D%d:%llu", b.disk,
+                  static_cast<unsigned long long>(b.offset));
     }
+    std::printf("\n");
+  }
+  if (params.scrub && is.injected > 0 &&
+      (undetected > 0 || is.repairs_failed > 0)) {
+    std::fprintf(stderr,
+                 "integrity soak FAILED: %llu injected errors never "
+                 "accounted for, %llu repairs errored\n",
+                 static_cast<unsigned long long>(undetected),
+                 static_cast<unsigned long long>(is.repairs_failed));
+    return 1;
+  }
+  return 0;
+}
 
-    // Per-site working sets are carved from the site's own primary
-    // region, so they must fit in region_blocks, not the whole array.
-    std::uint64_t need = 0;
-    for (int t = 0; t < olcli.tenants; ++t) {
-      const std::uint64_t slots = std::max<std::uint64_t>(
-          1, olcli.shape.working_set_blocks / olcli.shape.blocks_per_op);
-      need += slots * olcli.shape.blocks_per_op;
+/// The WAN's own report: remote reads and writes, links, geo-replication.
+void print_wan(wan::Federation& fed) {
+  const wan::WanStats& ws = fed.stats();
+  std::uint64_t link_bytes = 0, link_drops = 0;
+  for (int l = 0; l < fed.num_links(); ++l) {
+    link_bytes += fed.link_by_id(l).bytes_carried();
+    link_drops += fed.link_by_id(l).drops();
+  }
+  std::printf("wan reads           : %llu remote (%llu site-cache hits, "
+              "%llu origin, %llu mirror [%llu stale], %llu unreachable, "
+              "%llu redirected)\n",
+              static_cast<unsigned long long>(ws.remote_reads),
+              static_cast<unsigned long long>(ws.cache_hits),
+              static_cast<unsigned long long>(ws.origin_reads),
+              static_cast<unsigned long long>(ws.mirror_reads),
+              static_cast<unsigned long long>(ws.stale_served),
+              static_cast<unsigned long long>(ws.unreachable),
+              static_cast<unsigned long long>(ws.redirects));
+  std::printf("wan writes          : %llu forwarded, %llu forward "
+              "failures\n",
+              static_cast<unsigned long long>(ws.remote_writes),
+              static_cast<unsigned long long>(ws.write_forward_failures));
+  if (ws.remote_reads > 0) {
+    std::printf("wan read latency    : p50 %.2f ms, p99 %.2f ms\n",
+                fed.remote_read_latency().quantile(0.50) / 1e6,
+                fed.remote_read_latency().quantile(0.99) / 1e6);
+  }
+  std::printf("wan links           : %.2f MB carried, %llu drops\n",
+              static_cast<double>(link_bytes) / 1e6,
+              static_cast<unsigned long long>(link_drops));
+  wan::Replicator* rep = fed.replicator();
+  if (rep == nullptr) return;
+  std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0;
+  for (int a = 0; a < fed.sites(); ++a) {
+    for (int b = 0; b < fed.sites(); ++b) {
+      if (a == b) continue;
+      const wan::StreamStats& st = rep->stream(a, b);
+      appended += st.appended;
+      coalesced += st.coalesced;
+      shipped += st.shipped;
+      failed += st.failed_ships;
     }
-    if (need > fed->region_blocks()) {
-      std::fprintf(
-          stderr,
-          "%s: per-site tenant working sets need %llu blocks but each "
-          "site's primary region holds %llu (shrink --open-loop ws=/"
-          "tenants= or grow the array)\n",
-          argv[0], static_cast<unsigned long long>(need),
-          static_cast<unsigned long long>(fed->region_blocks()));
-      return 2;
-    }
+  }
+  std::printf("geo-rep             : %llu appended (%llu coalesced), %llu "
+              "shipped, %llu failed ships, backlog %llu (peak %llu)\n",
+              static_cast<unsigned long long>(appended),
+              static_cast<unsigned long long>(coalesced),
+              static_cast<unsigned long long>(shipped),
+              static_cast<unsigned long long>(failed),
+              static_cast<unsigned long long>(rep->total_backlog()),
+              static_cast<unsigned long long>(rep->peak_backlog()));
+  if (rep->lag().count() > 0) {
+    std::printf("geo-rep lag         : p50 %.2f ms, p99 %.2f ms, max %.2f "
+                "ms, %llu violation(s) of the %.1f s bound\n",
+                rep->lag().quantile(0.50) / 1e6,
+                rep->lag().quantile(0.99) / 1e6,
+                static_cast<double>(rep->max_lag()) / 1e6,
+                static_cast<unsigned long long>(rep->staleness_violations()),
+                sim::to_seconds(fed.params().repl.staleness_bound));
+  }
+  if (rep->total_backlog() == 0) {
+    std::printf("geo-rep converged   : %8.3f s\n",
+                sim::to_seconds(rep->last_converged()));
+  } else {
+    std::printf("geo-rep converged   : never (a partition outlived the run; "
+                "%llu entries still queued)\n",
+                static_cast<unsigned long long>(rep->total_backlog()));
+  }
+}
 
-    if (!plan.empty()) {
-      std::printf("fault plan (raw, %d sites):\n%s", sites,
-                  plan.describe().c_str());
-      try {
-        fed->arm_faults(plan);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-    }
-
-    std::printf(
-        "raidxsim: wan federation on %s, %d sites x %d nodes, %d link(s) "
-        "@ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
-        fed->engine(0).name().c_str(), sites, nodes, fed->num_links(),
-        wan_bw, wan_rtt_ms,
-        static_cast<unsigned long long>(wan_window >> 10),
-        geo_rep ? " [geo-rep]" : "");
-    std::printf(
-        "raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, zipf "
-        "%.2f, remote %.1f%%\n",
-        olcli.tenants, olcli.shape.rate_ops, olcli.shape.zipf_alpha,
-        100.0 * olcli.remote);
-
-    std::vector<load::OpenLoopConfig> cfgs(
-        static_cast<std::size_t>(sites));
-    std::vector<std::unique_ptr<load::OpenLoopDriver>> drivers;
-    for (int s = 0; s < sites; ++s) {
-      load::OpenLoopConfig& cfg = cfgs[static_cast<std::size_t>(s)];
-      cfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                         olcli.shape);
-      cfg.duration = sim::seconds(olcli.duration_s);
-      cfg.seed = seed + static_cast<std::uint64_t>(s);
-      cfg.max_in_flight = olcli.cap;
-      cfg.base_lba = fed->region_base(s);
-      if (olcli.remote > 0.0) {
-        cfg.remote.fraction = olcli.remote;
-        wan::Federation* f = fed.get();
-        cfg.remote.exec = [f, s](std::uint64_t slot, std::uint32_t nblocks,
-                                 bool write) {
-          return f->remote_io(s, slot, nblocks, write);
-        };
-      }
-      drivers.push_back(
-          std::make_unique<load::OpenLoopDriver>(fed->engine(s), cfg));
-    }
-    try {
-      for (auto& d : drivers) d->start();
-      sim.run();
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
+/// Trace, SLO, event log, watch table and the metrics file.
+int export_obs(const Scenario& sc, obs::Hub& hub, sim::Time now,
+               obs::Scraper* scraper, const std::string& metrics_json) {
+  if (!sc.trace_out.empty()) {
+    std::string err;
+    if (!hub.tracer().export_chrome(sc.trace_out, now, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
       return 1;
     }
-
-    load::OpenLoopResult total;
-    std::vector<load::OpenLoopResult> per_site;
-    per_site.reserve(drivers.size());
-    for (auto& d : drivers) per_site.push_back(d->finish());
-    for (const load::OpenLoopResult& r : per_site) {
-      total.offered += r.offered;
-      total.completed += r.completed;
-      total.rejected += r.rejected;
-      total.shed += r.shed;
-      total.failed += r.failed;
-      total.cap_dropped += r.cap_dropped;
-      total.remote_ops += r.remote_ops;
-      total.offered_mbs += r.offered_mbs;
-      total.goodput_mbs += r.goodput_mbs;
-      total.drained_at = std::max(total.drained_at, r.drained_at);
-      total.latency.merge(r.latency);
-    }
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s, all sites)\n",
-                total.offered_mbs,
-                static_cast<unsigned long long>(total.offered),
-                olcli.duration_s);
-    std::printf("goodput             : %8.2f MB/s (%llu completed, slowest "
-                "site drained at %.3f s)\n",
-                total.goodput_mbs,
-                static_cast<unsigned long long>(total.completed),
-                sim::to_seconds(total.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(total.rejected),
-                static_cast<unsigned long long>(total.shed),
-                static_cast<unsigned long long>(total.failed),
-                static_cast<unsigned long long>(total.cap_dropped));
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 "
-                "%.2f ms\n",
-                total.latency.quantile(0.50) / 1e6,
-                total.latency.quantile(0.99) / 1e6,
-                total.latency.quantile(0.999) / 1e6);
-    if (verbose) {
-      for (int s = 0; s < sites; ++s) {
-        const load::OpenLoopResult& r =
-            per_site[static_cast<std::size_t>(s)];
-        std::printf("  site %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, %llu remote\n",
-                    s, r.offered_mbs, r.goodput_mbs,
-                    r.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(r.remote_ops));
-      }
-    }
-
-    const wan::WanStats& ws = fed->stats();
-    std::uint64_t link_bytes = 0, link_drops = 0;
-    for (int l = 0; l < fed->num_links(); ++l) {
-      link_bytes += fed->link_by_id(l).bytes_carried();
-      link_drops += fed->link_by_id(l).drops();
-    }
-    std::printf("wan reads           : %llu remote (%llu site-cache hits, "
-                "%llu origin, %llu mirror [%llu stale], %llu unreachable, "
-                "%llu redirected)\n",
-                static_cast<unsigned long long>(ws.remote_reads),
-                static_cast<unsigned long long>(ws.cache_hits),
-                static_cast<unsigned long long>(ws.origin_reads),
-                static_cast<unsigned long long>(ws.mirror_reads),
-                static_cast<unsigned long long>(ws.stale_served),
-                static_cast<unsigned long long>(ws.unreachable),
-                static_cast<unsigned long long>(ws.redirects));
-    std::printf("wan writes          : %llu forwarded, %llu forward "
-                "failures\n",
-                static_cast<unsigned long long>(ws.remote_writes),
-                static_cast<unsigned long long>(ws.write_forward_failures));
-    if (ws.remote_reads > 0) {
-      std::printf("wan read latency    : p50 %.2f ms, p99 %.2f ms\n",
-                  fed->remote_read_latency().quantile(0.50) / 1e6,
-                  fed->remote_read_latency().quantile(0.99) / 1e6);
-    }
-    std::printf("wan links           : %.2f MB carried, %llu drops\n",
-                static_cast<double>(link_bytes) / 1e6,
-                static_cast<unsigned long long>(link_drops));
-    if (wan::Replicator* rep = fed->replicator()) {
-      std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0;
-      for (int a = 0; a < sites; ++a) {
-        for (int b = 0; b < sites; ++b) {
-          if (a == b) continue;
-          const wan::StreamStats& st = rep->stream(a, b);
-          appended += st.appended;
-          coalesced += st.coalesced;
-          shipped += st.shipped;
-          failed += st.failed_ships;
-        }
-      }
-      std::printf("geo-rep             : %llu appended (%llu coalesced), "
-                  "%llu shipped, %llu failed ships, backlog %llu (peak "
-                  "%llu)\n",
-                  static_cast<unsigned long long>(appended),
-                  static_cast<unsigned long long>(coalesced),
-                  static_cast<unsigned long long>(shipped),
-                  static_cast<unsigned long long>(failed),
-                  static_cast<unsigned long long>(rep->total_backlog()),
-                  static_cast<unsigned long long>(rep->peak_backlog()));
-      if (rep->lag().count() > 0) {
-        std::printf("geo-rep lag         : p50 %.2f ms, p99 %.2f ms, max "
-                    "%.2f ms, %llu violation(s) of the %.1f s bound\n",
-                    rep->lag().quantile(0.50) / 1e6,
-                    rep->lag().quantile(0.99) / 1e6,
-                    static_cast<double>(rep->max_lag()) / 1e6,
-                    static_cast<unsigned long long>(
-                        rep->staleness_violations()),
-                    sim::to_seconds(fp.repl.staleness_bound));
-      }
-      if (rep->total_backlog() == 0) {
-        std::printf("geo-rep converged   : %8.3f s\n",
-                    sim::to_seconds(rep->last_converged()));
-      } else {
-        std::printf("geo-rep converged   : never (a partition outlived the "
-                    "run; %llu entries still queued)\n",
-                    static_cast<unsigned long long>(rep->total_backlog()));
-      }
-    }
-
-    if (!trace_out.empty()) {
-      std::string err;
-      if (!hub.tracer().export_chrome(trace_out, sim.now(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-      }
+    if (hub.tracer().selective()) {
+      std::printf("trace               : %llu sampled + %zu reservoir "
+                  "trace(s) of %llu -> %s\n",
+                  static_cast<unsigned long long>(
+                      hub.tracer().sampled_kept()),
+                  hub.tracer().reservoir_count(),
+                  static_cast<unsigned long long>(
+                      hub.tracer().traces_started()),
+                  sc.trace_out.c_str());
+    } else {
       std::printf("trace               : %zu spans -> %s\n",
-                  hub.tracer().spans().size(), trace_out.c_str());
+                  hub.tracer().spans().size(), sc.trace_out.c_str());
     }
-    if (hub.slo() != nullptr) {
-      const obs::SloStats& ss = hub.slo()->stats();
-      std::printf("slo                 : %llu/%llu over %.1f ms target, "
-                  "%llu breach(es)\n",
-                  static_cast<unsigned long long>(ss.violations),
-                  static_cast<unsigned long long>(ss.requests),
-                  sim::to_milliseconds(hub.slo()->config().latency_target),
-                  static_cast<unsigned long long>(ss.breaches));
+  }
+  if (hub.slo() != nullptr) {
+    const obs::SloStats& ss = hub.slo()->stats();
+    std::printf("slo                 : %llu/%llu over %.1f ms target, %llu "
+                "window(s), %llu breach(es), %llu recover(ies), worst burn "
+                "%.2fx\n",
+                static_cast<unsigned long long>(ss.violations),
+                static_cast<unsigned long long>(ss.requests),
+                sim::to_milliseconds(hub.slo()->config().latency_target),
+                static_cast<unsigned long long>(ss.windows),
+                static_cast<unsigned long long>(ss.breaches),
+                static_cast<unsigned long long>(ss.recoveries),
+                ss.worst_burn);
+  }
+  if (hub.events() != nullptr && !hub.events()->events().empty()) {
+    std::printf("events              : %zu in cluster log",
+                hub.events()->events().size());
+    if (const obs::ClusterEvent* b = hub.events()->first("slo.breach")) {
+      std::printf("; first breach at %.3f s", sim::to_seconds(b->at));
     }
-    if (!metrics_out.empty()) {
-      fed->collect(hub.registry());
-      std::ofstream out(metrics_out);
-      if (hub.events() != nullptr) {
-        out << "{\"metrics\":" << hub.registry().snapshot_json()
-            << ",\"events\":" << hub.events()->json() << "}\n";
-      } else {
-        out << hub.registry().snapshot_json() << "\n";
+    std::printf("\n");
+    if (sc.verbose) {
+      for (const obs::ClusterEvent& ev : hub.events()->events()) {
+        std::printf("  [%12.6f s] %-20s %s\n", sim::to_seconds(ev.at),
+                    ev.kind.c_str(), ev.detail.c_str());
       }
+    }
+  }
+  if (scraper != nullptr) {
+    std::printf("\nwatch (%zu samples @ %.0f ms):\n%s", scraper->samples(),
+                sim::to_milliseconds(scraper->interval()),
+                scraper->render().c_str());
+    if (!sc.wcli.out.empty()) {
+      std::ofstream out(sc.wcli.out);
+      out << scraper->json() << "\n";
       if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
+        std::fprintf(stderr, "cannot write %s\n", sc.wcli.out.c_str());
         return 1;
       }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
+      std::printf("watch json          : %s\n", sc.wcli.out.c_str());
     }
-    return 0;
   }
+  if (!sc.metrics_out.empty()) {
+    std::ofstream out(sc.metrics_out);
+    if (hub.events() != nullptr) {
+      // The ordered cluster event log rides the same artifact; the flat
+      // snapshot moves under "metrics" only when events exist, so plain
+      // --metrics files keep their historical shape.
+      out << "{\"metrics\":" << metrics_json
+          << ",\"events\":" << hub.events()->json() << "}\n";
+    } else {
+      out << metrics_json << "\n";
+    }
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", sc.metrics_out.c_str());
+      return 1;
+    }
+    std::printf("metrics             : %s\n", sc.metrics_out.c_str());
+  }
+  return 0;
+}
 
-  cluster::Cluster cluster(sim, params);
-  cdd::CddFabric fabric(cluster, cddp);
+/// Build the run's worlds -- one, S placement groups, or N sites -- arm
+/// them, drive the workload, and print and export once.
+int run(const char* argv0, const Scenario& sc) {
+  const int nworlds = sc.worlds();
+  const cluster::ClusterParams params = world_cluster(sc);
+  const int world_disks = params.geometry.total_disks();
 
-  // Chaos plan: parse before anything expensive runs so a bad spec fails
-  // in milliseconds.  Partition events need a CDD timeout, or any request
-  // in flight across the partition waits forever.
+  // The chaos plan, parsed once in run-global ids before anything is
+  // built.  Partition events need a CDD timeout, or any request in flight
+  // across the partition waits forever.
   ha::FaultPlan plan;
-  if (!faults_spec.empty()) {
+  if (!sc.faults_spec.empty()) {
+    const int links = sc.sites > 1 ? wan::Federation::mesh_links(sc.sites) : 0;
     try {
-      plan = ha::FaultPlan::parse(faults_spec, cluster.total_disks(),
-                                  params.geometry.blocks_per_disk);
+      plan = ha::FaultPlan::parse(sc.faults_spec, nworlds * world_disks,
+                                  params.geometry.blocks_per_disk,
+                                  sc.sites > 1 ? sc.sites : 0, links);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
       return 2;
     }
     for (const ha::FaultEvent& ev : plan.events()) {
       if (ev.kind == ha::FaultEvent::Kind::kPartitionNode &&
-          timeout_ms <= 0) {
+          sc.timeout_ms <= 0) {
         std::fprintf(stderr,
                      "%s: part: faults need --timeout-ms, or requests at "
                      "the partitioned node block forever\n",
-                     argv[0]);
+                     argv0);
         return 2;
       }
       if ((ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
            ev.kind == ha::FaultEvent::Kind::kJoinNode) &&
-          (ev.target < 0 || ev.target >= nodes)) {
-        std::fprintf(stderr, "%s: no such node: %d\n", argv[0], ev.target);
+          (ev.target < 0 || ev.target >= nworlds * sc.nodes_per_world())) {
+        std::fprintf(stderr, "%s: no such node: %d\n", argv0, ev.target);
         return 2;
       }
     }
   }
+  for (int f : sc.fails) {
+    if (f < 0 || f >= nworlds * world_disks) {
+      std::fprintf(stderr, "no such disk: %d\n", f);
+      return 2;
+    }
+  }
 
-  auto engine = workload::make_engine(arch, fabric, ep);
+  obs::Hub hub;
+  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<cluster::ShardedCluster> sharded;
+  std::unique_ptr<wan::Federation> fed;
+  std::unique_ptr<cluster::World> single;
+  std::vector<cluster::World*> worlds;
+  const cluster::WorldParams wp = world_params(sc);
+  if (sc.shards > 1) {
+    // S placement groups, each on its own Simulation and hub, advanced in
+    // parallel under the conservative synchronizer.
+    cluster::ShardedParams sp;
+    static_cast<cluster::WorldParams&>(sp) = wp;
+    sp.shards = sc.shards;
+    sharded = std::make_unique<cluster::ShardedCluster>(params, sp);
+    worlds.assign(sharded->worlds().begin(), sharded->worlds().end());
+  } else {
+    sim = std::make_unique<sim::Simulation>();
+    if (!sc.trace_out.empty() || !sc.metrics_out.empty() || sc.slo_on ||
+        sc.watch_on) {
+      hub.tracing = !sc.trace_out.empty();
+      if (sc.trace_sample_on) hub.tracer().set_selective(sc.ts_cfg);
+      // The attribution matrix rides the metrics snapshot; enabling it has
+      // zero effect on simulated timestamps (pure bookkeeping at existing
+      // span boundaries).
+      if (!sc.metrics_out.empty()) hub.enable_attribution();
+      if (sc.slo_on) hub.enable_slo(sc.slo_cfg);
+      sim->set_hub(&hub);
+    }
+    if (sc.sites > 1) {
+      // N identical sites under this one simulation, joined by a full mesh
+      // of BDP-limited links.
+      wan::FederationParams fp;
+      static_cast<cluster::WorldParams&>(fp) = wp;
+      fp.sites = sc.sites;
+      fp.link.bandwidth_mbs = sc.wan_bw;
+      fp.link.rtt = sim::milliseconds(sc.wan_rtt_ms);
+      fp.link.window_bytes = sc.wan_window;
+      fp.geo_rep = sc.geo_rep;
+      fp.repl.ship_mbs = sc.geo_rep_mbs;
+      fp.cluster = params;
+      try {
+        fed = std::make_unique<wan::Federation>(*sim, fp);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+        return 2;
+      }
+      // Per-site working sets are carved from the site's own primary
+      // region, so they must fit in region_blocks, not the whole array.
+      std::uint64_t need = 0;
+      for (int t = 0; t < sc.olcli.tenants; ++t) {
+        const std::uint64_t slots = std::max<std::uint64_t>(
+            1, sc.olcli.shape.working_set_blocks /
+                   sc.olcli.shape.blocks_per_op);
+        need += slots * sc.olcli.shape.blocks_per_op;
+      }
+      if (need > fed->region_blocks()) {
+        std::fprintf(
+            stderr,
+            "%s: per-site tenant working sets need %llu blocks but each "
+            "site's primary region holds %llu (shrink --open-loop ws=/"
+            "tenants= or grow the array)\n",
+            argv0, static_cast<unsigned long long>(need),
+            static_cast<unsigned long long>(fed->region_blocks()));
+        return 2;
+      }
+      worlds.assign(fed->worlds().begin(), fed->worlds().end());
+    } else {
+      single = std::make_unique<cluster::World>(*sim, params, wp);
+      worlds.push_back(single.get());
+    }
+  }
+  cluster::World& first = *worlds.front();
+  const std::string across =
+      nworlds > 1 ? " across " + std::to_string(nworlds) + " " +
+                        sc.world_kind() + "s"
+                  : "";
 
-  cache::CacheFabric block_cache(cluster, cp);
-  engine->attach_cache(&block_cache);
-
-  // --watch: sim-time series scraper.  Sampling rides daemon events, which
-  // never keep run() alive or shift foreground timestamps, so a watched
-  // run finishes at the same simulated instant as an unwatched one.
+  // --watch: sim-time series scraper over every world on the shared
+  // simulation.  Sampling rides daemon events, which never keep run()
+  // alive or shift foreground timestamps, so a watched run finishes at the
+  // same simulated instant as an unwatched one.
   std::unique_ptr<obs::Scraper> scraper;
-  if (watch_on) {
-    scraper =
-        std::make_unique<obs::Scraper>(sim, wcli.interval, wcli.samples);
+  if (sc.watch_on) {
+    sim::Simulation& s = *sim;
+    scraper = std::make_unique<obs::Scraper>(s, sc.wcli.interval,
+                                             sc.wcli.samples);
     scraper->add_series(
-        "disk.util",
-        [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
+        "disk.util", [worlds, &s, prev = 0.0, prev_t = 0.0]() mutable {
           double busy = 0.0;
-          for (int d = 0; d < cluster.total_disks(); ++d) {
-            busy += static_cast<double>(cluster.disk(d).busy_time());
+          int disks = 0;
+          for (cluster::World* w : worlds) {
+            for (int d = 0; d < w->cluster->total_disks(); ++d) {
+              busy += static_cast<double>(w->cluster->disk(d).busy_time());
+            }
+            disks += w->cluster->total_disks();
           }
-          const double now = static_cast<double>(sim.now());
-          const double span = (now - prev_t) * cluster.total_disks();
+          const double now = static_cast<double>(s.now());
+          const double span = (now - prev_t) * disks;
           const double u = span > 0.0 ? (busy - prev) / span : 0.0;
           prev = busy;
           prev_t = now;
           return u;
         });
     scraper->add_series(
-        "net.tx_mbs",
-        [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
-          net::Network& net = cluster.network();
+        "net.tx_mbs", [worlds, &s, prev = 0.0, prev_t = 0.0]() mutable {
           double sent = 0.0;
-          for (int n = 0; n < net.nodes(); ++n) {
-            sent += static_cast<double>(net.bytes_sent(n));
+          for (cluster::World* w : worlds) {
+            net::Network& net = w->cluster->network();
+            for (int n = 0; n < net.nodes(); ++n) {
+              sent += static_cast<double>(net.bytes_sent(n));
+            }
           }
-          const double now = static_cast<double>(sim.now());
+          const double now = static_cast<double>(s.now());
           // bytes/ns -> MB/s is a factor of 1000.
           const double mbs =
               now > prev_t ? (sent - prev) / (now - prev_t) * 1e3 : 0.0;
@@ -1570,298 +1401,177 @@ int main(int argc, char** argv) {
           return mbs;
         });
     scraper->add_series(
-        "cdd.remote_ops",
-        [&fabric, &sim, prev = 0.0, prev_t = 0.0]() mutable {
-          const double ops = static_cast<double>(fabric.remote_requests());
-          const double now = static_cast<double>(sim.now());
+        "cdd.remote_ops", [worlds, &s, prev = 0.0, prev_t = 0.0]() mutable {
+          double ops = 0.0;
+          for (cluster::World* w : worlds) {
+            ops += static_cast<double>(w->fabric->remote_requests());
+          }
+          const double now = static_cast<double>(s.now());
           const double rate =
               now > prev_t ? (ops - prev) / ((now - prev_t) * 1e-9) : 0.0;
           prev = ops;
           prev_t = now;
           return rate;
         });
-    scraper->add_series("sim.pending", [&sim]() {
-      return static_cast<double>(sim.foreground_pending());
+    scraper->add_series("sim.pending", [&s]() {
+      return static_cast<double>(s.foreground_pending());
     });
     scraper->start();
   }
 
-  for (int f : fails) {
-    if (f < 0 || f >= cluster.total_disks()) {
-      std::fprintf(stderr, "no such disk: %d\n", f);
-      return 2;
-    }
-    cluster.disk(f).fail();
+  for (int f : sc.fails) {
+    worlds[static_cast<std::size_t>(f / world_disks)]->cluster->disk(
+        f % world_disks).fail();
   }
 
   // Recovery orchestration: on when asked for explicitly, or implied by a
-  // fault plan (chaos without recovery needs --no-ha).
-  std::unique_ptr<ha::Orchestrator> orch;
-  if (ha_on || (!faults_spec.empty() && !no_ha)) {
-    ha::HaParams hp;
-    hp.spares_per_node = spares;
-    hp.global_spares = global_spares;
-    hp.rebuild_mbs = rebuild_mbs;
-    orch = std::make_unique<ha::Orchestrator>(*engine, hp);
-  }
-
+  // fault plan that touches the arrays (chaos without recovery needs
+  // --no-ha; site partitions and link brownouts leave every array whole).
+  const bool wan_only =
+      !plan.empty() &&
+      std::all_of(plan.events().begin(), plan.events().end(),
+                  [](const ha::FaultEvent& ev) { return ev.wan(); });
+  const bool want_orch =
+      sc.ha_on || (!sc.faults_spec.empty() && !sc.no_ha && !wan_only);
+  ha::HaParams hp;
+  hp.spares_per_node = sc.spares;
+  hp.global_spares = sc.global_spares;
+  hp.rebuild_mbs = sc.rebuild_mbs;
   // Integrity plane: on when verification or scrubbing was asked for, or
   // implied by corruption in the fault plan (silent corruption with no
   // checksum plane would vanish without a trace -- the very failure mode
   // the subsystem exists to expose).
-  std::unique_ptr<integrity::IntegrityPlane> plane;
-  if (verify_reads || scrub_rate > 0 || fail_threshold > 0 ||
-      plan.has_corruption()) {
-    auto* ac = dynamic_cast<raid::ArrayController*>(engine.get());
-    if (ac == nullptr) {
-      std::fprintf(stderr,
-                   "%s: --verify-reads/--scrub-rate/corrupt: faults need a "
-                   "block engine (not nfs)\n",
-                   argv[0]);
-      return 2;
-    }
-    integrity::IntegrityParams ip;
-    ip.verify_reads = verify_reads;
-    ip.scrub = scrub_rate > 0;
-    ip.scrub_rate_mbs = scrub_rate;
-    ip.fail_threshold = fail_threshold;
-    plane = std::make_unique<integrity::IntegrityPlane>(*ac, ip);
-  }
-
+  const bool want_plane = sc.verify_reads || sc.scrub_rate > 0 ||
+                          sc.fail_threshold > 0 || plan.has_corruption();
+  integrity::IntegrityParams ip;
+  ip.verify_reads = sc.verify_reads;
+  ip.scrub = sc.scrub_rate > 0;
+  ip.scrub_rate_mbs = sc.scrub_rate;
+  ip.fail_threshold = sc.fail_threshold;
   if (!plan.empty()) {
-    std::printf("fault plan (%s):\n%s", orch ? "orchestrated" : "raw",
-                plan.describe().c_str());
-    plan.arm(cluster, orch.get(), plane.get());
+    std::string where;
+    if (sharded) where = ", partitioned over " + std::to_string(nworlds) + " shards";
+    if (fed) where = ", " + std::to_string(nworlds) + " sites";
+    std::printf("fault plan (%s%s):\n%s", want_orch ? "orchestrated" : "raw",
+                where.c_str(), plan.describe().c_str());
+  }
+  const ha::HaParams* orch = want_orch ? &hp : nullptr;
+  const integrity::IntegrityParams* plane = want_plane ? &ip : nullptr;
+  if (sharded) {
+    sharded->arm_faults(plan, orch, plane);
+  } else if (fed) {
+    fed->arm_faults(plan, orch, plane);
+  } else {
+    cluster::arm_worlds(plan, worlds, orch, plane);
   }
 
-  auto print_ha_summary = [&]() {
-    if (!orch) return;
-    const ha::HaStats& hs = orch->stats();
-    std::printf("ha                  : %llu detections (%llu traffic, %llu "
-                "probe), %llu failovers, %llu rebuilds, %d spares left\n",
-                static_cast<unsigned long long>(hs.detections),
-                static_cast<unsigned long long>(hs.detections_by_traffic),
-                static_cast<unsigned long long>(hs.detections_by_probe),
-                static_cast<unsigned long long>(hs.failovers),
-                static_cast<unsigned long long>(hs.rebuilds_completed),
-                orch->spares().total_available());
-    if (!hs.mttr_ns.empty()) {
-      double sum = 0;
-      for (sim::Time t : hs.mttr_ns) sum += static_cast<double>(t);
-      std::printf("ha mttr             : %8.3f s mean over %zu recoveries\n",
-                  sum / static_cast<double>(hs.mttr_ns.size()) * 1e-9,
-                  hs.mttr_ns.size());
-    }
-  };
-
-  // Returns nonzero when the scrub soak failed to converge: with the
-  // daemon on, every injected error must be accounted for -- detected (and
-  // repaired or explicitly listed unrecoverable), overwritten by traffic,
-  // or superseded by a whole-disk recovery -- and no repair may have
-  // errored out.  CI runs storms through this gate.
-  auto print_integrity_summary = [&]() -> int {
-    if (!plane) return 0;
-    const integrity::IntegrityStats& is = plane->stats();
-    std::printf("integrity           : %llu injected, %llu detected (%llu "
-                "read, %llu scrub), %llu repaired, %llu unrecoverable\n",
-                static_cast<unsigned long long>(is.injected),
-                static_cast<unsigned long long>(is.detected),
-                static_cast<unsigned long long>(is.detected_by_read),
-                static_cast<unsigned long long>(is.detected_by_scrub),
-                static_cast<unsigned long long>(is.repaired),
-                static_cast<unsigned long long>(is.unrecoverable));
-    if (is.overwritten > 0 || is.superseded > 0 || is.escalations > 0) {
-      std::printf("integrity (other)   : %llu overwritten, %llu superseded "
-                  "by rebuild, %llu disks escalated\n",
-                  static_cast<unsigned long long>(is.overwritten),
-                  static_cast<unsigned long long>(is.superseded),
-                  static_cast<unsigned long long>(is.escalations));
-    }
-    if (plane->params().scrub) {
-      std::printf("scrub               : %llu passes, %llu blocks verified "
-                  "(cap %.1f MB/s)\n",
-                  static_cast<unsigned long long>(is.scrub_passes),
-                  static_cast<unsigned long long>(is.blocks_scrubbed),
-                  plane->params().scrub_rate_mbs);
-    }
-    if (!is.mttd_ns.empty()) {
-      double sum = 0;
-      for (sim::Time t : is.mttd_ns) sum += static_cast<double>(t);
-      std::printf("integrity mttd      : %8.3f s mean over %zu detections\n",
-                  sum / static_cast<double>(is.mttd_ns.size()) * 1e-9,
-                  is.mttd_ns.size());
-    }
-    if (!is.unrecoverable_blocks.empty()) {
-      std::printf("unrecoverable blocks:");
-      for (const integrity::UnrecoverableBlock& b : is.unrecoverable_blocks) {
-        std::printf(" D%d:%llu", b.disk,
-                    static_cast<unsigned long long>(b.offset));
-      }
-      std::printf("\n");
-    }
-    if (plane->params().scrub && is.injected > 0 &&
-        (plane->undetected() > 0 || is.repairs_failed > 0)) {
-      std::fprintf(stderr,
-                   "integrity soak FAILED: %llu injected errors never "
-                   "accounted for, %llu repairs errored\n",
-                   static_cast<unsigned long long>(plane->undetected()),
-                   static_cast<unsigned long long>(is.repairs_failed));
-      return 1;
-    }
-    return 0;
-  };
-
-  auto export_obs = [&]() -> int {
-    if (!trace_out.empty()) {
-      std::string err;
-      if (!hub.tracer().export_chrome(trace_out, sim.now(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-      }
-      if (hub.tracer().selective()) {
-        std::printf("trace               : %llu sampled + %zu reservoir "
-                    "trace(s) of %llu -> %s\n",
-                    static_cast<unsigned long long>(
-                        hub.tracer().sampled_kept()),
-                    hub.tracer().reservoir_count(),
-                    static_cast<unsigned long long>(
-                        hub.tracer().traces_started()),
-                    trace_out.c_str());
-      } else {
-        std::printf("trace               : %zu spans -> %s\n",
-                    hub.tracer().spans().size(), trace_out.c_str());
-      }
-    }
-    if (hub.slo() != nullptr) {
-      const obs::SloStats& ss = hub.slo()->stats();
-      std::printf("slo                 : %llu/%llu over %.1f ms target, "
-                  "%llu window(s), %llu breach(es), %llu recover(ies), "
-                  "worst burn %.2fx\n",
-                  static_cast<unsigned long long>(ss.violations),
-                  static_cast<unsigned long long>(ss.requests),
-                  sim::to_milliseconds(hub.slo()->config().latency_target),
-                  static_cast<unsigned long long>(ss.windows),
-                  static_cast<unsigned long long>(ss.breaches),
-                  static_cast<unsigned long long>(ss.recoveries),
-                  ss.worst_burn);
-    }
-    if (hub.events() != nullptr && !hub.events()->events().empty()) {
-      std::printf("events              : %zu in cluster log",
-                  hub.events()->events().size());
-      if (const obs::ClusterEvent* b = hub.events()->first("slo.breach")) {
-        std::printf("; first breach at %.3f s", sim::to_seconds(b->at));
-      }
-      std::printf("\n");
-      if (verbose) {
-        for (const obs::ClusterEvent& ev : hub.events()->events()) {
-          std::printf("  [%12.6f s] %-20s %s\n", sim::to_seconds(ev.at),
-                      ev.kind.c_str(), ev.detail.c_str());
-        }
-      }
-    }
-    if (scraper != nullptr) {
-      std::printf("\nwatch (%zu samples @ %.0f ms):\n%s",
-                  scraper->samples(),
-                  sim::to_milliseconds(scraper->interval()),
-                  scraper->render().c_str());
-      if (!wcli.out.empty()) {
-        std::ofstream out(wcli.out);
-        out << scraper->json() << "\n";
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", wcli.out.c_str());
-          return 1;
-        }
-        std::printf("watch json          : %s\n", wcli.out.c_str());
-      }
-    }
-    if (!metrics_out.empty()) {
-      obs::collect_cluster(hub.registry(), cluster, &fabric, &block_cache,
-                           orch.get(), plane.get());
-      std::ofstream out(metrics_out);
-      if (hub.events() != nullptr) {
-        // The ordered cluster event log rides the same artifact; the flat
-        // snapshot moves under "metrics" only when events exist, so plain
-        // --metrics files keep their historical shape.
-        out << "{\"metrics\":" << hub.registry().snapshot_json()
-            << ",\"events\":" << hub.events()->json() << "}\n";
-      } else {
-        out << hub.registry().snapshot_json() << "\n";
-      }
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
-    }
-    return 0;
-  };
-
-  if (!open_loop_spec.empty()) {
-    auto* ac = dynamic_cast<raid::ArrayController*>(engine.get());
-    if (ac == nullptr) {
-      std::fprintf(stderr,
-                   "%s: --open-loop needs a block engine (not nfs)\n",
-                   argv[0]);
-      return 2;
-    }
-    load::OpenLoopConfig ocfg;
-    ocfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                        olcli.shape);
-    ocfg.duration = sim::seconds(olcli.duration_s);
-    ocfg.seed = seed;
-    ocfg.max_in_flight = olcli.cap;
-    std::unique_ptr<load::QosGate> gate;
-    if (olcli.qos_mbs > 0.0) {
+  const std::string name = first.engine->name();
+  if (sc.open_loop()) {
+    const OpenLoopCli& ol = sc.olcli;
+    if (ol.qos_mbs > 0.0) {
       load::TenantQos q;
-      q.rate_mbs = olcli.qos_mbs;
-      q.burst_mb = olcli.qos_burst_mb;
-      q.policy = olcli.policy;
-      gate = std::make_unique<load::QosGate>(
-          sim, std::vector<load::TenantQos>(
-                   static_cast<std::size_t>(olcli.tenants), q));
+      q.rate_mbs = ol.qos_mbs;
+      q.burst_mb = ol.qos_burst_mb;
+      q.policy = ol.policy;
+      for (cluster::World* w : worlds) {
+        w->gate = std::make_unique<load::QosGate>(
+            w->sim(),
+            std::vector<load::TenantQos>(static_cast<std::size_t>(ol.tenants),
+                                         q));
+      }
     }
-    std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
-                "%s), zipf %.2f, %d sessions each%s\n",
-                engine->name().c_str(), olcli.tenants, olcli.shape.rate_ops,
-                olcli.shape.dist == load::ArrivalDist::kBurst ? "burst"
-                                                              : "poisson",
-                olcli.shape.write_fraction > 0 ? ", mixed r/w" : "",
-                olcli.shape.zipf_alpha, olcli.shape.sessions,
-                gate ? " [QoS gated]" : "");
-    load::OpenLoopResult olr;
+    const char* gated = first.gate ? " [QoS gated]" : "";
+    load::OpenLoopConfig ocfg;
+    ocfg.tenants.assign(static_cast<std::size_t>(ol.tenants), ol.shape);
+    ocfg.duration = sim::seconds(ol.duration_s);
+    ocfg.seed = sc.seed;
+    ocfg.max_in_flight = ol.cap;
+    const int nthreads = sc.threads > 0 ? sc.threads : sc.shards;
+    if (sharded) {
+      std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
+                  "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
+                  "%.1f%%, %d worker(s)%s\n",
+                  name.c_str(), sc.shards, sc.nodes_per_world(), ol.tenants,
+                  ol.shape.rate_ops, 100.0 * ol.remote, nthreads, gated);
+    } else if (fed) {
+      std::printf("raidxsim: wan federation on %s, %d sites x %d nodes, %d "
+                  "link(s) @ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
+                  name.c_str(), sc.sites, sc.nodes, fed->num_links(),
+                  sc.wan_bw, sc.wan_rtt_ms,
+                  static_cast<unsigned long long>(sc.wan_window >> 10),
+                  sc.geo_rep ? " [geo-rep]" : "");
+      std::printf("raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, "
+                  "zipf %.2f, remote %.1f%%%s\n",
+                  ol.tenants, ol.shape.rate_ops, ol.shape.zipf_alpha,
+                  100.0 * ol.remote, gated);
+    } else {
+      std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
+                  "%s), zipf %.2f, %d sessions each%s\n",
+                  name.c_str(), ol.tenants, ol.shape.rate_ops,
+                  ol.shape.dist == load::ArrivalDist::kBurst ? "burst"
+                                                             : "poisson",
+                  ol.shape.write_fraction > 0 ? ", mixed r/w" : "",
+                  ol.shape.zipf_alpha, ol.shape.sessions, gated);
+    }
+    load::ShardedLoadResult r;
     try {
-      olr = load::run_open_loop(*ac, ocfg, gate.get());
+      if (sharded) {
+        r = load::run_open_loop_sharded(*sharded, ocfg, ol.remote, nthreads);
+      } else if (fed) {
+        r = load::run_open_loop_sites(*fed, ocfg, ol.remote);
+      } else {
+        std::vector<load::OpenLoopResult> one;
+        one.push_back(load::run_open_loop(*first.engine, ocfg,
+                                          first.gate.get()));
+        r = load::fold_results(std::move(one));
+      }
     } catch (const std::exception& e) {
       std::printf("run failed: %s\n", e.what());
       return 1;
     }
+    const std::string slowest =
+        nworlds > 1 ? std::string("slowest ") + sc.world_kind() + " " : "";
     std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s)\n",
-                olr.offered_mbs,
-                static_cast<unsigned long long>(olr.offered),
-                sim::to_seconds(olr.duration));
-    std::printf("goodput             : %8.2f MB/s (%llu completed, drained "
+                "%.3f s%s)\n",
+                r.offered_mbs, static_cast<unsigned long long>(r.offered),
+                sim::to_seconds(r.duration), fed ? ", all sites" : "");
+    std::printf("goodput             : %8.2f MB/s (%llu completed, %sdrained "
                 "at %.3f s)\n",
-                olr.goodput_mbs,
-                static_cast<unsigned long long>(olr.completed),
-                sim::to_seconds(olr.drained_at));
+                r.goodput_mbs, static_cast<unsigned long long>(r.completed),
+                slowest.c_str(), sim::to_seconds(r.drained_at));
     std::printf("turned away         : %llu rejected, %llu shed, %llu "
                 "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(olr.rejected),
-                static_cast<unsigned long long>(olr.shed),
-                static_cast<unsigned long long>(olr.failed),
-                static_cast<unsigned long long>(olr.cap_dropped));
-    std::printf("peak in flight      : %llu concurrent requests\n",
-                static_cast<unsigned long long>(olr.peak_in_flight));
+                static_cast<unsigned long long>(r.rejected),
+                static_cast<unsigned long long>(r.shed),
+                static_cast<unsigned long long>(r.failed),
+                static_cast<unsigned long long>(r.cap_dropped));
+    // Each world's peak is its own; their sum is no concurrent peak.
+    if (nworlds == 1) {
+      std::printf("peak in flight      : %llu concurrent requests\n",
+                  static_cast<unsigned long long>(r.peak_in_flight));
+    }
+    if (sharded) {
+      std::printf("cross-shard         : %llu of %llu arrivals over the "
+                  "spine\n",
+                  static_cast<unsigned long long>(r.remote_ops),
+                  static_cast<unsigned long long>(r.offered));
+    }
     std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 %.2f "
                 "ms\n",
-                olr.latency.quantile(0.50) / 1e6,
-                olr.latency.quantile(0.99) / 1e6,
-                olr.latency.quantile(0.999) / 1e6);
-    if (verbose || olcli.tenants > 1) {
+                r.latency.quantile(0.50) / 1e6,
+                r.latency.quantile(0.99) / 1e6,
+                r.latency.quantile(0.999) / 1e6);
+    if (sharded) {
+      const sim::ShardGroup::Stats& gs = sharded->group().stats();
+      std::printf("sync                : %llu windows, %llu cross-shard "
+                  "messages\n",
+                  static_cast<unsigned long long>(gs.windows),
+                  static_cast<unsigned long long>(gs.messages));
+    }
+    if (sc.verbose || ol.tenants > 1) {
       std::printf("\nper-tenant:\n");
-      for (std::size_t t = 0; t < olr.tenants.size(); ++t) {
-        const load::TenantResult& tr = olr.tenants[t];
+      for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+        const load::TenantResult& tr = r.tenants[t];
         std::printf("  T%zu: offered %7.2f MB/s, goodput %7.2f MB/s, "
                     "p99 %8.2f ms, shed %llu, rejected %llu\n",
                     t, tr.offered_mbs, tr.goodput_mbs,
@@ -1870,24 +1580,30 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(tr.rejected));
       }
     }
-    if (block_cache.enabled()) {
-      const auto& cs = block_cache.stats();
+    if (sc.verbose && nworlds > 1) {
+      for (int w = 0; w < nworlds; ++w) {
+        const load::OpenLoopResult& wr =
+            r.per_shard[static_cast<std::size_t>(w)];
+        std::printf("  %s %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
+                    "p99 %8.2f ms, %llu remote\n",
+                    sc.world_kind(), w, wr.offered_mbs, wr.goodput_mbs,
+                    wr.latency.quantile(0.99) / 1e6,
+                    static_cast<unsigned long long>(wr.remote_ops));
+      }
+    }
+    if (fed) print_wan(*fed);
+    if (first.cache->enabled()) {
+      const cache::CacheStats cs = cache_totals(worlds);
       std::printf("cache               : %.1f%% hit, directory peak %llu "
                   "entries / %llu sharers\n",
                   100.0 * cs.hit_ratio(),
                   static_cast<unsigned long long>(cs.directory_peak_entries),
                   static_cast<unsigned long long>(cs.directory_peak_sharers));
     }
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  if (!replay_file.empty()) {
-    std::ifstream in(replay_file);
+  } else if (!sc.replay_file.empty()) {
+    std::ifstream in(sc.replay_file);
     if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", replay_file.c_str());
+      std::fprintf(stderr, "cannot read %s\n", sc.replay_file.c_str());
       return 1;
     }
     std::vector<workload::TraceRecord> recs;
@@ -1898,8 +1614,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("raidxsim: replaying %zu trace records from %s on %s\n",
-                recs.size(), replay_file.c_str(), engine->name().c_str());
-    const auto tr = workload::replay_trace(*engine, recs);
+                recs.size(), sc.replay_file.c_str(), name.c_str());
+    const auto tr = workload::replay_trace(*first.engine, recs);
     std::printf("\nelapsed             : %8.3f s\n",
                 sim::to_seconds(tr.elapsed));
     std::printf("moved               : %8.2f MB read, %8.2f MB written\n",
@@ -1912,24 +1628,18 @@ int main(int argc, char** argv) {
     std::printf("write latency       : mean %.2f ms, p95 %.2f ms\n",
                 tr.write_latency.mean() / 1e6,
                 sim::to_milliseconds(tr.write_latency.quantile(0.95)));
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  if (workload_kind == "andrew") {
+  } else if (sc.workload_kind == "andrew") {
     workload::AndrewConfig acfg;
-    acfg.clients = clients;
-    acfg.seed = seed;
-    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(engine.get())) {
+    acfg.clients = sc.clients;
+    acfg.seed = sc.seed;
+    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(first.engine.get())) {
       acfg.exclude_node = srv->server_node();
     }
     std::printf("raidxsim: Andrew benchmark on %s, %d clients\n",
-                engine->name().c_str(), clients);
+                name.c_str(), sc.clients);
     workload::AndrewResult ar;
     try {
-      ar = workload::run_andrew(*engine, acfg);
+      ar = workload::run_andrew(*first.engine, acfg);
     } catch (const std::exception& e) {
       std::printf("run failed: %s\n", e.what());
       return 1;
@@ -1945,96 +1655,118 @@ int main(int argc, char** argv) {
     std::printf("Compile             : %8.3f s\n",
                 sim::to_seconds(ar.compile));
     std::printf("total               : %8.3f s\n", sim::to_seconds(ar.total()));
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  workload::ParallelIoConfig cfg;
-  cfg.clients = clients;
-  cfg.op = is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
-  cfg.bytes_per_op = bytes;
-  cfg.ops_per_client = ops;
-  cfg.scattered = scattered;
-  cfg.warm_passes = warm;
-  cfg.seed = seed;
-  if (auto* srv = dynamic_cast<nfs::NfsEngine*>(engine.get())) {
-    cfg.exclude_node = srv->server_node();
-  }
-
-  std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
-              engine->name().c_str(), nodes, disks,
-              params.geometry.describe().c_str(), clients, ops,
-              static_cast<double>(bytes) / 1e6,
-              is_write ? "write" : "read", scattered ? " (scattered)" : "");
-  if (!fails.empty()) {
-    std::printf("failed disks:");
-    for (int f : fails) std::printf(" D%d", f);
-    std::printf("\n");
-  }
-
-  workload::ParallelIoResult r;
-  try {
-    r = workload::run_parallel_io(*engine, cfg);
-  } catch (const std::exception& e) {
-    std::printf("run failed: %s\n", e.what());
-    return 1;
-  }
-
-  std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
-              r.aggregate_mbs);
-  std::printf("sustained bandwidth : %8.2f MB/s (incl. background drain)\n",
-              r.sustained_mbs);
-  std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
-  std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
-              "max %.2f\n",
-              r.op_latency.mean() / 1e6,
-              sim::to_milliseconds(r.op_latency.quantile(0.5)),
-              sim::to_milliseconds(r.op_latency.quantile(0.95)),
-              sim::to_milliseconds(r.op_latency.max()));
-  if (block_cache.enabled()) {
-    const auto& cs = block_cache.stats();
-    std::printf("cache               : %.1f MB/node %s%s, %s\n", cache_mb,
-                cache_policy.c_str(), coop_cache ? " cooperative" : "",
-                cache_evict.c_str());
-    std::printf("cache hits          : %llu local, %llu peer, %llu misses "
-                "(%.1f%% hit)\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.peer_hits),
-                static_cast<unsigned long long>(cs.misses),
-                100.0 * cs.hit_ratio());
-    std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
-                "%llu invalidations, %llu flushes, %llu evictions\n",
-                static_cast<unsigned long long>(cs.fills),
-                static_cast<unsigned long long>(cs.writes_absorbed),
-                static_cast<unsigned long long>(cs.invalidations),
-                static_cast<unsigned long long>(cs.flushes),
-                static_cast<unsigned long long>(cs.evictions));
-  }
-
-  if (verbose) {
-    std::printf("\nper-client completion:\n");
-    for (std::size_t c = 0; c < r.clients.size(); ++c) {
-      std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
-                  sim::to_seconds(r.clients[c].end - r.clients[c].start),
-                  static_cast<double>(r.clients[c].bytes) / 1e6);
+  } else {
+    workload::ParallelIoConfig cfg;
+    cfg.clients = sc.clients;
+    cfg.op = sc.is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
+    cfg.bytes_per_op = sc.bytes;
+    cfg.ops_per_client = sc.ops;
+    cfg.scattered = sc.scattered;
+    cfg.warm_passes = sc.warm;
+    cfg.seed = sc.seed;
+    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(first.engine.get())) {
+      cfg.exclude_node = srv->server_node();
     }
-    std::printf("\nper-disk utilization (busy fraction):\n");
-    for (int d = 0; d < cluster.total_disks(); ++d) {
-      const auto& disk = cluster.disk(d);
-      std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
-                  100.0 * static_cast<double>(disk.busy_time()) /
-                      static_cast<double>(sim.now()),
-                  static_cast<unsigned long long>(disk.reads()),
-                  static_cast<unsigned long long>(disk.writes()));
+    std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
+                name.c_str(), sc.nodes, sc.disks,
+                params.geometry.describe().c_str(), sc.clients, sc.ops,
+                static_cast<double>(sc.bytes) / 1e6,
+                sc.is_write ? "write" : "read",
+                sc.scattered ? " (scattered)" : "");
+    if (!sc.fails.empty()) {
+      std::printf("failed disks:");
+      for (int f : sc.fails) std::printf(" D%d", f);
+      std::printf("\n");
     }
-    std::printf("\nCDD requests: %llu local, %llu remote\n",
-                static_cast<unsigned long long>(fabric.local_requests()),
-                static_cast<unsigned long long>(fabric.remote_requests()));
+    workload::ParallelIoResult r;
+    try {
+      r = workload::run_parallel_io(*first.engine, cfg);
+    } catch (const std::exception& e) {
+      std::printf("run failed: %s\n", e.what());
+      return 1;
+    }
+    std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
+                r.aggregate_mbs);
+    std::printf("sustained bandwidth : %8.2f MB/s (incl. background "
+                "drain)\n",
+                r.sustained_mbs);
+    std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
+    std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
+                "max %.2f\n",
+                r.op_latency.mean() / 1e6,
+                sim::to_milliseconds(r.op_latency.quantile(0.5)),
+                sim::to_milliseconds(r.op_latency.quantile(0.95)),
+                sim::to_milliseconds(r.op_latency.max()));
+    if (first.cache->enabled()) {
+      const cache::CacheStats cs = cache_totals(worlds);
+      std::printf("cache               : %.1f MB/node %s%s, %s\n",
+                  sc.cache_mb, sc.cache_policy.c_str(),
+                  sc.coop_cache ? " cooperative" : "",
+                  sc.cache_evict.c_str());
+      std::printf("cache hits          : %llu local, %llu peer, %llu misses "
+                  "(%.1f%% hit)\n",
+                  static_cast<unsigned long long>(cs.hits),
+                  static_cast<unsigned long long>(cs.peer_hits),
+                  static_cast<unsigned long long>(cs.misses),
+                  100.0 * cs.hit_ratio());
+      std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
+                  "%llu invalidations, %llu flushes, %llu evictions\n",
+                  static_cast<unsigned long long>(cs.fills),
+                  static_cast<unsigned long long>(cs.writes_absorbed),
+                  static_cast<unsigned long long>(cs.invalidations),
+                  static_cast<unsigned long long>(cs.flushes),
+                  static_cast<unsigned long long>(cs.evictions));
+    }
+    if (sc.verbose) {
+      cluster::Cluster& cluster = *first.cluster;
+      std::printf("\nper-client completion:\n");
+      for (std::size_t c = 0; c < r.clients.size(); ++c) {
+        std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
+                    sim::to_seconds(r.clients[c].end - r.clients[c].start),
+                    static_cast<double>(r.clients[c].bytes) / 1e6);
+      }
+      std::printf("\nper-disk utilization (busy fraction):\n");
+      for (int d = 0; d < cluster.total_disks(); ++d) {
+        const auto& disk = cluster.disk(d);
+        std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
+                    100.0 * static_cast<double>(disk.busy_time()) /
+                        static_cast<double>(sim->now()),
+                    static_cast<unsigned long long>(disk.reads()),
+                    static_cast<unsigned long long>(disk.writes()));
+      }
+      std::printf("\nCDD requests: %llu local, %llu remote\n",
+                  static_cast<unsigned long long>(
+                      first.fabric->local_requests()),
+                  static_cast<unsigned long long>(
+                      first.fabric->remote_requests()));
+    }
   }
-  print_ha_summary();
-  const int soak_rc = print_integrity_summary();
-  const int obs_rc = export_obs();
+
+  print_ha_summary(worlds, across);
+  const int soak_rc = print_integrity_summary(worlds);
+  std::string metrics_json;
+  if (!sc.metrics_out.empty()) {
+    if (sharded) {
+      metrics_json = sharded->merged_snapshot_json();
+    } else {
+      if (fed) {
+        fed->collect(hub.registry());
+      } else {
+        first.collect(hub.registry());
+      }
+      metrics_json = hub.registry().snapshot_json();
+    }
+  }
+  const int obs_rc = export_obs(sc, hub, sim ? sim->now() : 0, scraper.get(),
+                                metrics_json);
   return obs_rc != 0 ? obs_rc : soak_rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Scenario sc = parse_args(argc, argv);
+  if (const int rc = validate(argv[0], sc); rc != 0) return rc;
+  if (!sc.dump_trace_file.empty()) return dump_trace(sc);
+  return run(argv[0], sc);
 }
