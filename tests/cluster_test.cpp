@@ -2,6 +2,7 @@
 // serialization, and the sharded federation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -255,6 +256,57 @@ TEST(ShardedCluster, FaultPlanPartitionsAcrossGroups) {
     const ha::HaStats& st = world.shard(s).orchestrator->stats();
     EXPECT_EQ(st.detections, 1u) << "shard " << s;
     EXPECT_EQ(st.rebuilds_failed, 0u) << "shard " << s;
+  }
+}
+
+// Each group is a full World: a corruption plan written in global ids is
+// split across the groups' integrity planes, every group sees exactly its
+// own slice in local ids, and each plane's scrubber detects and repairs
+// every error its slice injected.
+TEST(ShardedCluster, CorruptionPlanSplitsAcrossIntegrityPlanes) {
+  ShardedParams sp;
+  sp.shards = 2;
+  sp.arch = workload::Arch::kRaid5;
+  ShardedCluster world(test::small_cluster(4, 1, /*blocks_per_disk=*/240),
+                       sp);
+  const int dps = world.disks_per_shard();
+  const ha::FaultPlan plan = ha::FaultPlan::parse(
+      "corrupt:disk=1,block=5@1ms;corrupt:disk=6,block=9@2ms;"
+      "rot:seed=3,errors=6,window=20ms",
+      world.total_disks(), 240);
+  integrity::IntegrityParams ip;
+  ip.verify_reads = true;
+  ip.scrub = true;
+  world.arm_faults(plan, nullptr, &ip);
+  world.run(2);
+
+  for (int s = 0; s < 2; ++s) {
+    std::vector<ha::FaultEvent> mine;
+    for (ha::FaultEvent ev : plan.events()) {
+      if (ev.target / dps != s) continue;
+      ev.target %= dps;
+      mine.push_back(ev);
+    }
+    ASSERT_FALSE(mine.empty()) << "shard " << s;
+    const std::vector<ha::FaultEvent>& got = world.shard(s).faults.events();
+    ASSERT_EQ(got.size(), mine.size()) << "shard " << s;
+    for (const ha::FaultEvent& ev : mine) {
+      EXPECT_NE(std::find_if(got.begin(), got.end(),
+                             [&](const ha::FaultEvent& g) {
+                               return g.target == ev.target &&
+                                      g.block == ev.block && g.at == ev.at;
+                             }),
+                got.end())
+          << "shard " << s << " lost disk " << ev.target << " block "
+          << ev.block;
+    }
+    const integrity::IntegrityPlane& plane = *world.shard(s).plane;
+    const integrity::IntegrityStats& st = plane.stats();
+    EXPECT_EQ(st.injected, mine.size()) << "shard " << s;
+    EXPECT_EQ(st.detected, st.injected) << "shard " << s;
+    EXPECT_EQ(st.repaired, st.injected) << "shard " << s;
+    EXPECT_EQ(st.unrecoverable, 0u) << "shard " << s;
+    EXPECT_EQ(plane.undetected(), 0u) << "shard " << s;
   }
 }
 

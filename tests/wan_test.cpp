@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "ha/fault_plan.hpp"
+#include "ha/ha.hpp"
+#include "load/open_loop.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -385,6 +387,50 @@ TEST(WanFederation, FailedOriginFailsTheOpNotTheRun) {
   EXPECT_EQ(fed.stats().remote_writes, 1u);
   EXPECT_EQ(fed.stats().origin_reads, 0u);
   EXPECT_EQ(fed.stats().write_bytes, 0u);
+}
+
+// Each site is a full World: with a per-site orchestrator, a disk that
+// dies at site 1 under local and cross-site traffic is detected, failed
+// over and rebuilt by site 1 alone, while site 0's remote ops into it keep
+// succeeding through the degraded array.
+TEST(WanFederation, SiteOrchestratorRebuildsUnderRemoteTraffic) {
+  sim::Simulation sim;
+  wan::Federation fed(sim, small_federation(2, false));
+  const int per_site = fed.cluster(0).total_disks();
+  ha::FaultPlan plan;
+  ha::FaultEvent fail;
+  fail.kind = ha::FaultEvent::Kind::kFailDisk;
+  fail.target = per_site + 2;  // site 1, local disk 2
+  fail.at = sim::milliseconds(5);
+  plan.add(fail);
+  ha::HaParams hp;
+  hp.probe_interval = sim::milliseconds(50);
+  hp.probe_timeout = sim::milliseconds(20);
+  hp.spare_swap_time = sim::milliseconds(10);
+  fed.arm_faults(plan, &hp);
+
+  load::TenantLoad t;
+  t.rate_ops = 400;
+  t.working_set_blocks = 64;
+  t.write_fraction = 0.3;
+  t.sessions = 16;
+  load::OpenLoopConfig cfg;
+  cfg.tenants = {t};
+  cfg.duration = sim::milliseconds(300);
+  const load::ShardedLoadResult r = load::run_open_loop_sites(fed, cfg, 0.5);
+
+  EXPECT_EQ(fed.site(1).faults.events().size(), 1u);
+  EXPECT_EQ(fed.site(1).faults.events()[0].target, 2);
+  EXPECT_TRUE(fed.site(0).faults.empty());
+  const ha::HaStats& hit = fed.site(1).orchestrator->stats();
+  EXPECT_EQ(hit.detections, 1u);
+  EXPECT_EQ(hit.rebuilds_completed, 1u);
+  EXPECT_EQ(fed.site(0).orchestrator->stats().detections, 0u);
+  EXPECT_GT(r.per_shard[0].remote_ops, 0u);
+  EXPECT_GT(fed.stats().origin_reads, 0u);
+  EXPECT_EQ(fed.stats().unreachable, 0u);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_EQ(r.completed, r.offered);
 }
 
 sim::Task<> write_many(wan::Federation& fed, int site, std::uint64_t base,
