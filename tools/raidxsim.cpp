@@ -1457,9 +1457,8 @@ int run(const char* argv0, const Scenario& sc) {
   }
   const ha::HaParams* orch = want_orch ? &hp : nullptr;
   const integrity::IntegrityParams* plane = want_plane ? &ip : nullptr;
-  if (sharded) {
-    sharded->arm_faults(plan, orch, plane);
-  } else if (fed) {
+  // Only a WAN plan has site and link events, and only the WAN drives them.
+  if (fed) {
     fed->arm_faults(plan, orch, plane);
   } else {
     cluster::arm_worlds(plan, worlds, orch, plane);
