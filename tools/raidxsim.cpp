@@ -31,7 +31,6 @@
 #include "load/open_loop.hpp"
 #include "load/qos.hpp"
 #include "nfs/nfs.hpp"
-#include "obs/collect.hpp"
 #include "obs/obs.hpp"
 #include "sim/stats.hpp"
 #include "wan/federation.hpp"
@@ -1235,6 +1234,301 @@ int export_obs(const Scenario& sc, obs::Hub& hub, sim::Time now,
   return 0;
 }
 
+/// The open-loop workload on every world at once: per-world QoS gates,
+/// the composition's banner, one fold of the per-world results, and one
+/// summary.  Returns 1 when the run fails.
+int drive_open_loop(const Scenario& sc,
+                    std::span<cluster::World* const> worlds,
+                    cluster::ShardedCluster* sharded, wan::Federation* fed) {
+  const int nworlds = static_cast<int>(worlds.size());
+  cluster::World& first = *worlds.front();
+  const std::string name = first.engine->name();
+  const OpenLoopCli& ol = sc.olcli;
+  if (ol.qos_mbs > 0.0) {
+    load::TenantQos q;
+    q.rate_mbs = ol.qos_mbs;
+    q.burst_mb = ol.qos_burst_mb;
+    q.policy = ol.policy;
+    for (cluster::World* w : worlds) {
+      w->gate = std::make_unique<load::QosGate>(
+          w->sim(),
+          std::vector<load::TenantQos>(static_cast<std::size_t>(ol.tenants),
+                                       q));
+    }
+  }
+  const char* gated = first.gate ? " [QoS gated]" : "";
+  load::OpenLoopConfig ocfg;
+  ocfg.tenants.assign(static_cast<std::size_t>(ol.tenants), ol.shape);
+  ocfg.duration = sim::seconds(ol.duration_s);
+  ocfg.seed = sc.seed;
+  ocfg.max_in_flight = ol.cap;
+  const int nthreads = sc.threads > 0 ? sc.threads : sc.shards;
+  if (sharded) {
+    std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
+                "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
+                "%.1f%%, %d worker(s)%s\n",
+                name.c_str(), sc.shards, sc.nodes_per_world(), ol.tenants,
+                ol.shape.rate_ops, 100.0 * ol.remote, nthreads, gated);
+  } else if (fed) {
+    std::printf("raidxsim: wan federation on %s, %d sites x %d nodes, %d "
+                "link(s) @ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
+                name.c_str(), sc.sites, sc.nodes, fed->num_links(),
+                sc.wan_bw, sc.wan_rtt_ms,
+                static_cast<unsigned long long>(sc.wan_window >> 10),
+                sc.geo_rep ? " [geo-rep]" : "");
+    std::printf("raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, "
+                "zipf %.2f, remote %.1f%%%s\n",
+                ol.tenants, ol.shape.rate_ops, ol.shape.zipf_alpha,
+                100.0 * ol.remote, gated);
+  } else {
+    std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
+                "%s), zipf %.2f, %d sessions each%s\n",
+                name.c_str(), ol.tenants, ol.shape.rate_ops,
+                ol.shape.dist == load::ArrivalDist::kBurst ? "burst"
+                                                           : "poisson",
+                ol.shape.write_fraction > 0 ? ", mixed r/w" : "",
+                ol.shape.zipf_alpha, ol.shape.sessions, gated);
+  }
+  load::ShardedLoadResult r;
+  try {
+    if (sharded) {
+      r = load::run_open_loop_sharded(*sharded, ocfg, ol.remote, nthreads);
+    } else if (fed) {
+      r = load::run_open_loop_sites(*fed, ocfg, ol.remote);
+    } else {
+      std::vector<load::OpenLoopResult> one;
+      one.push_back(load::run_open_loop(*first.engine, ocfg,
+                                        first.gate.get()));
+      r = load::fold_results(std::move(one));
+    }
+  } catch (const std::exception& e) {
+    std::printf("run failed: %s\n", e.what());
+    return 1;
+  }
+  const std::string slowest =
+      nworlds > 1 ? std::string("slowest ") + sc.world_kind() + " " : "";
+  std::printf("\noffered             : %8.2f MB/s (%llu requests over "
+              "%.3f s%s)\n",
+              r.offered_mbs, static_cast<unsigned long long>(r.offered),
+              sim::to_seconds(r.duration), fed ? ", all sites" : "");
+  std::printf("goodput             : %8.2f MB/s (%llu completed, %sdrained "
+              "at %.3f s)\n",
+              r.goodput_mbs, static_cast<unsigned long long>(r.completed),
+              slowest.c_str(), sim::to_seconds(r.drained_at));
+  std::printf("turned away         : %llu rejected, %llu shed, %llu "
+              "failed, %llu cap-dropped\n",
+              static_cast<unsigned long long>(r.rejected),
+              static_cast<unsigned long long>(r.shed),
+              static_cast<unsigned long long>(r.failed),
+              static_cast<unsigned long long>(r.cap_dropped));
+  // Each world's peak is its own; their sum is no concurrent peak.
+  if (nworlds == 1) {
+    std::printf("peak in flight      : %llu concurrent requests\n",
+                static_cast<unsigned long long>(r.peak_in_flight));
+  }
+  if (sharded) {
+    std::printf("cross-shard         : %llu of %llu arrivals over the "
+                "spine\n",
+                static_cast<unsigned long long>(r.remote_ops),
+                static_cast<unsigned long long>(r.offered));
+  }
+  std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 %.2f "
+              "ms\n",
+              r.latency.quantile(0.50) / 1e6,
+              r.latency.quantile(0.99) / 1e6,
+              r.latency.quantile(0.999) / 1e6);
+  if (sharded) {
+    const sim::ShardGroup::Stats& gs = sharded->group().stats();
+    std::printf("sync                : %llu windows, %llu cross-shard "
+                "messages\n",
+                static_cast<unsigned long long>(gs.windows),
+                static_cast<unsigned long long>(gs.messages));
+  }
+  if (sc.verbose || ol.tenants > 1) {
+    std::printf("\nper-tenant:\n");
+    for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+      const load::TenantResult& tr = r.tenants[t];
+      std::printf("  T%zu: offered %7.2f MB/s, goodput %7.2f MB/s, "
+                  "p99 %8.2f ms, shed %llu, rejected %llu\n",
+                  t, tr.offered_mbs, tr.goodput_mbs,
+                  tr.latency.quantile(0.99) / 1e6,
+                  static_cast<unsigned long long>(tr.shed),
+                  static_cast<unsigned long long>(tr.rejected));
+    }
+  }
+  if (sc.verbose && nworlds > 1) {
+    for (int w = 0; w < nworlds; ++w) {
+      const load::OpenLoopResult& wr =
+          r.per_shard[static_cast<std::size_t>(w)];
+      std::printf("  %s %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
+                  "p99 %8.2f ms, %llu remote\n",
+                  sc.world_kind(), w, wr.offered_mbs, wr.goodput_mbs,
+                  wr.latency.quantile(0.99) / 1e6,
+                  static_cast<unsigned long long>(wr.remote_ops));
+    }
+  }
+  if (fed) print_wan(*fed);
+  if (first.cache->enabled()) {
+    const cache::CacheStats cs = cache_totals(worlds);
+    std::printf("cache               : %.1f%% hit, directory peak %llu "
+                "entries / %llu sharers\n",
+                100.0 * cs.hit_ratio(),
+                static_cast<unsigned long long>(cs.directory_peak_entries),
+                static_cast<unsigned long long>(cs.directory_peak_sharers));
+  }
+  return 0;
+}
+
+/// One of the closed-loop workloads on the run's single world: a trace
+/// replay, the Andrew benchmark, or synthetic parallel I/O.  Returns 1
+/// when the run fails.
+int drive_closed_loop(const Scenario& sc, cluster::World& world,
+                      const cluster::ClusterParams& params) {
+  const std::string name = world.engine->name();
+  if (!sc.replay_file.empty()) {
+    std::ifstream in(sc.replay_file);
+    if (!in) {
+      std::fprintf(stderr, "cannot read %s\n", sc.replay_file.c_str());
+      return 1;
+    }
+    std::vector<workload::TraceRecord> recs;
+    try {
+      recs = workload::parse_trace(in);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
+    std::printf("raidxsim: replaying %zu trace records from %s on %s\n",
+                recs.size(), sc.replay_file.c_str(), name.c_str());
+    const auto tr = workload::replay_trace(*world.engine, recs);
+    std::printf("\nelapsed             : %8.3f s\n",
+                sim::to_seconds(tr.elapsed));
+    std::printf("moved               : %8.2f MB read, %8.2f MB written\n",
+                static_cast<double>(tr.bytes_read) / 1e6,
+                static_cast<double>(tr.bytes_written) / 1e6);
+    std::printf("aggregate bandwidth : %8.2f MB/s\n", tr.aggregate_mbs);
+    std::printf("read latency        : mean %.2f ms, p95 %.2f ms\n",
+                tr.read_latency.mean() / 1e6,
+                sim::to_milliseconds(tr.read_latency.quantile(0.95)));
+    std::printf("write latency       : mean %.2f ms, p95 %.2f ms\n",
+                tr.write_latency.mean() / 1e6,
+                sim::to_milliseconds(tr.write_latency.quantile(0.95)));
+  } else if (sc.workload_kind == "andrew") {
+    workload::AndrewConfig acfg;
+    acfg.clients = sc.clients;
+    acfg.seed = sc.seed;
+    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
+      acfg.exclude_node = srv->server_node();
+    }
+    std::printf("raidxsim: Andrew benchmark on %s, %d clients\n",
+                name.c_str(), sc.clients);
+    workload::AndrewResult ar;
+    try {
+      ar = workload::run_andrew(*world.engine, acfg);
+    } catch (const std::exception& e) {
+      std::printf("run failed: %s\n", e.what());
+      return 1;
+    }
+    std::printf("\nMakeDir             : %8.3f s\n",
+                sim::to_seconds(ar.make_dir));
+    std::printf("Copy                : %8.3f s\n",
+                sim::to_seconds(ar.copy_files));
+    std::printf("ScanDir             : %8.3f s\n",
+                sim::to_seconds(ar.scan_dir));
+    std::printf("ReadAll             : %8.3f s\n",
+                sim::to_seconds(ar.read_all));
+    std::printf("Compile             : %8.3f s\n",
+                sim::to_seconds(ar.compile));
+    std::printf("total               : %8.3f s\n", sim::to_seconds(ar.total()));
+  } else {
+    workload::ParallelIoConfig cfg;
+    cfg.clients = sc.clients;
+    cfg.op = sc.is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
+    cfg.bytes_per_op = sc.bytes;
+    cfg.ops_per_client = sc.ops;
+    cfg.scattered = sc.scattered;
+    cfg.warm_passes = sc.warm;
+    cfg.seed = sc.seed;
+    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
+      cfg.exclude_node = srv->server_node();
+    }
+    std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
+                name.c_str(), sc.nodes, sc.disks,
+                params.geometry.describe().c_str(), sc.clients, sc.ops,
+                static_cast<double>(sc.bytes) / 1e6,
+                sc.is_write ? "write" : "read",
+                sc.scattered ? " (scattered)" : "");
+    if (!sc.fails.empty()) {
+      std::printf("failed disks:");
+      for (int f : sc.fails) std::printf(" D%d", f);
+      std::printf("\n");
+    }
+    workload::ParallelIoResult r;
+    try {
+      r = workload::run_parallel_io(*world.engine, cfg);
+    } catch (const std::exception& e) {
+      std::printf("run failed: %s\n", e.what());
+      return 1;
+    }
+    std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
+                r.aggregate_mbs);
+    std::printf("sustained bandwidth : %8.2f MB/s (incl. background "
+                "drain)\n",
+                r.sustained_mbs);
+    std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
+    std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
+                "max %.2f\n",
+                r.op_latency.mean() / 1e6,
+                sim::to_milliseconds(r.op_latency.quantile(0.5)),
+                sim::to_milliseconds(r.op_latency.quantile(0.95)),
+                sim::to_milliseconds(r.op_latency.max()));
+    if (world.cache->enabled()) {
+      const cache::CacheStats& cs = world.cache->stats();
+      std::printf("cache               : %.1f MB/node %s%s, %s\n",
+                  sc.cache_mb, sc.cache_policy.c_str(),
+                  sc.coop_cache ? " cooperative" : "",
+                  sc.cache_evict.c_str());
+      std::printf("cache hits          : %llu local, %llu peer, %llu misses "
+                  "(%.1f%% hit)\n",
+                  static_cast<unsigned long long>(cs.hits),
+                  static_cast<unsigned long long>(cs.peer_hits),
+                  static_cast<unsigned long long>(cs.misses),
+                  100.0 * cs.hit_ratio());
+      std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
+                  "%llu invalidations, %llu flushes, %llu evictions\n",
+                  static_cast<unsigned long long>(cs.fills),
+                  static_cast<unsigned long long>(cs.writes_absorbed),
+                  static_cast<unsigned long long>(cs.invalidations),
+                  static_cast<unsigned long long>(cs.flushes),
+                  static_cast<unsigned long long>(cs.evictions));
+    }
+    if (sc.verbose) {
+      cluster::Cluster& cluster = *world.cluster;
+      std::printf("\nper-client completion:\n");
+      for (std::size_t c = 0; c < r.clients.size(); ++c) {
+        std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
+                    sim::to_seconds(r.clients[c].end - r.clients[c].start),
+                    static_cast<double>(r.clients[c].bytes) / 1e6);
+      }
+      std::printf("\nper-disk utilization (busy fraction):\n");
+      for (int d = 0; d < cluster.total_disks(); ++d) {
+        const auto& disk = cluster.disk(d);
+        std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
+                    100.0 * static_cast<double>(disk.busy_time()) /
+                        static_cast<double>(world.sim().now()),
+                    static_cast<unsigned long long>(disk.reads()),
+                    static_cast<unsigned long long>(disk.writes()));
+      }
+      std::printf("\nCDD requests: %llu local, %llu remote\n",
+                  static_cast<unsigned long long>(
+                      world.fabric->local_requests()),
+                  static_cast<unsigned long long>(
+                      world.fabric->remote_requests()));
+    }
+  }
+  return 0;
+}
+
 /// Build the run's worlds -- one, S placement groups, or N sites -- arm
 /// them, drive the workload, and print and export once.
 int run(const char* argv0, const Scenario& sc) {
@@ -1464,282 +1758,10 @@ int run(const char* argv0, const Scenario& sc) {
     cluster::arm_worlds(plan, worlds, orch, plane);
   }
 
-  const std::string name = first.engine->name();
-  if (sc.open_loop()) {
-    const OpenLoopCli& ol = sc.olcli;
-    if (ol.qos_mbs > 0.0) {
-      load::TenantQos q;
-      q.rate_mbs = ol.qos_mbs;
-      q.burst_mb = ol.qos_burst_mb;
-      q.policy = ol.policy;
-      for (cluster::World* w : worlds) {
-        w->gate = std::make_unique<load::QosGate>(
-            w->sim(),
-            std::vector<load::TenantQos>(static_cast<std::size_t>(ol.tenants),
-                                         q));
-      }
-    }
-    const char* gated = first.gate ? " [QoS gated]" : "";
-    load::OpenLoopConfig ocfg;
-    ocfg.tenants.assign(static_cast<std::size_t>(ol.tenants), ol.shape);
-    ocfg.duration = sim::seconds(ol.duration_s);
-    ocfg.seed = sc.seed;
-    ocfg.max_in_flight = ol.cap;
-    const int nthreads = sc.threads > 0 ? sc.threads : sc.shards;
-    if (sharded) {
-      std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
-                  "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
-                  "%.1f%%, %d worker(s)%s\n",
-                  name.c_str(), sc.shards, sc.nodes_per_world(), ol.tenants,
-                  ol.shape.rate_ops, 100.0 * ol.remote, nthreads, gated);
-    } else if (fed) {
-      std::printf("raidxsim: wan federation on %s, %d sites x %d nodes, %d "
-                  "link(s) @ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
-                  name.c_str(), sc.sites, sc.nodes, fed->num_links(),
-                  sc.wan_bw, sc.wan_rtt_ms,
-                  static_cast<unsigned long long>(sc.wan_window >> 10),
-                  sc.geo_rep ? " [geo-rep]" : "");
-      std::printf("raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, "
-                  "zipf %.2f, remote %.1f%%%s\n",
-                  ol.tenants, ol.shape.rate_ops, ol.shape.zipf_alpha,
-                  100.0 * ol.remote, gated);
-    } else {
-      std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
-                  "%s), zipf %.2f, %d sessions each%s\n",
-                  name.c_str(), ol.tenants, ol.shape.rate_ops,
-                  ol.shape.dist == load::ArrivalDist::kBurst ? "burst"
-                                                             : "poisson",
-                  ol.shape.write_fraction > 0 ? ", mixed r/w" : "",
-                  ol.shape.zipf_alpha, ol.shape.sessions, gated);
-    }
-    load::ShardedLoadResult r;
-    try {
-      if (sharded) {
-        r = load::run_open_loop_sharded(*sharded, ocfg, ol.remote, nthreads);
-      } else if (fed) {
-        r = load::run_open_loop_sites(*fed, ocfg, ol.remote);
-      } else {
-        std::vector<load::OpenLoopResult> one;
-        one.push_back(load::run_open_loop(*first.engine, ocfg,
-                                          first.gate.get()));
-        r = load::fold_results(std::move(one));
-      }
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    const std::string slowest =
-        nworlds > 1 ? std::string("slowest ") + sc.world_kind() + " " : "";
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s%s)\n",
-                r.offered_mbs, static_cast<unsigned long long>(r.offered),
-                sim::to_seconds(r.duration), fed ? ", all sites" : "");
-    std::printf("goodput             : %8.2f MB/s (%llu completed, %sdrained "
-                "at %.3f s)\n",
-                r.goodput_mbs, static_cast<unsigned long long>(r.completed),
-                slowest.c_str(), sim::to_seconds(r.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(r.rejected),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.failed),
-                static_cast<unsigned long long>(r.cap_dropped));
-    // Each world's peak is its own; their sum is no concurrent peak.
-    if (nworlds == 1) {
-      std::printf("peak in flight      : %llu concurrent requests\n",
-                  static_cast<unsigned long long>(r.peak_in_flight));
-    }
-    if (sharded) {
-      std::printf("cross-shard         : %llu of %llu arrivals over the "
-                  "spine\n",
-                  static_cast<unsigned long long>(r.remote_ops),
-                  static_cast<unsigned long long>(r.offered));
-    }
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 %.2f "
-                "ms\n",
-                r.latency.quantile(0.50) / 1e6,
-                r.latency.quantile(0.99) / 1e6,
-                r.latency.quantile(0.999) / 1e6);
-    if (sharded) {
-      const sim::ShardGroup::Stats& gs = sharded->group().stats();
-      std::printf("sync                : %llu windows, %llu cross-shard "
-                  "messages\n",
-                  static_cast<unsigned long long>(gs.windows),
-                  static_cast<unsigned long long>(gs.messages));
-    }
-    if (sc.verbose || ol.tenants > 1) {
-      std::printf("\nper-tenant:\n");
-      for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-        const load::TenantResult& tr = r.tenants[t];
-        std::printf("  T%zu: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, shed %llu, rejected %llu\n",
-                    t, tr.offered_mbs, tr.goodput_mbs,
-                    tr.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(tr.shed),
-                    static_cast<unsigned long long>(tr.rejected));
-      }
-    }
-    if (sc.verbose && nworlds > 1) {
-      for (int w = 0; w < nworlds; ++w) {
-        const load::OpenLoopResult& wr =
-            r.per_shard[static_cast<std::size_t>(w)];
-        std::printf("  %s %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, %llu remote\n",
-                    sc.world_kind(), w, wr.offered_mbs, wr.goodput_mbs,
-                    wr.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(wr.remote_ops));
-      }
-    }
-    if (fed) print_wan(*fed);
-    if (first.cache->enabled()) {
-      const cache::CacheStats cs = cache_totals(worlds);
-      std::printf("cache               : %.1f%% hit, directory peak %llu "
-                  "entries / %llu sharers\n",
-                  100.0 * cs.hit_ratio(),
-                  static_cast<unsigned long long>(cs.directory_peak_entries),
-                  static_cast<unsigned long long>(cs.directory_peak_sharers));
-    }
-  } else if (!sc.replay_file.empty()) {
-    std::ifstream in(sc.replay_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", sc.replay_file.c_str());
-      return 1;
-    }
-    std::vector<workload::TraceRecord> recs;
-    try {
-      recs = workload::parse_trace(in);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    std::printf("raidxsim: replaying %zu trace records from %s on %s\n",
-                recs.size(), sc.replay_file.c_str(), name.c_str());
-    const auto tr = workload::replay_trace(*first.engine, recs);
-    std::printf("\nelapsed             : %8.3f s\n",
-                sim::to_seconds(tr.elapsed));
-    std::printf("moved               : %8.2f MB read, %8.2f MB written\n",
-                static_cast<double>(tr.bytes_read) / 1e6,
-                static_cast<double>(tr.bytes_written) / 1e6);
-    std::printf("aggregate bandwidth : %8.2f MB/s\n", tr.aggregate_mbs);
-    std::printf("read latency        : mean %.2f ms, p95 %.2f ms\n",
-                tr.read_latency.mean() / 1e6,
-                sim::to_milliseconds(tr.read_latency.quantile(0.95)));
-    std::printf("write latency       : mean %.2f ms, p95 %.2f ms\n",
-                tr.write_latency.mean() / 1e6,
-                sim::to_milliseconds(tr.write_latency.quantile(0.95)));
-  } else if (sc.workload_kind == "andrew") {
-    workload::AndrewConfig acfg;
-    acfg.clients = sc.clients;
-    acfg.seed = sc.seed;
-    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(first.engine.get())) {
-      acfg.exclude_node = srv->server_node();
-    }
-    std::printf("raidxsim: Andrew benchmark on %s, %d clients\n",
-                name.c_str(), sc.clients);
-    workload::AndrewResult ar;
-    try {
-      ar = workload::run_andrew(*first.engine, acfg);
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\nMakeDir             : %8.3f s\n",
-                sim::to_seconds(ar.make_dir));
-    std::printf("Copy                : %8.3f s\n",
-                sim::to_seconds(ar.copy_files));
-    std::printf("ScanDir             : %8.3f s\n",
-                sim::to_seconds(ar.scan_dir));
-    std::printf("ReadAll             : %8.3f s\n",
-                sim::to_seconds(ar.read_all));
-    std::printf("Compile             : %8.3f s\n",
-                sim::to_seconds(ar.compile));
-    std::printf("total               : %8.3f s\n", sim::to_seconds(ar.total()));
-  } else {
-    workload::ParallelIoConfig cfg;
-    cfg.clients = sc.clients;
-    cfg.op = sc.is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
-    cfg.bytes_per_op = sc.bytes;
-    cfg.ops_per_client = sc.ops;
-    cfg.scattered = sc.scattered;
-    cfg.warm_passes = sc.warm;
-    cfg.seed = sc.seed;
-    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(first.engine.get())) {
-      cfg.exclude_node = srv->server_node();
-    }
-    std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
-                name.c_str(), sc.nodes, sc.disks,
-                params.geometry.describe().c_str(), sc.clients, sc.ops,
-                static_cast<double>(sc.bytes) / 1e6,
-                sc.is_write ? "write" : "read",
-                sc.scattered ? " (scattered)" : "");
-    if (!sc.fails.empty()) {
-      std::printf("failed disks:");
-      for (int f : sc.fails) std::printf(" D%d", f);
-      std::printf("\n");
-    }
-    workload::ParallelIoResult r;
-    try {
-      r = workload::run_parallel_io(*first.engine, cfg);
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
-                r.aggregate_mbs);
-    std::printf("sustained bandwidth : %8.2f MB/s (incl. background "
-                "drain)\n",
-                r.sustained_mbs);
-    std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
-    std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
-                "max %.2f\n",
-                r.op_latency.mean() / 1e6,
-                sim::to_milliseconds(r.op_latency.quantile(0.5)),
-                sim::to_milliseconds(r.op_latency.quantile(0.95)),
-                sim::to_milliseconds(r.op_latency.max()));
-    if (first.cache->enabled()) {
-      const cache::CacheStats cs = cache_totals(worlds);
-      std::printf("cache               : %.1f MB/node %s%s, %s\n",
-                  sc.cache_mb, sc.cache_policy.c_str(),
-                  sc.coop_cache ? " cooperative" : "",
-                  sc.cache_evict.c_str());
-      std::printf("cache hits          : %llu local, %llu peer, %llu misses "
-                  "(%.1f%% hit)\n",
-                  static_cast<unsigned long long>(cs.hits),
-                  static_cast<unsigned long long>(cs.peer_hits),
-                  static_cast<unsigned long long>(cs.misses),
-                  100.0 * cs.hit_ratio());
-      std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
-                  "%llu invalidations, %llu flushes, %llu evictions\n",
-                  static_cast<unsigned long long>(cs.fills),
-                  static_cast<unsigned long long>(cs.writes_absorbed),
-                  static_cast<unsigned long long>(cs.invalidations),
-                  static_cast<unsigned long long>(cs.flushes),
-                  static_cast<unsigned long long>(cs.evictions));
-    }
-    if (sc.verbose) {
-      cluster::Cluster& cluster = *first.cluster;
-      std::printf("\nper-client completion:\n");
-      for (std::size_t c = 0; c < r.clients.size(); ++c) {
-        std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
-                    sim::to_seconds(r.clients[c].end - r.clients[c].start),
-                    static_cast<double>(r.clients[c].bytes) / 1e6);
-      }
-      std::printf("\nper-disk utilization (busy fraction):\n");
-      for (int d = 0; d < cluster.total_disks(); ++d) {
-        const auto& disk = cluster.disk(d);
-        std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
-                    100.0 * static_cast<double>(disk.busy_time()) /
-                        static_cast<double>(sim->now()),
-                    static_cast<unsigned long long>(disk.reads()),
-                    static_cast<unsigned long long>(disk.writes()));
-      }
-      std::printf("\nCDD requests: %llu local, %llu remote\n",
-                  static_cast<unsigned long long>(
-                      first.fabric->local_requests()),
-                  static_cast<unsigned long long>(
-                      first.fabric->remote_requests()));
-    }
-  }
+  const int rc = sc.open_loop()
+                     ? drive_open_loop(sc, worlds, sharded.get(), fed.get())
+                     : drive_closed_loop(sc, first, params);
+  if (rc != 0) return rc;
 
   print_ha_summary(worlds, across);
   const int soak_rc = print_integrity_summary(worlds);
