@@ -183,22 +183,26 @@ sim::Task<> ArrayController::read_chunk(int client, std::uint64_t lba,
                                         std::uint32_t nblocks,
                                         std::span<std::byte> out,
                                         obs::TraceContext ctx) {
-  const bool balance =
-      params_.balance_mirror_reads && layout().mirror_runs_contiguous();
   auto extents = data_extents(layout(), lba, nblocks);
+  if (params_.balance_mirror_reads) balance_onto_mirrors(extents);
   sim::Joiner join(sim());
   for (auto& me : extents) {
-    // Balanced mirror reads alternate copies by physical offset, so a
-    // sequential scan spreads evenly over the primary and its mirror
-    // (Hsiao & DeWitt's load-balancing read path).
-    block::PhysExtent target = me.extent;
-    if (balance && target.offset % 2 == 1) {
-      const block::PhysBlock m = layout().mirror_locations(me.lbas[0])[0];
-      target = block::PhysExtent{m.disk, m.offset, target.nblocks};
-    }
-    join.spawn(read_extent_into(client, target, me.lbas, lba, out, ctx));
+    join.spawn(read_extent_into(client, me.extent, me.lbas, lba, out, ctx));
   }
   co_await join.wait();
+}
+
+void ArrayController::balance_onto_mirrors(
+    std::vector<MappedExtent>& extents) const {
+  // Alternate copies by physical offset, so a sequential scan spreads
+  // evenly over the primary and its mirror (Hsiao & DeWitt's
+  // load-balancing read path).
+  if (!layout().mirror_runs_contiguous()) return;
+  for (MappedExtent& me : extents) {
+    if (me.extent.offset % 2 == 0) continue;
+    const block::PhysBlock m = layout().mirror_locations(me.lbas[0])[0];
+    me.extent = block::PhysExtent{m.disk, m.offset, me.extent.nblocks};
+  }
 }
 
 sim::Task<> ArrayController::read_extent_into(

@@ -234,6 +234,9 @@ class ArrayController : public IoEngine {
                                  std::uint32_t nblocks,
                                  std::span<std::byte> out,
                                  obs::TraceContext ctx = {});
+  /// balance_mirror_reads: move the odd-offset extents of a read onto
+  /// their first mirror, where the layout's mirror runs are contiguous.
+  void balance_onto_mirrors(std::vector<MappedExtent>& extents) const;
   /// One write chunk: at most one stripe, stripe-aligned when full.
   /// `prio` is kForeground on the client write path and kBackground when
   /// the cache flusher drains dirty blocks behind foreground traffic.  The
