@@ -174,7 +174,9 @@ sim::Task<> IntegrityPlane::scrub_loop() {
     // daemon_delay: an idle scrubber never holds the simulation open.
     co_await sim_.daemon_delay(params_.scrub_interval);
     if (attention_active_) continue;  // attention passes are running
+    if (!sim_.try_begin_daemon_pass()) continue;  // a peer world's pass
     co_await scrub_pass();
+    sim_.end_daemon_pass();
   }
 }
 

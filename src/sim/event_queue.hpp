@@ -145,6 +145,20 @@ class Simulation {
   /// "only we are left" and skip their work in the latter case.
   std::size_t foreground_pending() const { return foreground_; }
 
+  /// Long passes a daemon starts (integrity scrubs) take turns on one
+  /// simulation.  A pass is foreground work, so when several worlds share
+  /// the simulation (WAN sites), two staggered passes would keep each
+  /// other's daemons waking and the run would never drain.  A daemon
+  /// starts a pass only when this returns true, and ends it with
+  /// end_daemon_pass().  With one world the daemon's own previous pass is
+  /// always over when it wakes, so it never waits.
+  bool try_begin_daemon_pass() {
+    if (daemon_pass_running_) return false;
+    daemon_pass_running_ = true;
+    return true;
+  }
+  void end_daemon_pass() { daemon_pass_running_ = false; }
+
   /// Run until no events remain.  Rethrows the first exception raised by a
   /// top-level process (after draining is aborted).
   void run();
@@ -331,6 +345,7 @@ class Simulation {
   std::size_t size_ = 0;
   std::size_t foreground_ = 0;  // size_ minus parked daemon events
   bool unbounded_drain_ = false;
+  bool daemon_pass_running_ = false;
   QueueStats queue_stats_;
   // Events stamped now_, in seq order; [0, fifo_head_) already fired.
   std::vector<Event> fifo_;

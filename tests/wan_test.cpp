@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "ha/fault_plan.hpp"
 #include "ha/ha.hpp"
+#include "integrity/integrity.hpp"
 #include "load/open_loop.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
@@ -431,6 +433,46 @@ TEST(WanFederation, SiteOrchestratorRebuildsUnderRemoteTraffic) {
   EXPECT_EQ(fed.stats().unreachable, 0u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.completed, r.offered);
+}
+
+// A daemon: it wakes only if foreground work is still alive at `limit`.
+sim::Task<> drain_watchdog(sim::Simulation& sim, sim::Time limit) {
+  co_await sim.daemon_delay(limit);
+  throw std::runtime_error("the run never drained");
+}
+
+// Each site scrubs its own array, but the sites share one Simulation and
+// a daemon-started pass is foreground work: staggered passes at two sites
+// must not keep each other's daemons waking forever.  A corruption at
+// site 1 starts its attention sweep, site 0's daemon joins in while it
+// runs, and the run must still drain once both are done.
+TEST(WanFederation, SiteScrubbersDrainTogether) {
+  sim::Simulation sim;
+  wan::Federation fed(sim, small_federation(2, false));
+  const ha::FaultPlan plan =
+      ha::FaultPlan::parse("corrupt:disk=5,block=3@0.1s", 8, 600);
+  integrity::IntegrityParams ip;
+  ip.verify_reads = true;
+  ip.scrub = true;
+  ip.scrub_rate_mbs = 0.1;  // a 1.2 MB sweep takes about 12 s
+  fed.arm_faults(plan, nullptr, &ip);
+  sim.spawn(drain_watchdog(sim, sim::seconds(600)));
+
+  load::TenantLoad t;
+  t.rate_ops = 200;
+  t.working_set_blocks = 64;
+  t.sessions = 8;
+  load::OpenLoopConfig cfg;
+  cfg.tenants = {t};
+  cfg.duration = sim::milliseconds(300);
+  load::ShardedLoadResult r;
+  ASSERT_NO_THROW(r = load::run_open_loop_sites(fed, cfg, 0.2));
+  EXPECT_EQ(r.completed, r.offered);
+  const integrity::IntegrityStats& hit = fed.site(1).plane->stats();
+  EXPECT_EQ(hit.injected, 1u);
+  EXPECT_EQ(hit.detected, 1u);
+  EXPECT_EQ(hit.repaired, 1u);
+  EXPECT_GT(fed.site(0).plane->stats().scrub_passes, 0u);
 }
 
 sim::Task<> write_many(wan::Federation& fed, int site, std::uint64_t base,
