@@ -16,153 +16,166 @@ sim::Task<> CddService::server_loop() {
     Request req = co_await mailbox_.recv();
     // Each request is handled concurrently; ordering on the actual disk is
     // enforced by the disk's own FIFO queue, as in a real driver.
-    fabric_.cluster().sim().spawn(handle(std::move(req)));
+    fabric_.cluster().sim().spawn(serve(std::move(req)));
   }
 }
 
-sim::Task<> CddService::handle(Request req) {
+sim::Task<> CddService::serve(Request&& req) {
   ++served_;
+  switch (req.op) {
+    case Request::Op::kRead:
+      return serve_read(std::move(req));
+    case Request::Op::kWrite:
+      return serve_write(std::move(req));
+    case Request::Op::kLock:
+      return serve_lock(std::move(req));
+    case Request::Op::kUnlock:
+      return serve_unlock(std::move(req));
+    case Request::Op::kLockSync:
+      return serve_lock_sync(req.group, req.lock_owner, req.wire_bytes(),
+                             req.ctx);
+    case Request::Op::kProbe:
+      break;
+  }
+  return serve_probe(std::move(req));
+}
+
+sim::Task<> CddService::serve_read(Request req) {
   auto& cluster = fabric_.cluster();
   auto& node = cluster.node(node_);
-
-  switch (req.op) {
-    case Request::Op::kRead: {
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.read", obs::Track::kServer,
-          node_, obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
-      Reply reply;
-      co_await node.cpu_work(req.wire_bytes());
-      try {
-        auto& d = cluster.disk(req.disk);
-        // Failed disks and not-yet-rebuilt regions cannot serve reads;
-        // the client's controller falls back to its degraded path.
-        if (!d.readable(req.offset, req.nblocks)) {
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), req.ctx, "cdd.serve.read", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+  Reply reply;
+  co_await node.cpu_work(req.wire_bytes());
+  try {
+    auto& d = cluster.disk(req.disk);
+    // Failed disks and not-yet-rebuilt regions cannot serve reads;
+    // the client's controller falls back to its degraded path.
+    if (!d.readable(req.offset, req.nblocks)) {
+      reply.ok = false;
+      if (d.failed()) fabric_.notify_disk_failure(req.disk);
+    } else {
+      co_await d.io(disk::IoKind::kRead, req.offset, req.nblocks, req.prio,
+                    serve.ctx());
+      reply.data = d.read_payload(req.offset, req.nblocks);
+      IntegrityHooks* integ = fabric_.integrity();
+      if (integ != nullptr && (req.verify || integ->verify_reads())) {
+        co_await node.compute(integ->checksum_cost(
+            static_cast<std::uint64_t>(req.nblocks) * d.block_bytes()));
+        d.verify_blocks(req.offset, req.nblocks, reply.bad_blocks);
+        for (std::uint64_t b : reply.bad_blocks) {
+          integ->on_corruption_found(req.disk, b, req.verify);
+        }
+        if (!reply.bad_blocks.empty() && !req.verify) {
+          // An ordinary read must never deliver bytes that failed
+          // verification: fail the reply so the client's controller
+          // re-fetches through its degraded/redundancy path (and the bad
+          // bytes can never be installed in a cache).
           reply.ok = false;
-          if (d.failed()) fabric_.notify_disk_failure(req.disk);
-        } else {
-          co_await d.io(disk::IoKind::kRead, req.offset, req.nblocks,
-                        req.prio, serve.ctx());
-          reply.data = d.read_payload(req.offset, req.nblocks);
-          IntegrityHooks* integ = fabric_.integrity();
-          if (integ != nullptr && (req.verify || integ->verify_reads())) {
-            co_await node.compute(integ->checksum_cost(
-                static_cast<std::uint64_t>(req.nblocks) *
-                d.block_bytes()));
-            d.verify_blocks(req.offset, req.nblocks, reply.bad_blocks);
-            for (std::uint64_t b : reply.bad_blocks) {
-              integ->on_corruption_found(req.disk, b, req.verify);
-            }
-            if (!reply.bad_blocks.empty() && !req.verify) {
-              // An ordinary read must never deliver bytes that failed
-              // verification: fail the reply so the client's controller
-              // re-fetches through its degraded/redundancy path (and the
-              // bad bytes can never be installed in a cache).
-              reply.ok = false;
-              reply.data = {};
-            }
-          }
-        }
-      } catch (const disk::DiskFailedError& e) {
-        reply.ok = false;
-        fabric_.notify_disk_failure(e.disk_id);
-      }
-      co_await send_reply(req.from, req.op, req.rpc_id, req.reply,
-                          std::move(reply), serve.ctx());
-      break;
-    }
-    case Request::Op::kWrite: {
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.write", obs::Track::kServer,
-          node_, obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
-      Reply reply;
-      co_await node.cpu_work(req.wire_bytes());
-      try {
-        auto& d = cluster.disk(req.disk);
-        // With an integrity plane attached, the CDD computes the blocks'
-        // checksums before they hit the media (write_data stores them).
-        if (IntegrityHooks* integ = fabric_.integrity()) {
-          co_await node.compute(integ->checksum_cost(
-              static_cast<std::uint64_t>(req.nblocks) *
-              d.block_bytes()));
-        }
-        co_await d.io(disk::IoKind::kWrite, req.offset, req.nblocks,
-                      req.prio, serve.ctx());
-        d.write_data(req.offset, req.payload);
-      } catch (const disk::DiskFailedError& e) {
-        reply.ok = false;
-        fabric_.notify_disk_failure(e.disk_id);
-      }
-      co_await send_reply(req.from, req.op, req.rpc_id, req.reply,
-                          std::move(reply), serve.ctx());
-      break;
-    }
-    case Request::Op::kLock: {
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.lock", obs::Track::kServer,
-          node_,
-          obs::SpanArgs{}.tag("node", node_).tag(
-              "groups", static_cast<std::int64_t>(req.lock_groups.size())));
-      co_await node.cpu_work(req.wire_bytes());
-      // Grant the whole record atomically: groups in ascending order, the
-      // same order every requester uses.
-      for (std::uint64_t g : req.lock_groups) {
-        if (!locks_.try_acquire_now(g, req.lock_owner)) {
-          co_await locks_.acquire(g, req.lock_owner);
-        }
-        if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(
-              replicate_lock_state(g, req.lock_owner));
+          reply.data = {};
         }
       }
-      co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
-                          serve.ctx());
-      break;
     }
-    case Request::Op::kUnlock: {
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.unlock", obs::Track::kServer,
-          node_,
-          obs::SpanArgs{}.tag("node", node_).tag(
-              "groups", static_cast<std::int64_t>(req.lock_groups.size())));
-      co_await node.cpu_work(req.wire_bytes());
-      for (std::uint64_t g : req.lock_groups) {
-        locks_.release(g, req.lock_owner);
-        if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(
-              replicate_lock_state(g, locks_.owner(g)));
-        }
-      }
-      co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
-                          serve.ctx());
-      break;
-    }
-    case Request::Op::kLockSync: {
-      // One-way replication update; lock_owner 0 means "group is free".
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.locksync", obs::Track::kServer,
-          node_, obs::SpanArgs{}.tag("node", node_));
-      co_await node.cpu_work(req.wire_bytes());
-      locks_.apply_replica_update(req.group, req.lock_owner);
-      break;
-    }
-    case Request::Op::kProbe: {
-      // Health query answered from device state: no media access, so a
-      // probe never perturbs the disk head or queues behind data traffic.
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.probe", obs::Track::kServer,
-          node_, obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
-      Reply reply;
-      co_await node.cpu_work(req.wire_bytes());
-      if (req.disk >= 0) reply.ok = !cluster.disk(req.disk).failed();
-      co_await send_reply(req.from, req.op, req.rpc_id, req.reply,
-                          std::move(reply), serve.ctx());
-      break;
-    }
+  } catch (const disk::DiskFailedError& e) {
+    reply.ok = false;
+    fabric_.notify_disk_failure(e.disk_id);
   }
+  co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
+                      serve.ctx());
 }
 
-sim::Task<> CddService::send_reply(int to, Request::Op /*op*/,
-                                   std::uint64_t rpc_id,
+sim::Task<> CddService::serve_write(Request req) {
+  auto& cluster = fabric_.cluster();
+  auto& node = cluster.node(node_);
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), req.ctx, "cdd.serve.write", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+  Reply reply;
+  co_await node.cpu_work(req.wire_bytes());
+  try {
+    auto& d = cluster.disk(req.disk);
+    // With an integrity plane attached, the CDD computes the blocks'
+    // checksums before they hit the media (write_data stores them).
+    if (IntegrityHooks* integ = fabric_.integrity()) {
+      co_await node.compute(integ->checksum_cost(
+          static_cast<std::uint64_t>(req.nblocks) * d.block_bytes()));
+    }
+    co_await d.io(disk::IoKind::kWrite, req.offset, req.nblocks, req.prio,
+                  serve.ctx());
+    d.write_data(req.offset, req.payload);
+  } catch (const disk::DiskFailedError& e) {
+    reply.ok = false;
+    fabric_.notify_disk_failure(e.disk_id);
+  }
+  co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
+                      serve.ctx());
+}
+
+sim::Task<> CddService::serve_lock(Request req) {
+  auto& cluster = fabric_.cluster();
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), req.ctx, "cdd.serve.lock", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_).tag(
+          "groups", static_cast<std::int64_t>(req.lock_groups.size())));
+  co_await cluster.node(node_).cpu_work(req.wire_bytes());
+  // Grant the whole record atomically: groups in ascending order, the same
+  // order every requester uses.
+  for (std::uint64_t g : req.lock_groups) {
+    if (!locks_.try_acquire_now(g, req.lock_owner)) {
+      co_await locks_.acquire(g, req.lock_owner);
+    }
+    if (fabric_.params().replicate_lock_table) {
+      cluster.sim().spawn(replicate_lock_state(g, req.lock_owner));
+    }
+  }
+  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, serve.ctx());
+}
+
+sim::Task<> CddService::serve_unlock(Request req) {
+  auto& cluster = fabric_.cluster();
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), req.ctx, "cdd.serve.unlock", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_).tag(
+          "groups", static_cast<std::int64_t>(req.lock_groups.size())));
+  co_await cluster.node(node_).cpu_work(req.wire_bytes());
+  for (std::uint64_t g : req.lock_groups) {
+    locks_.release(g, req.lock_owner);
+    if (fabric_.params().replicate_lock_table) {
+      cluster.sim().spawn(replicate_lock_state(g, locks_.owner(g)));
+    }
+  }
+  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, serve.ctx());
+}
+
+sim::Task<> CddService::serve_lock_sync(std::uint64_t group,
+                                        std::uint64_t owner,
+                                        std::uint64_t wire_bytes,
+                                        obs::TraceContext ctx) {
+  // One-way replication update; owner 0 means "group is free".
+  auto& cluster = fabric_.cluster();
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), ctx, "cdd.serve.locksync", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_));
+  co_await cluster.node(node_).cpu_work(wire_bytes);
+  locks_.apply_replica_update(group, owner);
+}
+
+sim::Task<> CddService::serve_probe(Request req) {
+  // Health query answered from device state: no media access, so a probe
+  // never perturbs the disk head or queues behind data traffic.
+  auto& cluster = fabric_.cluster();
+  obs::Span serve = obs::trace_span(
+      cluster.sim(), req.ctx, "cdd.serve.probe", obs::Track::kServer, node_,
+      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+  Reply reply;
+  co_await cluster.node(node_).cpu_work(req.wire_bytes());
+  if (req.disk >= 0) reply.ok = !cluster.disk(req.disk).failed();
+  co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
+                      serve.ctx());
+}
+
+sim::Task<> CddService::send_reply(int to, std::uint64_t rpc_id,
                                    sim::Oneshot<Reply>* slot, Reply reply,
                                    obs::TraceContext ctx) {
   if (to != node_) {
@@ -213,21 +226,14 @@ CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
   }
 }
 
-sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
+sim::Task<Reply> CddFabric::submit(int client, int target_node,
+                                   Request&& req) {
   req.from = client;
-  const std::uint64_t request_bytes = req.wire_bytes();
-  const obs::TraceContext ctx = req.ctx;  // req may be moved away below
-
   if (target_node == client) {
     ++local_requests_;
-    sim::Oneshot<Reply> slot(cluster_.sim());
-    req.reply = &slot;
-    service(client).mailbox().send(std::move(req));
-    co_return co_await slot.wait();
+    return submit_local(client, std::move(req));
   }
-
   ++remote_requests_;
-
   // Only data-path ops are safely retryable: reads and probes are
   // idempotent, and block writes are idempotent at this layer (same
   // payload to the same physical extent).  Lock traffic never times out
@@ -238,23 +244,42 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
   const sim::Time timeout =
       can_retry ? (req.timeout > 0 ? req.timeout : params_.request_timeout)
                 : 0;
-
   if (timeout <= 0) {
-    sim::Oneshot<Reply> slot(cluster_.sim());
-    req.reply = &slot;
-    co_await cluster_.node(client).cpu_work(request_bytes);
-    const bool delivered = co_await cluster_.network().transmit(
-        client, target_node, request_bytes, ctx);
-    if (delivered) service(target_node).mailbox().send(std::move(req));
-    // An undelivered request with no watchdog waits forever -- exactly the
-    // seed's semantics; chaos runs must configure request_timeout.
-    Reply reply = co_await slot.wait();
-    co_await cluster_.node(client).cpu_work(reply.wire_bytes());
-    co_return reply;
+    return submit_remote(client, target_node, std::move(req));
   }
-
   const int max_retries =
       req.retries >= 0 ? req.retries : params_.max_retries;
+  return submit_timed(client, target_node, std::move(req), timeout,
+                      max_retries);
+}
+
+sim::Task<Reply> CddFabric::submit_local(int client, Request req) {
+  sim::Oneshot<Reply> slot(cluster_.sim());
+  req.reply = &slot;
+  service(client).mailbox().send(std::move(req));
+  co_return co_await slot.wait();
+}
+
+sim::Task<Reply> CddFabric::submit_remote(int client, int target_node,
+                                          Request req) {
+  const std::uint64_t request_bytes = req.wire_bytes();
+  sim::Oneshot<Reply> slot(cluster_.sim());
+  req.reply = &slot;
+  co_await cluster_.node(client).cpu_work(request_bytes);
+  const bool delivered = co_await cluster_.network().transmit(
+      client, target_node, request_bytes, req.ctx);
+  if (delivered) service(target_node).mailbox().send(std::move(req));
+  // An undelivered request with no watchdog waits forever -- exactly the
+  // seed's semantics; chaos runs must configure request_timeout.
+  Reply reply = co_await slot.wait();
+  co_await cluster_.node(client).cpu_work(reply.wire_bytes());
+  co_return reply;
+}
+
+sim::Task<Reply> CddFabric::submit_timed(int client, int target_node,
+                                         Request req, sim::Time timeout,
+                                         int max_retries) {
+  const std::uint64_t request_bytes = req.wire_bytes();
   for (int attempt = 0;; ++attempt) {
     // Fresh slot and fresh rpc id per attempt: a reply to an abandoned
     // attempt finds no map entry and is dropped, never double-delivered.
@@ -266,7 +291,7 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
     wire.reply = nullptr;     // timed RPCs route through the pending map
     co_await cluster_.node(client).cpu_work(request_bytes);
     const bool delivered = co_await cluster_.network().transmit(
-        client, target_node, request_bytes, ctx);
+        client, target_node, request_bytes, req.ctx);
     if (delivered) service(target_node).mailbox().send(std::move(wire));
     cluster_.sim().schedule(timeout, [this, id] { resolve_timeout(id); });
     Reply reply = co_await slot.wait();

@@ -88,8 +88,20 @@ class CddService {
   friend class CddFabric;
 
   sim::Task<> server_loop();
-  sim::Task<> handle(Request req);
-  sim::Task<> send_reply(int to, Request::Op op, std::uint64_t rpc_id,
+  /// The handler for `req`'s kind, one coroutine per kind: GCC gives every
+  /// branch's locals their own slot in a coroutine frame, so one handler
+  /// branching over all kinds would make each queued lock-sync carry the
+  /// read path's frame.
+  sim::Task<> serve(Request&& req);
+  sim::Task<> serve_read(Request req);
+  sim::Task<> serve_write(Request req);
+  sim::Task<> serve_lock(Request req);
+  sim::Task<> serve_unlock(Request req);
+  sim::Task<> serve_lock_sync(std::uint64_t group, std::uint64_t owner,
+                              std::uint64_t wire_bytes,
+                              obs::TraceContext ctx);
+  sim::Task<> serve_probe(Request req);
+  sim::Task<> send_reply(int to, std::uint64_t rpc_id,
                          sim::Oneshot<Reply>* slot, Reply reply,
                          obs::TraceContext ctx = {});
   sim::Task<> replicate_lock_state(std::uint64_t group, std::uint64_t owner);
@@ -195,9 +207,15 @@ class CddFabric {
  private:
   friend class CddService;
 
-  /// Route a request to the node owning its target; completes when the
-  /// reply has fully arrived back at the client.
-  sim::Task<Reply> submit(int client, int target_node, Request req);
+  /// Route a request to the node owning its target; the returned task
+  /// completes when the reply has fully arrived back at the client.  Picks
+  /// one coroutine per delivery path (local mailbox, untimed remote, timed
+  /// remote with retries), so an RPC's frame holds only its own path.
+  sim::Task<Reply> submit(int client, int target_node, Request&& req);
+  sim::Task<Reply> submit_local(int client, Request req);
+  sim::Task<Reply> submit_remote(int client, int target_node, Request req);
+  sim::Task<Reply> submit_timed(int client, int target_node, Request req,
+                                sim::Time timeout, int max_retries);
 
   /// Watchdog fired for a pending RPC: resolve it with a timed-out reply
   /// unless the real reply won the race (then the map entry is gone).
@@ -215,8 +233,8 @@ class CddFabric {
   std::uint64_t lock_owner_seq_ = 0;
   /// rpc_id -> reply slot of the attempt still waiting.  Entries are
   /// erased by whichever of {server reply, timeout watchdog} gets there
-  /// first; the slot pointer lives in submit()'s frame, which the erasure
-  /// protocol keeps alive until the slot resolves.
+  /// first; the slot pointer lives in submit_timed()'s frame, which the
+  /// erasure protocol keeps alive until the slot resolves.
   std::unordered_map<std::uint64_t, sim::Oneshot<Reply>*> pending_;
   std::uint64_t rpc_seq_ = 0;
   sim::Rng backoff_rng_;

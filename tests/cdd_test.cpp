@@ -2,6 +2,9 @@
 // masquerading, failure replies, and the distributed lock-group table.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "cdd/cdd.hpp"
 #include "cdd/lock_table.hpp"
 #include "test_util.hpp"
@@ -10,6 +13,20 @@ namespace raidx::cdd {
 namespace {
 
 using test::Rig;
+
+// Sanitizer instrumentation grows coroutine frames, so the frame-byte
+// bounds below hold only for uninstrumented builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kInstrumentedFrames = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kInstrumentedFrames = true;
+#else
+constexpr bool kInstrumentedFrames = false;
+#endif
+#else
+constexpr bool kInstrumentedFrames = false;
+#endif
 
 sim::Task<> roundtrip(CddFabric& fabric, int client, int disk,
                       std::uint64_t offset, std::vector<std::byte> data,
@@ -294,6 +311,130 @@ TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
   for (int n = 0; n < 4; ++n) {
     EXPECT_EQ(rig.fabric.service(n).lock_table().replica_updates(), 0u);
   }
+}
+
+
+// ---- server contract and frame footprint -----------------------------------
+
+std::map<std::string, std::int64_t> tags_of(const obs::SpanRecord& s) {
+  std::map<std::string, std::int64_t> out;
+  for (std::uint8_t i = 0; i < s.args.n; ++i) {
+    out[s.args.tags[i].key] = s.args.tags[i].value;
+  }
+  return out;
+}
+
+sim::Task<> serve_one_of_each(CddFabric& f, int* ok) {
+  const std::uint32_t bs = f.cluster().geometry().block_bytes;
+  Reply r = co_await f.read(0, 1, 5, 1);
+  Reply w = co_await f.write(0, 2, 5, block::Payload::zeros(bs));
+  const std::vector<std::uint64_t> group = {3};
+  co_await f.lock_groups(0, group, 41);
+  co_await f.unlock_groups(0, group, 41);
+  Reply p = co_await f.probe(0, 1, 1);
+  *ok = r.ok + w.ok + p.ok;
+}
+
+TEST(CddServer, EachDeliveredRequestGetsOneServerSpan) {
+  obs::Hub hub;
+  hub.tracing = true;
+  Rig rig(test::small_cluster());
+  rig.sim.set_hub(&hub);
+  int ok = 0;
+  rig.run(serve_one_of_each(rig.fabric, &ok));
+  EXPECT_EQ(ok, 3);
+  const int nodes = rig.cluster.num_nodes();
+
+  // Disk d sits on node d; group 3's home is node 3.
+  using Tags = std::map<std::string, std::int64_t>;
+  const std::map<std::string, std::pair<int, Tags>> want = {
+      {"cdd.serve.read", {1, {{"node", 1}, {"disk", 1}}}},
+      {"cdd.serve.write", {2, {{"node", 2}, {"disk", 2}}}},
+      {"cdd.serve.lock", {3, {{"node", 3}, {"groups", 1}}}},
+      {"cdd.serve.unlock", {3, {{"node", 3}, {"groups", 1}}}},
+      {"cdd.serve.probe", {1, {{"node", 1}, {"disk", 1}}}},
+  };
+  std::map<std::string, int> seen;
+  std::map<int, int> syncs_at;
+  for (const obs::SpanRecord& s : hub.tracer().spans()) {
+    const std::string name = s.name;
+    if (name.rfind("cdd.serve.", 0) != 0) {
+      EXPECT_NE(s.track, obs::Track::kServer) << name;
+      continue;
+    }
+    ++seen[name];
+    EXPECT_EQ(s.track, obs::Track::kServer) << name;
+    EXPECT_GE(s.end, s.begin) << name;
+    EXPECT_NE(s.trace, 0u) << name;
+    if (name == "cdd.serve.locksync") {
+      ++syncs_at[s.idx];
+      EXPECT_EQ(tags_of(s), (Tags{{"node", s.idx}})) << name;
+      continue;
+    }
+    auto it = want.find(name);
+    ASSERT_NE(it, want.end()) << name;
+    EXPECT_EQ(s.idx, it->second.first) << name;
+    EXPECT_EQ(tags_of(s), it->second.second) << name;
+  }
+  for (const auto& [name, where] : want) {
+    EXPECT_EQ(seen[name], 1) << name;
+  }
+  // The grant and the release each reach every peer of the home node.
+  EXPECT_EQ(seen["cdd.serve.locksync"], 2 * (nodes - 1));
+  EXPECT_EQ(syncs_at, (std::map<int, int>{{0, 2}, {1, 2}, {2, 2}}));
+
+  std::uint64_t served = 0;
+  std::uint64_t syncs_applied = 0;
+  for (int n = 0; n < nodes; ++n) {
+    served += rig.fabric.service(n).requests_served();
+    syncs_applied += rig.fabric.service(n).lock_table().replica_updates();
+  }
+  EXPECT_EQ(served, 5u + 2u * static_cast<std::uint64_t>(nodes - 1));
+  EXPECT_EQ(served, rig.fabric.remote_requests() +
+                        rig.fabric.local_requests() + syncs_applied);
+}
+
+TEST(CddFootprint, QueuedLockSyncsHoldSmallFrames) {
+  // Every update is posted at t=0, so all of them wait for node 1's CPU at
+  // once; after the drain the pool's free lists hold the high-water of
+  // their frames.
+  constexpr std::uint64_t kSyncs = 256;
+  Rig rig(test::small_cluster());
+  for (std::uint64_t g = 0; g < kSyncs; ++g) {
+    Request sync;
+    sync.op = Request::Op::kLockSync;
+    sync.from = 0;
+    sync.group = g;
+    sync.lock_owner = 1000 + g;
+    rig.fabric.service(1).mailbox().send(std::move(sync));
+  }
+  rig.sim.run();
+  const LockGroupTable& table = rig.fabric.service(1).lock_table();
+  for (std::uint64_t g = 0; g < kSyncs; ++g) {
+    EXPECT_EQ(table.replica_owner(g), 1000 + g) << "group " << g;
+  }
+  EXPECT_EQ(rig.fabric.service(1).requests_served(), kSyncs);
+  if (kInstrumentedFrames) GTEST_SKIP() << "frames grow under sanitizers";
+  EXPECT_LE(rig.sim.frame_pool_stats().pooled_bytes / kSyncs, 1024u);
+}
+
+sim::Task<> remote_read(CddFabric& f, std::uint64_t offset, int* ok) {
+  Reply r = co_await f.read(0, 1, offset, 1);
+  if (r.ok) ++*ok;
+}
+
+TEST(CddFootprint, RemoteReadsInFlightHoldSmallFrames) {
+  constexpr std::uint64_t kReads = 256;
+  Rig rig(test::small_cluster());
+  int ok = 0;
+  for (std::uint64_t i = 0; i < kReads; ++i) {
+    rig.sim.spawn(remote_read(rig.fabric, i, &ok));
+  }
+  rig.sim.run();
+  EXPECT_EQ(ok, static_cast<int>(kReads));
+  EXPECT_EQ(rig.fabric.remote_requests(), kReads);
+  if (kInstrumentedFrames) GTEST_SKIP() << "frames grow under sanitizers";
+  EXPECT_LE(rig.sim.frame_pool_stats().pooled_bytes / kReads, 3500u);
 }
 
 }  // namespace
