@@ -196,7 +196,6 @@ sim::Task<sim::Time> recover_from_local_mirror(raid::RaidxController& engine,
                                                const CheckpointConfig& config,
                                                int proc) {
   auto& sim = engine.simulation();
-  auto& fabric = engine.fabric();
   const auto& layout = engine.raidx();
   const int node = proc % layout.geometry().nodes;
   const std::uint64_t count = stripes_needed(engine, config);
