@@ -140,18 +140,21 @@ inline sim::JsonWriter bench_json(const std::string& bench) {
 /// Engine-internal frame-pool statistics as a small JSON object.  These
 /// live OUTSIDE the registry snapshot (v8): they change with every
 /// coroutine-frame size change, so bench_diff.py ignores them
-/// unconditionally -- informational, never gated.
+/// unconditionally -- informational, never gated.  `pooled_bytes` is the
+/// bytes parked in the free lists; after a drain, that is the world's
+/// high-water of transient frame bytes (its frame footprint).
 inline std::string frame_pool_json(const sim::Simulation& sim) {
   const sim::FramePool::Stats& fp = sim.frame_pool_stats();
-  char buf[192];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"allocations\":%llu,\"reuses\":%llu,\"fresh\":%llu,"
-                "\"oversize\":%llu,\"live\":%llu}",
+                "\"oversize\":%llu,\"live\":%llu,\"pooled_bytes\":%llu}",
                 static_cast<unsigned long long>(fp.allocations),
                 static_cast<unsigned long long>(fp.reuses),
                 static_cast<unsigned long long>(fp.fresh),
                 static_cast<unsigned long long>(fp.oversize),
-                static_cast<unsigned long long>(fp.live));
+                static_cast<unsigned long long>(fp.live),
+                static_cast<unsigned long long>(fp.pooled_bytes));
   return buf;
 }
 
