@@ -43,7 +43,7 @@ sim::Task<> CddService::serve(Request&& req) {
 sim::Task<> CddService::serve_read(Request req) {
   auto& cluster = fabric_.cluster();
   auto& node = cluster.node(node_);
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.read", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
   Reply reply;
@@ -57,7 +57,7 @@ sim::Task<> CddService::serve_read(Request req) {
       if (d.failed()) fabric_.notify_disk_failure(req.disk);
     } else {
       co_await d.io(disk::IoKind::kRead, req.offset, req.nblocks, req.prio,
-                    serve.ctx());
+                    span.ctx());
       reply.data = d.read_payload(req.offset, req.nblocks);
       IntegrityHooks* integ = fabric_.integrity();
       if (integ != nullptr && (req.verify || integ->verify_reads())) {
@@ -82,13 +82,13 @@ sim::Task<> CddService::serve_read(Request req) {
     fabric_.notify_disk_failure(e.disk_id);
   }
   co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
-                      serve.ctx());
+                      span.ctx());
 }
 
 sim::Task<> CddService::serve_write(Request req) {
   auto& cluster = fabric_.cluster();
   auto& node = cluster.node(node_);
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.write", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
   Reply reply;
@@ -102,19 +102,19 @@ sim::Task<> CddService::serve_write(Request req) {
           static_cast<std::uint64_t>(req.nblocks) * d.block_bytes()));
     }
     co_await d.io(disk::IoKind::kWrite, req.offset, req.nblocks, req.prio,
-                  serve.ctx());
+                  span.ctx());
     d.write_data(req.offset, req.payload);
   } catch (const disk::DiskFailedError& e) {
     reply.ok = false;
     fabric_.notify_disk_failure(e.disk_id);
   }
   co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
-                      serve.ctx());
+                      span.ctx());
 }
 
 sim::Task<> CddService::serve_lock(Request req) {
   auto& cluster = fabric_.cluster();
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.lock", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_).tag(
           "groups", static_cast<std::int64_t>(req.lock_groups.size())));
@@ -129,12 +129,12 @@ sim::Task<> CddService::serve_lock(Request req) {
       cluster.sim().spawn(replicate_lock_state(g, req.lock_owner));
     }
   }
-  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, serve.ctx());
+  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, span.ctx());
 }
 
 sim::Task<> CddService::serve_unlock(Request req) {
   auto& cluster = fabric_.cluster();
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.unlock", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_).tag(
           "groups", static_cast<std::int64_t>(req.lock_groups.size())));
@@ -145,7 +145,7 @@ sim::Task<> CddService::serve_unlock(Request req) {
       cluster.sim().spawn(replicate_lock_state(g, locks_.owner(g)));
     }
   }
-  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, serve.ctx());
+  co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, span.ctx());
 }
 
 sim::Task<> CddService::serve_lock_sync(std::uint64_t group,
@@ -154,7 +154,7 @@ sim::Task<> CddService::serve_lock_sync(std::uint64_t group,
                                         obs::TraceContext ctx) {
   // One-way replication update; owner 0 means "group is free".
   auto& cluster = fabric_.cluster();
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), ctx, "cdd.serve.locksync", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_));
   co_await cluster.node(node_).cpu_work(wire_bytes);
@@ -165,14 +165,14 @@ sim::Task<> CddService::serve_probe(Request req) {
   // Health query answered from device state: no media access, so a probe
   // never perturbs the disk head or queues behind data traffic.
   auto& cluster = fabric_.cluster();
-  obs::Span serve = obs::trace_span(
+  obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.probe", obs::Track::kServer, node_,
       obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
   Reply reply;
   co_await cluster.node(node_).cpu_work(req.wire_bytes());
   if (req.disk >= 0) reply.ok = !cluster.disk(req.disk).failed();
   co_await send_reply(req.from, req.rpc_id, req.reply, std::move(reply),
-                      serve.ctx());
+                      span.ctx());
 }
 
 sim::Task<> CddService::send_reply(int to, std::uint64_t rpc_id,
