@@ -313,7 +313,6 @@ TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
   }
 }
 
-
 // ---- server contract and frame footprint -----------------------------------
 
 std::map<std::string, std::int64_t> tags_of(const obs::SpanRecord& s) {
@@ -376,8 +375,8 @@ TEST(CddServer, EachDeliveredRequestGetsOneServerSpan) {
     EXPECT_EQ(s.idx, it->second.first) << name;
     EXPECT_EQ(tags_of(s), it->second.second) << name;
   }
-  for (const auto& [name, where] : want) {
-    EXPECT_EQ(seen[name], 1) << name;
+  for (const auto& entry : want) {
+    EXPECT_EQ(seen[entry.first], 1) << entry.first;
   }
   // The grant and the release each reach every peer of the home node.
   EXPECT_EQ(seen["cdd.serve.locksync"], 2 * (nodes - 1));
@@ -424,6 +423,8 @@ sim::Task<> remote_read(CddFabric& f, std::uint64_t offset, int* ok) {
 }
 
 TEST(CddFootprint, RemoteReadsInFlightHoldSmallFrames) {
+  // All reads start at t=0 and queue for node 0's CPU, so all of them are
+  // in flight at once.
   constexpr std::uint64_t kReads = 256;
   Rig rig(test::small_cluster());
   int ok = 0;
