@@ -35,17 +35,16 @@ void NodeCache::touch(std::uint64_t lba, Entry& e) {
   }
 }
 
-std::span<const std::byte> NodeCache::lookup(std::uint64_t lba) {
+const block::Payload* NodeCache::lookup(std::uint64_t lba) {
   auto it = entries_.find(lba);
-  if (it == entries_.end()) return {};
+  if (it == entries_.end()) return nullptr;
   touch(lba, it->second);
-  return it->second.data;
+  return &it->second.data;
 }
 
-std::span<const std::byte> NodeCache::peek(std::uint64_t lba) const {
+const block::Payload* NodeCache::peek(std::uint64_t lba) const {
   auto it = entries_.find(lba);
-  if (it == entries_.end()) return {};
-  return it->second.data;
+  return it == entries_.end() ? nullptr : &it->second.data;
 }
 
 void NodeCache::remember_ghost(std::uint64_t lba) {
@@ -57,13 +56,12 @@ void NodeCache::remember_ghost(std::uint64_t lba) {
   }
 }
 
-void NodeCache::insert(std::uint64_t lba, std::span<const std::byte> data,
-                       bool dirty) {
+void NodeCache::insert(std::uint64_t lba, block::Payload data, bool dirty) {
   assert(data.size() == block_bytes_);
   auto it = entries_.find(lba);
   if (it != entries_.end()) {
     Entry& e = it->second;
-    e.data.assign(data.begin(), data.end());
+    e.data = std::move(data);
     if (dirty && !e.dirty) ++dirty_count_;
     if (dirty) {
       e.dirty = true;
@@ -73,7 +71,7 @@ void NodeCache::insert(std::uint64_t lba, std::span<const std::byte> data,
     return;
   }
   Entry e;
-  e.data.assign(data.begin(), data.end());
+  e.data = std::move(data);
   e.dirty = dirty;
   if (dirty) {
     ++dirty_count_;

@@ -16,6 +16,10 @@
 //    most the probation queue, which is what makes 2Q scan-resistant --
 //    exactly the property a ReadAll-style phase needs.
 //
+// Entries are immutable block::Payload values: an entry written through
+// the cache shares its buffer with the disks' stored copies of the block
+// (and with any peer that forwarded it), and a zero-run stays a zero-run.
+//
 // Dirty handling: a write-back cache marks entries dirty; eviction of a
 // dirty entry must not lose data, so victim selection *skips* entries that
 // are dirty or mid-flush ("busy") and the engine-side flusher is
@@ -28,9 +32,9 @@
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <span>
 #include <unordered_map>
-#include <vector>
+
+#include "block/payload.hpp"
 
 namespace raidx::cache {
 
@@ -43,18 +47,20 @@ class NodeCache {
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
 
-  /// Look up a block; returns its bytes and refreshes recency.  nullptr on
-  /// miss.  The returned span is invalidated by any mutating call.
-  std::span<const std::byte> lookup(std::uint64_t lba);
+  /// Look up a block; returns its payload and refreshes recency.  nullptr
+  /// on miss.  The pointer is invalidated by any mutating call; copy the
+  /// payload (O(1), shared buffer) to keep it.
+  const block::Payload* lookup(std::uint64_t lba);
 
   /// Peek without touching recency (peer-forward reads: a remote hit
   /// should not rejuvenate the peer's entry).
-  std::span<const std::byte> peek(std::uint64_t lba) const;
+  const block::Payload* peek(std::uint64_t lba) const;
 
-  /// Insert or overwrite a block.  `dirty` marks it as needing a flush.
+  /// Insert or overwrite a block with `data` (exactly one block; its
+  /// buffer is shared, not copied).  `dirty` marks it as needing a flush.
   /// Does NOT evict; the caller checks over_capacity() afterwards and runs
   /// the eviction protocol so dirty victims can be flushed with real I/O.
-  void insert(std::uint64_t lba, std::span<const std::byte> data, bool dirty);
+  void insert(std::uint64_t lba, block::Payload data, bool dirty);
 
   /// Drop a block (coherence invalidation).  Returns true if present.
   /// Dirty entries are dropped too -- the caller must only invalidate a
@@ -101,7 +107,7 @@ class NodeCache {
   enum class Queue : std::uint8_t { kProbation, kMain };
 
   struct Entry {
-    std::vector<std::byte> data;
+    block::Payload data;
     bool dirty = false;
     bool busy = false;  // flush in flight
     std::uint64_t version = 0;

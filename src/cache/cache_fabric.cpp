@@ -64,13 +64,12 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
           .tag("node", cache_node)
           .tag("lba", static_cast<std::int64_t>(lba)));
 
-  auto hit = local.lookup(lba);
-  if (!hit.empty()) {
+  if (const block::Payload* hit = local.lookup(lba)) {
     ++stats_.hits;
     span.tag("hit", 1);
     // Functional copy happens now; the latency below models the memcpy and
     // (for a server-side cache) the wire round trip.
-    std::copy(hit.begin(), hit.end(), out.begin());
+    hit->copy_to(out);
     if (cache_node != client) {
       co_await cluster_.node(client).cpu_work(kCacheHeaderBytes);
       co_await cluster_.network().transmit(client, cache_node,
@@ -111,7 +110,7 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
           continue;
         }
         const NodeCache& pc = cache(holder);
-        if (pc.peek(lba).empty()) continue;
+        if (!pc.contains(lba)) continue;
         if (pc.dirty(lba)) {
           peer = holder;
           break;
@@ -130,10 +129,11 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
       ++stats_.peer_hits;
       span.tag("hit", 2);
       span.tag("peer", peer);
-      auto data = cache(peer).peek(lba);
-      std::copy(data.begin(), data.end(), out.begin());
-      // Install a clean replica at the requester immediately: the directory
-      // knows about it from this instant, so a later write invalidates it.
+      const block::Payload data = *cache(peer).peek(lba);
+      data.copy_to(out);
+      // Install a clean replica at the requester immediately (sharing the
+      // peer's buffer): the directory knows about it from this instant, so
+      // a later write invalidates it.
       local.insert(lba, data, /*dirty=*/false);
       directory_add(lba, cache_node);
       shed_overflow(cache_node);
@@ -179,15 +179,15 @@ void CacheFabric::fill(int cache_node, std::uint64_t lba,
   NodeCache& local = cache(cache_node);
   if (local.contains(lba)) return;  // raced with another fill or a write
   ++stats_.fills;
-  local.insert(lba, data, /*dirty=*/false);
+  local.insert(lba, block::Payload::copy(data), /*dirty=*/false);
   directory_add(lba, cache_node);
   post_notice(cache_node, home_of(lba));  // registration
   shed_overflow(cache_node);
 }
 
 sim::Task<std::uint64_t> CacheFabric::write_block(
-    int cache_node, std::uint64_t lba, std::span<const std::byte> data,
-    bool dirty, bool piggybacked, bool through, obs::TraceContext ctx) {
+    int cache_node, std::uint64_t lba, block::Payload data, bool dirty,
+    bool piggybacked, bool through, obs::TraceContext ctx) {
   const std::uint32_t bs = cluster_.geometry().block_bytes;
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cache.write", obs::Track::kRequest, cache_node,
@@ -199,7 +199,7 @@ sim::Task<std::uint64_t> CacheFabric::write_block(
   NodeCache& local = cache(cache_node);
   const std::uint64_t epoch = ++write_epoch_[lba];
   if (through) ++wt_inflight_[lba];
-  local.insert(lba, data, dirty);
+  local.insert(lba, std::move(data), dirty);
   if (dirty && !through) ++stats_.writes_absorbed;
 
   // Invalidate every other copy *functionally now*, inside the writer's
@@ -252,29 +252,18 @@ bool CacheFabric::end_write_through(int node, std::uint64_t lba,
   return true;
 }
 
-std::optional<CacheFabric::DirtySnapshot> CacheFabric::begin_flush(int node) {
+std::optional<std::uint64_t> CacheFabric::begin_flush(int node) {
   NodeCache& c = cache(node);
   auto lba = c.oldest_dirty();
-  if (!lba) return std::nullopt;
-  c.set_busy(*lba, true);
-  DirtySnapshot snap;
-  snap.lba = *lba;
-  snap.version = c.version(*lba);
-  auto data = c.peek(*lba);
-  snap.data.assign(data.begin(), data.end());
-  return snap;
+  if (lba) c.set_busy(*lba, true);
+  return lba;
 }
 
 std::optional<CacheFabric::DirtySnapshot> CacheFabric::resnapshot(
     int node, std::uint64_t lba) {
-  NodeCache& c = cache(node);
+  const NodeCache& c = cache(node);
   if (!c.dirty(lba)) return std::nullopt;
-  DirtySnapshot snap;
-  snap.lba = lba;
-  snap.version = c.version(lba);
-  auto data = c.peek(lba);
-  snap.data.assign(data.begin(), data.end());
-  return snap;
+  return DirtySnapshot{c.version(lba), *c.peek(lba)};
 }
 
 void CacheFabric::end_flush(int node, std::uint64_t lba,

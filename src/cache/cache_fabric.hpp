@@ -162,15 +162,16 @@ class CacheFabric {
             std::span<const std::byte> data, std::uint64_t epoch);
 
   /// Install new contents at the writer and invalidate every peer copy.
-  /// `piggybacked` marks the invalidation notices as riding the engine's
-  /// lock-group grant/release broadcasts (no extra wire traffic).
+  /// `data` is one block; the entry shares its buffer.  `piggybacked`
+  /// marks the invalidation notices as riding the engine's lock-group
+  /// grant/release broadcasts (no extra wire traffic).
   /// `through` marks a write-through write: the entry is installed dirty
   /// and a per-block in-flight counter is raised until the caller's disk
   /// write lands and end_write_through() settles it.  Returns the write
   /// epoch assigned at the (synchronous) functional commit.
   sim::Task<std::uint64_t> write_block(int cache_node, std::uint64_t lba,
-                                       std::span<const std::byte> data,
-                                       bool dirty, bool piggybacked,
+                                       block::Payload data, bool dirty,
+                                       bool piggybacked,
                                        bool through = false,
                                        obs::TraceContext ctx = {});
 
@@ -196,16 +197,16 @@ class CacheFabric {
   // ------------------------------------------------------------------ //
   // Flush protocol (driven by ArrayController's background flusher).
 
+  /// A dirty entry as of one instant: `data` shares the entry's buffer.
   struct DirtySnapshot {
-    std::uint64_t lba = 0;
     std::uint64_t version = 0;
-    std::vector<std::byte> data;
+    block::Payload data;
   };
 
   /// Oldest dirty block of a node, marked busy so concurrent flushers skip
   /// it; std::nullopt when the node has no flushable dirty block.
-  std::optional<DirtySnapshot> begin_flush(int node);
-  /// Re-snapshot a block mid-flush (after lock acquisition) so the flush
+  std::optional<std::uint64_t> begin_flush(int node);
+  /// Snapshot a block mid-flush (after lock acquisition) so the flush
   /// writes current bytes; nullopt if it was cleaned/invalidated meanwhile.
   std::optional<DirtySnapshot> resnapshot(int node, std::uint64_t lba);
   /// Flush finished: mark clean (if unchanged since `version`) and unbusy.

@@ -1,6 +1,5 @@
 #include "disk/device.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "integrity/checksum.hpp"
@@ -8,46 +7,26 @@
 namespace raidx::disk {
 
 void Device::write_data(std::uint64_t block, std::span<const std::byte> data) {
-  assert(data.size() % geo_.block_bytes == 0);
-  const std::uint32_t n =
-      static_cast<std::uint32_t>(data.size() / geo_.block_bytes);
-  // Checksum maintenance runs even on pure-timing devices: the sums and the
-  // latent-error marks are the only state corruption detection has there,
-  // and a rewrite (repair, rebuild, ordinary traffic) must always restore
-  // a block to a verified-good state.
-  if (integrity_enabled_) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      sums_[block + i] = integrity::crc32c(data.subspan(
-          static_cast<std::size_t>(i) * geo_.block_bytes, geo_.block_bytes));
-      corrupted_.erase(block + i);
-    }
-  }
-  if (!geo_.store_data) return;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& blk = blocks_[block + i];
-    blk.assign(
-        data.begin() + static_cast<std::ptrdiff_t>(i) * geo_.block_bytes,
-        data.begin() + static_cast<std::ptrdiff_t>(i + 1) * geo_.block_bytes);
-  }
+  write_data(block, block::Payload::copy(data));
 }
 
 void Device::write_data(std::uint64_t block, const block::Payload& data) {
   assert(data.size() % geo_.block_bytes == 0);
   const std::uint32_t n =
       static_cast<std::uint32_t>(data.size() / geo_.block_bytes);
-  if (integrity_enabled_) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      // Zero-run payloads checksum in O(log n) -- no materialization.
-      sums_[block + i] = integrity::crc_of(data.slice(
-          static_cast<std::size_t>(i) * geo_.block_bytes, geo_.block_bytes));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    block::Payload blk = data.slice(
+        static_cast<std::size_t>(i) * geo_.block_bytes, geo_.block_bytes);
+    // Checksum maintenance runs even on pure-timing devices: the sums and
+    // the latent-error marks are the only state corruption detection has
+    // there, and a rewrite (repair, rebuild, ordinary traffic) must always
+    // restore a block to a verified-good state.  Zero-run payloads
+    // checksum in O(log n) -- no materialization.
+    if (integrity_enabled_) {
+      sums_[block + i] = integrity::crc_of(blk);
       corrupted_.erase(block + i);
     }
-  }
-  if (!geo_.store_data) return;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& blk = blocks_[block + i];
-    blk.resize(geo_.block_bytes);
-    data.copy_to(blk, static_cast<std::size_t>(i) * geo_.block_bytes);
+    if (geo_.store_data) blocks_[block + i] = std::move(blk);
   }
 }
 
@@ -58,9 +37,8 @@ std::vector<std::byte> Device::read_data(std::uint64_t block,
   for (std::uint32_t i = 0; i < nblocks; ++i) {
     auto it = blocks_.find(block + i);
     if (it != blocks_.end()) {
-      std::copy(it->second.begin(), it->second.end(),
-                out.begin() +
-                    static_cast<std::ptrdiff_t>(i) * geo_.block_bytes);
+      it->second.copy_to(std::span<std::byte>(out).subspan(
+          static_cast<std::size_t>(i) * geo_.block_bytes, geo_.block_bytes));
     }
   }
   return out;
@@ -74,6 +52,11 @@ block::Payload Device::read_payload(std::uint64_t block,
   if (!geo_.store_data || blocks_.empty()) {
     return block::Payload::zeros(static_cast<std::size_t>(nblocks) *
                                  geo_.block_bytes);
+  }
+  if (nblocks == 1) {
+    auto it = blocks_.find(block);
+    return it != blocks_.end() ? it->second
+                               : block::Payload::zeros(geo_.block_bytes);
   }
   return block::Payload(read_data(block, nblocks));
 }
@@ -93,7 +76,7 @@ void Device::enable_integrity() {
       integrity::crc32c_zeros(geo_.block_bytes));
   // Snapshot blocks stored before the plane attached (preloads).
   for (const auto& [blk, bytes] : blocks_) {
-    sums_[blk] = integrity::crc32c(bytes);
+    sums_[blk] = integrity::crc_of(bytes);
   }
 }
 
@@ -101,12 +84,16 @@ void Device::corrupt(std::uint64_t block) {
   assert(block < geo_.total_blocks);
   corrupted_.insert(block);
   if (!geo_.store_data) return;
-  // Flip one stored bit so reads really return wrong bytes.  A block that
-  // was never written materializes first: its expected content is zeros,
-  // and the rot must make the read disagree with that expectation.
-  auto& blk = blocks_[block];
-  blk.resize(geo_.block_bytes);
-  blk[static_cast<std::size_t>(block % geo_.block_bytes)] ^= std::byte{1};
+  // Flip one stored bit so reads really return wrong bytes.  The flip goes
+  // into a private copy: the stored slice may also be a cache entry or
+  // another disk's copy of the block.  A block that was never written
+  // materializes as zeros first: that is its expected content, and the rot
+  // must make the read disagree with it.
+  block::Payload& blk = blocks_[block];
+  std::vector<std::byte> rotten(geo_.block_bytes, std::byte{0});
+  if (!blk.empty()) blk.copy_to(rotten);
+  rotten[static_cast<std::size_t>(block % geo_.block_bytes)] ^= std::byte{1};
+  blk = block::Payload(std::move(rotten));
 }
 
 void Device::verify_blocks(std::uint64_t block, std::uint32_t nblocks,
@@ -124,7 +111,7 @@ void Device::verify_blocks(std::uint64_t block, std::uint32_t nblocks,
         sum != sums_.end() ? sum->second : zero_block_crc_;
     const auto it = blocks_.find(b);
     const std::uint32_t actual =
-        it != blocks_.end() ? integrity::crc32c(it->second) : zero_block_crc_;
+        it != blocks_.end() ? integrity::crc_of(it->second) : zero_block_crc_;
     if (actual != expected) bad.push_back(b);
   }
 }

@@ -86,13 +86,17 @@ class Device {
   /// Requests waiting for the service resource right now.
   virtual std::size_t queue_depth() const = 0;
 
-  /// Functional storage access (no simulated time).
+  /// Functional storage access (no simulated time).  Each stored block is
+  /// a one-block slice of the written payload, so a cache entry, a data
+  /// copy and its mirror copies can all share one immutable buffer; the
+  /// span overload copies into a fresh payload first.
   void write_data(std::uint64_t block, std::span<const std::byte> data);
   void write_data(std::uint64_t block, const block::Payload& data);
   std::vector<std::byte> read_data(std::uint64_t block,
                                    std::uint32_t nblocks) const;
-  /// read_data without materializing: store_data=false (and blocks never
-  /// written) come back as a zero-run with no storage behind it.
+  /// read_data without materializing: a one-block read returns the stored
+  /// slice itself, and store_data=false (and blocks never written) come
+  /// back as a zero-run with no storage behind it.
   block::Payload read_payload(std::uint64_t block,
                               std::uint32_t nblocks) const;
 
@@ -118,7 +122,9 @@ class Device {
 
   /// Inject silent corruption into one block: mark its media as rotten
   /// and, when bytes are stored, flip one of them so reads really return
-  /// wrong data.  The checksum is NOT updated -- that is the point.
+  /// wrong data.  The checksum is NOT updated -- that is the point.  The
+  /// flip lands in a private copy: the stored slice may be shared with
+  /// other copies of the block, which must not rot with it.
   void corrupt(std::uint64_t block);
   bool corrupted(std::uint64_t block) const {
     return corrupted_.count(block) != 0;
@@ -184,7 +190,9 @@ class Device {
   bool rebuilding_ = false;
   std::uint64_t rebuild_watermark_ = 0;
 
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks_;
+  /// One-block payload slices.  A slice keeps its whole write buffer
+  /// alive until every block of that write has been overwritten.
+  std::unordered_map<std::uint64_t, block::Payload> blocks_;
 
   /// Integrity state (populated only after enable_integrity()).
   bool integrity_enabled_ = false;

@@ -385,19 +385,11 @@ sim::Task<> ArrayController::cached_write_chunk(
   // drains it; write-through is transiently dirty until its own disk write
   // below lands and end_write_through() settles the block (see
   // cache_fabric.hpp on why the disk write landing is not enough).
-  // The cache stores materialized copies; zero-run payloads view a
-  // per-chunk scratch block instead (the cached contents are zeros either
-  // way, and the perf sweeps never attach a cache).
-  const std::vector<std::byte> zero_block(
-      data.is_zeros() ? bs : 0, std::byte{0});
+  // Each entry is a slice of `data`, the same buffer the disks store.
   std::vector<std::uint64_t> epochs(nblocks);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const std::span<const std::byte> blk =
-        data.is_zeros()
-            ? std::span<const std::byte>(zero_block)
-            : data.bytes().subspan(static_cast<std::size_t>(i) * bs, bs);
     epochs[i] = co_await cache_->write_block(
-        node, lba + i, blk,
+        node, lba + i, data.slice(static_cast<std::size_t>(i) * bs, bs),
         /*dirty=*/true, piggybacked, /*through=*/!write_back, ctx);
   }
   if (write_back) {
@@ -433,9 +425,9 @@ void ArrayController::ensure_flusher(int node) {
 
 sim::Task<> ArrayController::flusher_loop(int node) {
   while (!cache_->flushed_enough(node)) {
-    auto snap = cache_->begin_flush(node);
-    if (!snap) break;  // nothing flushable (all busy)
-    const bool ok = co_await flush_block(node, snap->lba);
+    const auto lba = cache_->begin_flush(node);
+    if (!lba) break;  // nothing flushable (all busy)
+    const bool ok = co_await flush_block(node, *lba);
     cache_->shed_overflow(node);
     // A failed flush (disk down) would spin forever; stop and let the next
     // write or an explicit flush_cache() retry after the heal.
@@ -462,13 +454,12 @@ sim::Task<bool> ArrayController::flush_block(int node, std::uint64_t lba) {
   }
   bool ok = true;
   std::uint64_t version = 0;
-  // Re-snapshot under the lock: the block may have been rewritten (or
+  // Snapshot under the lock: the block may have been rewritten (or
   // cleaned) while this flush waited for the group.
   if (auto snap = cache_->resnapshot(node, lba)) {
     version = snap->version;
     try {
-      co_await write_chunk(node, lba,
-                           block::Payload(std::move(snap->data)),
+      co_await write_chunk(node, lba, std::move(snap->data),
                            disk::IoPriority::kBackground, span.ctx());
     } catch (...) {
       ok = false;  // stays dirty; the cache holds the only current copy
@@ -486,9 +477,9 @@ sim::Task<> ArrayController::flush_cache() {
   if (!cache_) co_return;
   for (int n = 0; n < fabric_.cluster().num_nodes(); ++n) {
     for (;;) {
-      auto snap = cache_->begin_flush(n);
-      if (!snap) break;
-      const bool ok = co_await flush_block(n, snap->lba);
+      const auto lba = cache_->begin_flush(n);
+      if (!lba) break;
+      const bool ok = co_await flush_block(n, *lba);
       cache_->shed_overflow(n);
       if (!ok) break;  // failed disk: leave the rest dirty
     }

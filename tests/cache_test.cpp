@@ -4,6 +4,7 @@
 // across a disk fail/heal cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <tuple>
@@ -27,8 +28,8 @@ using test::pattern_block;
 using test::pattern_run;
 using test::Rig;
 
-std::vector<std::byte> block_of(std::uint8_t v, std::uint32_t bs = 512) {
-  return std::vector<std::byte>(bs, std::byte{v});
+block::Payload block_of(std::uint8_t v, std::uint32_t bs = 512) {
+  return block::Payload(std::vector<std::byte>(bs, std::byte{v}));
 }
 
 // ------------------------------------------------------------ NodeCache --
@@ -126,10 +127,11 @@ sim::Task<> do_write(raid::ArrayController* eng, int client,
   co_await eng->write(client, lba, data);
 }
 
+// `out` starts as `fill` bytes, so a read that copies nothing shows.
 sim::Task<> do_read(raid::ArrayController* eng, int client, std::uint64_t lba,
-                    std::uint32_t nblocks, std::vector<std::byte>* out) {
-  out->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
-              std::byte{0});
+                    std::uint32_t nblocks, std::vector<std::byte>* out,
+                    std::byte fill = std::byte{0}) {
+  out->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(), fill);
   co_await eng->read(client, lba, nblocks, *out);
 }
 
@@ -245,13 +247,15 @@ TEST(CacheCoherence, WriteInvalidatesRemoteReplicas) {
 
 // ------------------------------------- racing-writer coherence property --
 
-enum class Kind { kRaid0, kRaid5, kRaidX };
+enum class Kind { kRaid0, kRaid5, kRaid10, kRaidX };
 
 std::unique_ptr<raid::ArrayController> make_engine(
     Kind kind, cdd::CddFabric& fabric, raid::EngineParams params = {}) {
   switch (kind) {
     case Kind::kRaid0:
       return std::make_unique<raid::Raid0Controller>(fabric, params);
+    case Kind::kRaid10:
+      return std::make_unique<raid::Raid10Controller>(fabric, params);
     case Kind::kRaid5:
       return std::make_unique<raid::Raid5Controller>(fabric, params);
     case Kind::kRaidX:
@@ -377,6 +381,114 @@ INSTANTIATE_TEST_SUITE_P(
         RaceParam{Kind::kRaid5, WritePolicy::kWriteBack, 64, true, true},
         RaceParam{Kind::kRaidX, WritePolicy::kWriteBack, 64, true, true},
         RaceParam{Kind::kRaidX, WritePolicy::kWriteThrough, 64, true, true}));
+
+// ------------------------------------------------- one buffer per block --
+
+// A written block is stored once: the writer's cache entry, the data copy
+// and every mirror copy are the same immutable payload, whether the write
+// went through or was absorbed and flushed later.  RAID-5 parity is new
+// bytes, so it is its own buffer.
+using ShareParam = std::tuple<Kind, WritePolicy>;
+
+class CacheSharing : public ::testing::TestWithParam<ShareParam> {};
+
+TEST_P(CacheSharing, EntryAndEveryDiskCopyShareOneBuffer) {
+  const auto [kind, policy] = GetParam();
+  CacheRig cr(cache_params(policy));
+  auto eng = make_engine(kind, cr.rig.fabric);
+  eng->attach_cache(&cr.cache);
+  const std::uint32_t bs = eng->block_bytes();
+  const std::uint64_t lba = 5;
+  const std::vector<std::byte> want = pattern_block(lba, bs, /*salt=*/11);
+
+  cr.rig.run(do_write(eng.get(), 1, lba, 1, /*salt=*/11));
+  if (policy == WritePolicy::kWriteBack) cr.rig.run(eng->flush_cache());
+  ASSERT_EQ(cr.cache.dirty_blocks(1), 0u);
+
+  const block::Payload* entry = cr.cache.cache(1).peek(lba);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_FALSE(entry->is_zeros());
+  EXPECT_TRUE(std::ranges::equal(entry->bytes(), want));
+  const std::byte* buffer = entry->bytes().data();
+
+  std::vector<block::PhysBlock> copies{eng->layout().data_location(lba)};
+  for (const block::PhysBlock& m : eng->layout().mirror_locations(lba)) {
+    copies.push_back(m);
+  }
+  EXPECT_EQ(copies.size(), kind == Kind::kRaid5 ? 1u : 2u);
+  for (const block::PhysBlock& pb : copies) {
+    const block::Payload stored =
+        cr.rig.cluster.disk(pb.disk).read_payload(pb.offset, 1);
+    ASSERT_FALSE(stored.is_zeros()) << "disk " << pb.disk;
+    EXPECT_TRUE(std::ranges::equal(stored.bytes(), want))
+        << "disk " << pb.disk;
+    EXPECT_EQ(stored.bytes().data(), buffer) << "disk " << pb.disk;
+  }
+  if (kind == Kind::kRaid5) {
+    const auto& r5 = static_cast<const raid::Raid5Controller&>(*eng).raid5();
+    const block::PhysBlock pp = r5.parity_location(r5.stripe_of(lba));
+    const block::Payload parity =
+        cr.rig.cluster.disk(pp.disk).read_payload(pp.offset, 1);
+    ASSERT_FALSE(parity.is_zeros());
+    EXPECT_NE(parity.bytes().data(), buffer);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, CacheSharing,
+    ::testing::Combine(::testing::Values(Kind::kRaidX, Kind::kRaid10,
+                                         Kind::kRaid5),
+                       ::testing::Values(WritePolicy::kWriteThrough,
+                                         WritePolicy::kWriteBack)));
+
+sim::Task<> do_write_zeros(raid::ArrayController* eng, int client,
+                           std::uint64_t lba) {
+  co_await eng->write(client, lba, block::Payload::zeros(eng->block_bytes()));
+}
+
+// A pure-timing world (no stored bytes) moves zero-runs; the cache keeps
+// them as zero-runs, and every path out of it still reads as zeros.
+TEST(CachePureTiming, EntriesStayZeroRuns) {
+  cluster::ClusterParams clp = test::small_cluster();
+  clp.disk.store_data = false;
+  CacheRig cr(cache_params(WritePolicy::kWriteBack), clp);
+  raid::RaidxController eng(cr.rig.fabric);
+  eng.attach_cache(&cr.cache);
+  const std::uint32_t bs = eng.block_bytes();
+  const std::uint64_t lba = 5;
+  const std::vector<std::byte> zeros(bs, std::byte{0});
+  auto zero_run_at = [&](int node) {
+    const block::Payload* e = cr.cache.cache(node).peek(lba);
+    return e != nullptr && e->is_zeros();
+  };
+
+  cr.rig.run(do_write_zeros(&eng, 1, lba));
+  ASSERT_TRUE(cr.cache.cache(1).dirty(lba));
+  EXPECT_TRUE(zero_run_at(1));
+
+  std::vector<std::byte> got;
+  cr.rig.run(do_read(&eng, 1, lba, 1, &got, std::byte{0xAA}));  // local hit
+  EXPECT_EQ(cr.cache.stats().hits, 1u);
+  EXPECT_EQ(got, zeros);
+
+  cr.rig.run(do_read(&eng, 2, lba, 1, &got, std::byte{0xAA}));  // dirty peer
+  EXPECT_EQ(cr.cache.stats().peer_hits, 1u);
+  EXPECT_EQ(got, zeros);
+  EXPECT_TRUE(zero_run_at(2));
+
+  const auto snap = cr.cache.resnapshot(1, lba);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_TRUE(snap->data.is_zeros());
+  cr.rig.run(eng.flush_cache());
+  EXPECT_EQ(cr.cache.stats().flushes, 1u);
+  EXPECT_EQ(cr.cache.dirty_blocks(1), 0u);
+  EXPECT_TRUE(zero_run_at(1));
+
+  for (int n = 0; n < cr.rig.cluster.num_nodes(); ++n) cr.cache.drop_node(n);
+  cr.rig.run(do_read(&eng, 3, lba, 1, &got, std::byte{0xAA}));  // from disk
+  EXPECT_EQ(cr.cache.stats().misses, 1u);
+  EXPECT_EQ(got, zeros);
+}
 
 // ------------------------------------------------------- degraded mode --
 
