@@ -141,7 +141,10 @@ void JsonWriter::add_raw(const std::string& key, std::string json) {
 }
 
 void JsonWriter::add(const std::string& key, const std::string& v) {
-  fields_.emplace_back(key, "\"" + json_escape(v) + "\"");
+  std::string quoted = "\"";
+  quoted += json_escape(v);
+  quoted += '"';
+  fields_.emplace_back(key, std::move(quoted));
 }
 
 void JsonWriter::add(const std::string& key, bool v) {
@@ -152,7 +155,10 @@ std::string JsonWriter::str() const {
   std::string out = "{";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i) out += ", ";
-    out += "\"" + json_escape(fields_[i].first) + "\": " + fields_[i].second;
+    out += '"';
+    out += json_escape(fields_[i].first);
+    out += "\": ";
+    out += fields_[i].second;
   }
   out += "}";
   return out;

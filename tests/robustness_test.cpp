@@ -245,7 +245,9 @@ INSTANTIATE_TEST_SUITE_P(Windows, WindowSweep,
                          ::testing::Values(WindowCase{1}, WindowCase{2},
                                            WindowCase{4}, WindowCase{8}),
                          [](const auto& info) {
-                           return "w" + std::to_string(info.param.window);
+                           std::string name = "w";
+                           name += std::to_string(info.param.window);
+                           return name;
                          });
 
 TEST_P(WindowSweep, RoundTripsHoldAtEveryWindow) {
