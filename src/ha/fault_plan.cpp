@@ -10,6 +10,7 @@
 #include "integrity/integrity.hpp"
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
+#include "sim/spec.hpp"
 
 namespace raidx::ha {
 
@@ -21,62 +22,6 @@ namespace {
 [[noreturn]] void bad_clause(const std::string& clause,
                              const std::string& why) {
   throw std::invalid_argument("bad fault clause '" + clause + "': " + why);
-}
-
-/// "2.5s" / "150ms" / "40us" / "7ns" -> nanoseconds.
-sim::Time parse_time(const std::string& s, const std::string& clause) {
-  std::size_t pos = 0;
-  double v = 0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    bad_clause(clause, "unparseable time '" + s + "'");
-  }
-  const std::string unit = s.substr(pos);
-  if (unit == "s") return sim::seconds(v);
-  if (unit == "ms") return sim::milliseconds(v);
-  if (unit == "us") return sim::microseconds(v);
-  if (unit == "ns") return static_cast<sim::Time>(v);
-  bad_clause(clause, "unknown time unit '" + unit + "' (use s|ms|us|ns)");
-}
-
-/// Split "a=1,b=2s" into key/value pairs.
-std::vector<std::pair<std::string, std::string>> parse_kv(
-    const std::string& body, const std::string& clause) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t start = 0;
-  while (start <= body.size()) {
-    std::size_t end = body.find(',', start);
-    if (end == std::string::npos) end = body.size();
-    const std::string item = body.substr(start, end - start);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        bad_clause(clause, "expected key=value in '" + item + "'");
-      }
-      out.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    }
-    start = end + 1;
-  }
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& s, const std::string& what,
-                        const std::string& clause) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    bad_clause(clause, "unparseable " + what + " '" + s + "'");
-  }
-}
-
-double parse_double(const std::string& s, const std::string& what,
-                    const std::string& clause) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    bad_clause(clause, "unparseable " + what + " '" + s + "'");
-  }
 }
 
 /// WAN site/link events are only meaningful against a federation; the
@@ -104,14 +49,11 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
     std::string clause;
   };
   std::vector<SiteToggle> toggles;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    std::size_t end = spec.find(';', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(start, end - start);
-    start = end + 1;
-    if (item.empty()) continue;
-
+  for (const std::string_view clause : sim::split_items(spec, ';')) {
+    const std::string item(clause);
+    // Errors cite the whole event, and within it the key=value clause.
+    const std::string where = "bad fault clause '" + item + "'";
+    const std::string event = where + ":";
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos) {
       bad_clause(item, "missing ':'");
@@ -119,73 +61,59 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
     const std::string verb = item.substr(0, colon);
     std::string body = item.substr(colon + 1);
 
-    if (verb == "rand") {
+    if (verb == "rand" || verb == "rot") {
+      const bool rot = verb == "rot";
+      if (rot && blocks_per_disk == 0) {
+        bad_clause(item, "corruption needs a disk geometry to draw from");
+      }
       std::uint64_t seed = 1;
-      int faults = 1;
+      int count = 1;
       sim::Time window = sim::seconds(1);
       sim::Time heal = 0;
-      for (const auto& [k, v] : parse_kv(body, item)) {
-        if (k == "seed") {
-          seed = parse_u64(v, "seed", item);
-        } else if (k == "faults") {
-          faults = static_cast<int>(parse_u64(v, "fault count", item));
-        } else if (k == "window") {
-          window = parse_time(v, item);
-        } else if (k == "heal") {
-          heal = parse_time(v, item);
+      for (const sim::Clause& c : sim::parse_clauses(body, ',', event)) {
+        if (c.key == "seed") {
+          seed = c.number<std::uint64_t>();
+        } else if (c.key == (rot ? "errors" : "faults")) {
+          count = c.number(0);
+        } else if (c.key == "window") {
+          window = c.duration();
+        } else if (!rot && c.key == "heal") {
+          heal = c.duration();
         } else {
-          bad_clause(item, "unknown rand key '" + k + "'");
+          bad_clause(item, "unknown " + verb + " key '" + std::string(c.key) +
+                               "'");
         }
       }
-      FaultPlan r = random_plan(seed, total_disks, faults, window, heal);
+      const FaultPlan r =
+          rot ? random_rot(seed, total_disks, blocks_per_disk, count, window)
+              : random_plan(seed, total_disks, count, window, heal);
       for (const FaultEvent& ev : r.events_) plan.events_.push_back(ev);
       continue;
     }
 
-    if (verb == "rot") {
-      if (blocks_per_disk == 0) {
-        bad_clause(item, "corruption needs a disk geometry to draw from");
-      }
-      std::uint64_t seed = 1;
-      int errors = 1;
-      sim::Time window = sim::seconds(1);
-      for (const auto& [k, v] : parse_kv(body, item)) {
-        if (k == "seed") {
-          seed = parse_u64(v, "seed", item);
-        } else if (k == "errors") {
-          errors = static_cast<int>(parse_u64(v, "error count", item));
-        } else if (k == "window") {
-          window = parse_time(v, item);
-        } else {
-          bad_clause(item, "unknown rot key '" + k + "'");
-        }
-      }
-      FaultPlan r =
-          random_rot(seed, total_disks, blocks_per_disk, errors, window);
-      for (const FaultEvent& ev : r.events_) plan.events_.push_back(ev);
-      continue;
-    }
+    // Every other verb is verb:body@time.
+    const std::size_t at = body.find('@');
+    if (at == std::string::npos) bad_clause(item, "missing '@time'");
+    FaultEvent ev;
+    ev.at = sim::parse_duration(std::string_view(body).substr(at + 1), where);
+    body.resize(at);
 
     if (verb == "corrupt") {
       if (blocks_per_disk == 0) {
         bad_clause(item, "corruption needs a disk geometry to draw from");
       }
-      const std::size_t at = body.find('@');
-      if (at == std::string::npos) bad_clause(item, "missing '@time'");
-      FaultEvent ev;
       ev.kind = FaultEvent::Kind::kCorruptBlock;
-      ev.at = parse_time(body.substr(at + 1), item);
       bool have_disk = false;
       bool have_block = false;
-      for (const auto& [k, v] : parse_kv(body.substr(0, at), item)) {
-        if (k == "disk") {
-          ev.target = static_cast<int>(parse_u64(v, "disk", item));
+      for (const sim::Clause& c : sim::parse_clauses(body, ',', event)) {
+        if (c.key == "disk") {
+          ev.target = c.number<int>();
           have_disk = true;
-        } else if (k == "block") {
-          ev.block = parse_u64(v, "block", item);
+        } else if (c.key == "block") {
+          ev.block = c.number<std::uint64_t>();
           have_block = true;
         } else {
-          bad_clause(item, "unknown corrupt key '" + k + "'");
+          bad_clause(item, "unknown corrupt key '" + std::string(c.key) + "'");
         }
       }
       if (!have_disk || !have_block) {
@@ -206,22 +134,19 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
 
     if (verb == "brownout") {
       require_federation(sites, item);
-      const std::size_t at = body.find('@');
-      if (at == std::string::npos) bad_clause(item, "missing '@time'");
-      FaultEvent ev;
       ev.kind = FaultEvent::Kind::kBrownoutLink;
-      ev.at = parse_time(body.substr(at + 1), item);
       bool have_link = false;
       bool have_bw = false;
-      for (const auto& [k, v] : parse_kv(body.substr(0, at), item)) {
-        if (k == "link") {
-          ev.target = static_cast<int>(parse_u64(v, "link", item));
+      for (const sim::Clause& c : sim::parse_clauses(body, ',', event)) {
+        if (c.key == "link") {
+          ev.target = c.number<int>();
           have_link = true;
-        } else if (k == "bw") {
-          ev.mbs = parse_double(v, "bandwidth", item);
+        } else if (c.key == "bw") {
+          ev.mbs = c.number<double>();
           have_bw = true;
         } else {
-          bad_clause(item, "unknown brownout key '" + k + "'");
+          bad_clause(item, "unknown brownout key '" + std::string(c.key) +
+                               "'");
         }
       }
       if (!have_link || !have_bw) {
@@ -237,33 +162,18 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
       continue;
     }
 
-    // verb:target@time
-    const std::size_t at = body.find('@');
-    if (at == std::string::npos) bad_clause(item, "missing '@time'");
-    const sim::Time when = parse_time(body.substr(at + 1), item);
-    body = body.substr(0, at);
+    // verb:kind=target@time
     const std::size_t eq = body.find('=');
     if (eq == std::string::npos) {
       bad_clause(item, "expected disk=N or node=N");
     }
     const std::string kind = body.substr(0, eq);
-    int target = 0;
-    try {
-      target = std::stoi(body.substr(eq + 1));
-    } catch (const std::exception&) {
-      bad_clause(item, "unparseable target");
-    }
-
-    FaultEvent ev;
+    const int target =
+        sim::parse_number<int>(std::string_view(body).substr(eq + 1), where);
     ev.target = target;
-    ev.at = when;
-    if (verb == "fail" && kind == "disk") {
-      ev.kind = FaultEvent::Kind::kFailDisk;
-      if (target < 0 || target >= total_disks) {
-        bad_clause(item, "disk " + std::to_string(target) + " out of range");
-      }
-    } else if (verb == "heal" && kind == "disk") {
-      ev.kind = FaultEvent::Kind::kHealDisk;
+    if (kind == "disk" && (verb == "fail" || verb == "heal")) {
+      ev.kind = verb == "fail" ? FaultEvent::Kind::kFailDisk
+                               : FaultEvent::Kind::kHealDisk;
       if (target < 0 || target >= total_disks) {
         bad_clause(item, "disk " + std::to_string(target) + " out of range");
       }
@@ -271,24 +181,17 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
       ev.kind = FaultEvent::Kind::kPartitionNode;
     } else if (verb == "join" && kind == "node") {
       ev.kind = FaultEvent::Kind::kJoinNode;
-    } else if (verb == "partition" && kind == "site") {
+    } else if (kind == "site" && (verb == "partition" || verb == "heal")) {
       require_federation(sites, item);
-      ev.kind = FaultEvent::Kind::kPartitionSite;
+      const bool partition = verb == "partition";
+      ev.kind = partition ? FaultEvent::Kind::kPartitionSite
+                          : FaultEvent::Kind::kHealSite;
       if (target < 0 || target >= sites) {
         bad_clause(item, "site " + std::to_string(target) +
                              " out of range (federation has " +
                              std::to_string(sites) + " sites)");
       }
-      toggles.push_back(SiteToggle{when, true, target, item});
-    } else if (verb == "heal" && kind == "site") {
-      require_federation(sites, item);
-      ev.kind = FaultEvent::Kind::kHealSite;
-      if (target < 0 || target >= sites) {
-        bad_clause(item, "site " + std::to_string(target) +
-                             " out of range (federation has " +
-                             std::to_string(sites) + " sites)");
-      }
-      toggles.push_back(SiteToggle{when, false, target, item});
+      toggles.push_back(SiteToggle{ev.at, partition, target, item});
     } else if (verb == "heal" && kind == "link") {
       require_federation(sites, item);
       ev.kind = FaultEvent::Kind::kHealLink;

@@ -7,7 +7,8 @@
 // the exact same faults at the exact same simulated times, so chaos
 // results are reproducible and bisectable.
 //
-// Spec grammar (events separated by ';', times as FLOAT + s|ms|us|ns):
+// Spec grammar (events separated by ';', times as an unsigned number and a
+// required unit s|ms|us|ns; every value parses through sim/spec.hpp):
 //   fail:disk=3@2s        kill disk 3 at t=2s
 //   heal:disk=3@8s        operator services slot 3 at t=8s
 //   part:node=1@1s        partition node 1 off the network at t=1s

@@ -14,11 +14,13 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache_fabric.hpp"
@@ -32,6 +34,7 @@
 #include "load/qos.hpp"
 #include "nfs/nfs.hpp"
 #include "obs/obs.hpp"
+#include "sim/spec.hpp"
 #include "sim/stats.hpp"
 #include "wan/federation.hpp"
 #include "workload/andrew.hpp"
@@ -81,7 +84,7 @@ namespace {
       "  --disks K          disks per node (default 1)\n"
       "  --clients C        parallel clients (default 8)\n"
       "  --op read|write    operation (default read)\n"
-      "  --bytes SZ         bytes per op, accepts K/M suffix (default 64M)\n"
+      "  --bytes SZ         bytes per op, whole blocks (default 64M)\n"
       "  --ops N            ops per client (default 1)\n"
       "  --scattered        scatter ops over the client region\n"
       "  --block SZ         stripe unit (default 32K)\n"
@@ -190,30 +193,42 @@ namespace {
       "table\n"
       "                     after the run.  key=value pairs:\n"
       "                       interval=250ms samples=240 out=FILE (JSON)\n"
+      "                     (samples in [2, 1048576])\n"
       "  --metrics FILE     write the metrics-registry snapshot as JSON\n"
       "                     (with --slo the file becomes "
       "{\"metrics\":...,\"events\":[...]})\n"
       "  --verbose          per-client and per-resource detail\n"
-      "Flags also accept --flag=value form.\n",
+      "Sizes (SZ) take an optional K, M or G suffix.  Durations need a unit,\n"
+      "ns|us|ms|s: a bare number such as target=50 is an error.  Flags also\n"
+      "accept --flag=value form.  A malformed value exits 2, citing it.\n",
       argv0);
   std::exit(2);
 }
 
-std::uint64_t parse_size(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  std::uint64_t mult = 1;
-  if (end && *end) {
-    switch (*end) {
-      case 'k': case 'K': mult = 1024; break;
-      case 'm': case 'M': mult = 1024 * 1024; break;
-      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-      default:
-        std::fprintf(stderr, "bad size suffix: %s\n", s.c_str());
-        std::exit(2);
-    }
+/// Throw the message as std::invalid_argument; main prints it after
+/// "argv0: " and exits 2.
+[[gnu::format(printf, 1, 2)]] [[noreturn]] void reject(const char* fmt, ...) {
+  va_list args;
+  va_list size_args;
+  va_start(args, fmt);
+  va_copy(size_args, args);
+  std::string msg(
+      static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, size_args)),
+      '\0');
+  va_end(size_args);
+  std::vsnprintf(msg.data(), msg.size() + 1, fmt, args);
+  va_end(args);
+  throw std::invalid_argument(msg);
+}
+
+/// A number that must be > 0, and at most `max`.
+double positive(std::string_view text, std::string_view where,
+                double max = std::numeric_limits<double>::max()) {
+  const double v = sim::parse_number(text, where, 0.0, max);
+  if (v == 0.0) {
+    sim::spec_error(where, std::string(1, '\'').append(text) + "' must be > 0");
   }
-  return static_cast<std::uint64_t>(v * static_cast<double>(mult));
+  return v;
 }
 
 /// Parsed --open-loop spec: every tenant gets the same shape; the QoS keys
@@ -229,86 +244,40 @@ struct OpenLoopCli {
   double remote = 0.0;  // cross-shard fraction (needs --shards > 1)
 };
 
-OpenLoopCli parse_open_loop_spec(const char* argv0, const std::string& spec) {
+OpenLoopCli parse_open_loop_spec(std::string_view spec) {
+  constexpr double kMaxS = sim::kMaxSpanSeconds;
   OpenLoopCli cli;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: --open-loop clause '%s' is not key=value\n",
-                   argv0, kv.c_str());
-      std::exit(2);
+  load::TenantLoad& s = cli.shape;
+  for (const sim::Clause& c : sim::parse_clauses(spec, ',', "--open-loop")) {
+    if (c.key == "rate") s.rate_ops = positive(c.value, c.where);
+    else if (c.key == "dist") {
+      s.dist = c.choice<load::ArrivalDist>(
+          {{"poisson", load::ArrivalDist::kPoisson},
+           {"burst", load::ArrivalDist::kBurst}});
     }
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "rate") cli.shape.rate_ops = std::atof(val.c_str());
-    else if (key == "dist") {
-      if (val == "poisson") cli.shape.dist = load::ArrivalDist::kPoisson;
-      else if (val == "burst") cli.shape.dist = load::ArrivalDist::kBurst;
-      else {
-        std::fprintf(stderr, "%s: --open-loop dist=%s (poisson|burst)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
+    else if (c.key == "zipf") s.zipf_alpha = c.number(0.0);
+    else if (c.key == "tenants") cli.tenants = c.number(1);
+    else if (c.key == "sessions") s.sessions = c.number(1);
+    else if (c.key == "duration") {
+      cli.duration_s = positive(c.value, c.where, kMaxS);
     }
-    else if (key == "zipf") cli.shape.zipf_alpha = std::atof(val.c_str());
-    else if (key == "tenants") cli.tenants = std::atoi(val.c_str());
-    else if (key == "sessions") cli.shape.sessions = std::atoi(val.c_str());
-    else if (key == "duration") cli.duration_s = std::atof(val.c_str());
-    else if (key == "write") cli.shape.write_fraction = std::atof(val.c_str());
-    else if (key == "req-blocks") {
-      cli.shape.blocks_per_op =
-          static_cast<std::uint32_t>(std::atoi(val.c_str()));
+    else if (c.key == "write") s.write_fraction = c.number(0.0, 1.0);
+    else if (c.key == "req-blocks") s.blocks_per_op = c.number(1u);
+    else if (c.key == "ws") s.working_set_blocks = c.number<std::uint64_t>();
+    else if (c.key == "qos-mbs") cli.qos_mbs = c.number(0.0);
+    else if (c.key == "qos-burst") cli.qos_burst_mb = c.number(0.0);
+    else if (c.key == "qos-policy") {
+      cli.policy = c.choice<load::AdmitPolicy>(
+          {{"reject", load::AdmitPolicy::kReject},
+           {"queue", load::AdmitPolicy::kQueue},
+           {"shed", load::AdmitPolicy::kShed}});
     }
-    else if (key == "ws") {
-      cli.shape.working_set_blocks =
-          static_cast<std::uint64_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "qos-mbs") cli.qos_mbs = std::atof(val.c_str());
-    else if (key == "qos-burst") cli.qos_burst_mb = std::atof(val.c_str());
-    else if (key == "qos-policy") {
-      if (val == "reject") cli.policy = load::AdmitPolicy::kReject;
-      else if (val == "queue") cli.policy = load::AdmitPolicy::kQueue;
-      else if (val == "shed") cli.policy = load::AdmitPolicy::kShed;
-      else {
-        std::fprintf(stderr,
-                     "%s: --open-loop qos-policy=%s (reject|queue|shed)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
-    }
-    else if (key == "burst-on") cli.shape.burst_on_s = std::atof(val.c_str());
-    else if (key == "burst-off") cli.shape.burst_off_s = std::atof(val.c_str());
-    else if (key == "burst-mult") cli.shape.burst_mult = std::atof(val.c_str());
-    else if (key == "cap") {
-      cli.cap = static_cast<std::size_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "remote") cli.remote = std::atof(val.c_str());
-    else {
-      std::fprintf(stderr, "%s: --open-loop has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
-  }
-  if (cli.tenants < 1 || cli.shape.rate_ops <= 0.0 ||
-      cli.shape.sessions < 1 || cli.duration_s <= 0.0 ||
-      cli.shape.blocks_per_op < 1 || cli.shape.zipf_alpha < 0.0 ||
-      cli.shape.write_fraction < 0.0 || cli.shape.write_fraction > 1.0) {
-    std::fprintf(stderr,
-                 "%s: --open-loop needs tenants/rate/sessions/duration/"
-                 "req-blocks > 0, zipf >= 0, write in [0,1]\n",
-                 argv0);
-    std::exit(2);
-  }
-  if (cli.remote < 0.0 || cli.remote > 1.0) {
-    std::fprintf(stderr, "%s: --open-loop remote=F needs F in [0,1]\n",
-                 argv0);
-    std::exit(2);
+    else if (c.key == "burst-on") s.burst_on_s = c.number(0.0, kMaxS);
+    else if (c.key == "burst-off") s.burst_off_s = c.number(0.0, kMaxS);
+    else if (c.key == "burst-mult") s.burst_mult = c.number(0.0);
+    else if (c.key == "cap") cli.cap = c.number<std::size_t>();
+    else if (c.key == "remote") cli.remote = c.number(0.0, 1.0);
+    else c.unknown_key();
   }
   return cli;
 }
@@ -322,204 +291,87 @@ struct DiskTypeCli {
 };
 
 /// "hdd", "ssd", "hybrid", optionally ':key=val,...' (ssd/hybrid only).
-/// A malformed clause cites itself verbatim and exits 2, same convention
-/// as --faults and --open-loop.
-DiskTypeCli parse_disk_type_spec(const char* argv0, const std::string& spec) {
+DiskTypeCli parse_disk_type_spec(std::string_view spec) {
   DiskTypeCli cli;
   const std::size_t colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  if (kind == "hdd") cli.kind = DiskTypeCli::Kind::kHdd;
-  else if (kind == "ssd") cli.kind = DiskTypeCli::Kind::kSsd;
-  else if (kind == "hybrid") cli.kind = DiskTypeCli::Kind::kHybrid;
-  else {
-    std::fprintf(stderr, "%s: --disk-type %s (hdd|ssd|hybrid)\n", argv0,
-                 kind.c_str());
-    std::exit(2);
-  }
-  if (colon == std::string::npos) return cli;
+  cli.kind = sim::parse_choice<DiskTypeCli::Kind>(
+      spec.substr(0, colon), "--disk-type",
+      {{"hdd", DiskTypeCli::Kind::kHdd},
+       {"ssd", DiskTypeCli::Kind::kSsd},
+       {"hybrid", DiskTypeCli::Kind::kHybrid}});
+  if (colon == std::string_view::npos) return cli;
+  const std::string_view tail = spec.substr(colon + 1);
   if (cli.kind == DiskTypeCli::Kind::kHdd) {
-    std::fprintf(stderr,
-                 "%s: --disk-type hdd takes no tuning spec ('%s' tunes the "
-                 "flash model; use ssd:... or hybrid:...)\n",
-                 argv0, spec.substr(colon + 1).c_str());
-    std::exit(2);
+    reject("--disk-type hdd takes no tuning spec ('%.*s' tunes the flash "
+           "model; use ssd:... or hybrid:...)",
+           static_cast<int>(tail.size()), tail.data());
   }
-  const std::string tail = spec.substr(colon + 1);
-  std::size_t pos = 0;
-  while (pos < tail.size()) {
-    std::size_t comma = tail.find(',', pos);
-    if (comma == std::string::npos) comma = tail.size();
-    const std::string kv = tail.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: --disk-type clause '%s' is not key=value\n",
-                   argv0, kv.c_str());
-      std::exit(2);
-    }
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "op") {
-      cli.flash.over_provision = std::atof(val.c_str());
-      if (cli.flash.over_provision < 0.0 ||
-          cli.flash.over_provision >= 1.0) {
-        std::fprintf(stderr,
-                     "%s: --disk-type op=%s needs a fraction in [0,1)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
-    } else if (key == "gc") {
-      if (val == "greedy") cli.flash.gc_policy = flash::GcPolicy::kGreedy;
-      else if (val == "costben") {
-        cli.flash.gc_policy = flash::GcPolicy::kCostBenefit;
-      } else {
-        std::fprintf(stderr, "%s: --disk-type gc=%s (greedy|costben)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
+  for (const sim::Clause& c : sim::parse_clauses(tail, ',', "--disk-type")) {
+    if (c.key == "op") {
+      cli.flash.over_provision = c.number(0.0);
+      if (cli.flash.over_provision >= 1.0) c.fail("needs a fraction in [0, 1)");
+    } else if (c.key == "gc") {
+      cli.flash.gc_policy = c.choice<flash::GcPolicy>(
+          {{"greedy", flash::GcPolicy::kGreedy},
+           {"costben", flash::GcPolicy::kCostBenefit}});
     } else {
-      std::fprintf(stderr, "%s: --disk-type has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
+      c.unknown_key();
     }
   }
   return cli;
 }
 
-/// Shared clause scanner for the telemetry specs (--slo, --watch,
-/// --trace-sample): comma-separated key=value pairs, same grammar as
-/// --open-loop.  A malformed clause cites itself verbatim and exits 2.
-template <typename Fn>
-void for_each_clause(const char* argv0, const char* flag,
-                     const std::string& spec, Fn&& fn) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: %s clause '%s' is not key=value\n", argv0,
-                   flag, kv.c_str());
-      std::exit(2);
-    }
-    fn(kv.substr(0, eq), kv.substr(eq + 1));
-  }
-}
-
-/// "250ms", "0.5s", "800us", or a bare number (milliseconds).
-sim::Time parse_duration(const char* argv0, const char* flag,
-                         const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  double ms = v;
-  if (end != nullptr && *end != '\0') {
-    if (std::strcmp(end, "ms") == 0) ms = v;
-    else if (std::strcmp(end, "s") == 0) ms = v * 1e3;
-    else if (std::strcmp(end, "us") == 0) ms = v / 1e3;
-    else {
-      std::fprintf(stderr, "%s: %s duration '%s' (use us/ms/s)\n", argv0,
-                   flag, val.c_str());
-      std::exit(2);
-    }
-  }
-  if (ms <= 0.0) {
-    std::fprintf(stderr, "%s: %s duration '%s' must be > 0\n", argv0, flag,
-                 val.c_str());
-    std::exit(2);
-  }
-  return sim::milliseconds(ms);
-}
-
-obs::SloConfig parse_slo_spec(const char* argv0, const std::string& spec) {
+obs::SloConfig parse_slo_spec(std::string_view spec) {
   obs::SloConfig cfg;
-  for_each_clause(argv0, "--slo", spec,
-                  [&](const std::string& key, const std::string& val) {
-    if (key == "target") cfg.latency_target = parse_duration(argv0, "--slo", val);
-    else if (key == "objective") cfg.objective = std::atof(val.c_str());
-    else if (key == "window") cfg.window = parse_duration(argv0, "--slo", val);
-    else if (key == "burn") cfg.burn_alert = std::atof(val.c_str());
-    else {
-      std::fprintf(stderr, "%s: --slo has no key '%s'\n", argv0, key.c_str());
-      std::exit(2);
+  for (const sim::Clause& c : sim::parse_clauses(spec, ',', "--slo")) {
+    if (c.key == "target") cfg.latency_target = c.duration(1);
+    else if (c.key == "objective") {
+      cfg.objective = c.number(0.0, 1.0);
+      if (cfg.objective == 0.0 || cfg.objective == 1.0) {
+        c.fail("needs an objective in (0, 1)");
+      }
     }
-  });
-  if (cfg.objective <= 0.0 || cfg.objective >= 1.0 || cfg.burn_alert <= 0.0) {
-    std::fprintf(stderr,
-                 "%s: --slo needs objective in (0,1) and burn > 0\n", argv0);
-    std::exit(2);
+    else if (c.key == "window") cfg.window = c.duration(1);
+    else if (c.key == "burn") cfg.burn_alert = positive(c.value, c.where);
+    else c.unknown_key();
   }
   return cfg;
 }
 
 struct WatchCli {
+  /// The scraper reserves every sample up front.
+  static constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
   sim::Time interval = sim::milliseconds(250);
   std::size_t samples = 240;
   std::string out;
 };
 
-WatchCli parse_watch_spec(const char* argv0, const std::string& spec) {
+WatchCli parse_watch_spec(std::string_view spec) {
   WatchCli cli;
-  for_each_clause(argv0, "--watch", spec,
-                  [&](const std::string& key, const std::string& val) {
-    if (key == "interval") cli.interval = parse_duration(argv0, "--watch", val);
-    else if (key == "samples") {
-      cli.samples = static_cast<std::size_t>(std::atoll(val.c_str()));
+  for (const sim::Clause& c : sim::parse_clauses(spec, ',', "--watch")) {
+    if (c.key == "interval") cli.interval = c.duration(1);
+    else if (c.key == "samples") {
+      cli.samples = c.number<std::size_t>(2, WatchCli::kMaxSamples);
     }
-    else if (key == "out") cli.out = val;
-    else {
-      std::fprintf(stderr, "%s: --watch has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
-  });
-  if (cli.samples < 2) {
-    std::fprintf(stderr, "%s: --watch needs samples >= 2\n", argv0);
-    std::exit(2);
+    else if (c.key == "out") cli.out = c.value;
+    else c.unknown_key();
   }
   return cli;
 }
 
-obs::SampleConfig parse_trace_sample_spec(const char* argv0,
-                                          const std::string& spec) {
+obs::SampleConfig parse_trace_sample_spec(std::string_view spec) {
   obs::SampleConfig cfg;
-  for_each_clause(argv0, "--trace-sample", spec,
-                  [&](const std::string& key, const std::string& val) {
-    if (key == "p") cfg.probability = std::atof(val.c_str());
-    else if (key == "reservoir") {
-      cfg.reservoir = static_cast<std::size_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
-    }
-    else {
-      std::fprintf(stderr, "%s: --trace-sample has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
-  });
-  if (cfg.probability < 0.0 || cfg.probability > 1.0 ||
-      (cfg.probability == 0.0 && cfg.reservoir == 0)) {
-    std::fprintf(stderr,
-                 "%s: --trace-sample needs p in [0,1] and at least one of "
-                 "p > 0 or reservoir > 0\n",
-                 argv0);
-    std::exit(2);
+  for (const sim::Clause& c :
+       sim::parse_clauses(spec, ',', "--trace-sample")) {
+    if (c.key == "p") cfg.probability = c.number(0.0, 1.0);
+    else if (c.key == "reservoir") cfg.reservoir = c.number<std::size_t>();
+    else if (c.key == "seed") cfg.seed = c.number<std::uint64_t>();
+    else c.unknown_key();
+  }
+  if (cfg.probability == 0.0 && cfg.reservoir == 0) {
+    reject("--trace-sample needs at least one of p > 0 or reservoir > 0");
   }
   return cfg;
-}
-
-workload::Arch parse_arch(const std::string& s) {
-  if (s == "raid0") return workload::Arch::kRaid0;
-  if (s == "raid5") return workload::Arch::kRaid5;
-  if (s == "raid10") return workload::Arch::kRaid10;
-  if (s == "raidx") return workload::Arch::kRaidX;
-  if (s == "nfs") return workload::Arch::kNfs;
-  std::fprintf(stderr, "unknown arch: %s\n", s.c_str());
-  std::exit(2);
 }
 
 /// Every flag of one run.  parse_args() fills it, validate() checks every
@@ -576,6 +428,7 @@ struct Scenario {
 };
 
 Scenario parse_args(int argc, char** argv) {
+  constexpr double kMaxMs = sim::kMaxSpanSeconds * 1e3;
   Scenario sc;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -594,59 +447,82 @@ Scenario parse_args(int argc, char** argv) {
     auto next = [&]() -> std::string {
       consumed_value = true;
       if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     a.c_str());
-        std::exit(2);
-      }
+      if (i + 1 >= argc) reject("missing value for %s", a.c_str());
       return argv[++i];
     };
-    if (a == "--arch") sc.arch = parse_arch(next());
-    else if (a == "--nodes") sc.nodes = std::atoi(next().c_str());
-    else if (a == "--shards") sc.shards = std::atoi(next().c_str());
-    else if (a == "--sites") sc.sites = std::atoi(next().c_str());
-    else if (a == "--wan-rtt") { sc.wan_rtt_ms = std::atof(next().c_str()); sc.wan_rtt_set = true; }
-    else if (a == "--wan-bw") { sc.wan_bw = std::atof(next().c_str()); sc.wan_bw_set = true; }
-    else if (a == "--wan-window") { sc.wan_window = parse_size(next()); sc.wan_window_set = true; }
+    // An empty --open-loop, --disk-type or --faults would silently run
+    // without the mode it names.
+    auto spec = [&] {
+      std::string v = next();
+      if (v.empty()) reject("%s needs a spec, not ''", a.c_str());
+      return v;
+    };
+    // A numeric flag: the whole value parses, inside [min, max].
+    auto num = [&]<typename T>(T& field,
+                               T min = std::numeric_limits<T>::lowest(),
+                               T max = std::numeric_limits<T>::max()) {
+      field = sim::parse_number<T>(next(), a, min, max);
+    };
+    if (a == "--arch") {
+      sc.arch = sim::parse_choice<workload::Arch>(
+          next(), a,
+          {{"raid0", workload::Arch::kRaid0},
+           {"raid5", workload::Arch::kRaid5},
+           {"raid10", workload::Arch::kRaid10},
+           {"raidx", workload::Arch::kRaidX},
+           {"nfs", workload::Arch::kNfs}});
+    }
+    else if (a == "--nodes") num(sc.nodes, 2);
+    else if (a == "--shards") num(sc.shards, 1);
+    else if (a == "--sites") num(sc.sites, 1);
+    else if (a == "--wan-rtt") { sc.wan_rtt_ms = positive(next(), a, kMaxMs); sc.wan_rtt_set = true; }
+    else if (a == "--wan-bw") { sc.wan_bw = positive(next(), a); sc.wan_bw_set = true; }
+    else if (a == "--wan-window") { sc.wan_window = sim::parse_size(next(), a, 1); sc.wan_window_set = true; }
     else if (a == "--geo-rep") sc.geo_rep = true;
-    else if (a == "--geo-rep-mbs") { sc.geo_rep_mbs = std::atof(next().c_str()); sc.geo_rep_mbs_set = true; }
-    else if (a == "--threads") sc.threads = std::atoi(next().c_str());
-    else if (a == "--disks") sc.disks = std::atoi(next().c_str());
-    else if (a == "--clients") sc.clients = std::atoi(next().c_str());
-    else if (a == "--op") sc.is_write = (next() == "write");
-    else if (a == "--bytes") sc.bytes = parse_size(next());
-    else if (a == "--ops") sc.ops = std::atoi(next().c_str());
+    else if (a == "--geo-rep-mbs") { num(sc.geo_rep_mbs, 0.0); sc.geo_rep_mbs_set = true; }
+    else if (a == "--threads") num(sc.threads, 0);
+    else if (a == "--disks") num(sc.disks, 1);
+    else if (a == "--clients") num(sc.clients, 1);
+    else if (a == "--op") sc.is_write = sim::parse_choice<bool>(next(), a, {{"read", false}, {"write", true}});
+    else if (a == "--bytes") sc.bytes = sim::parse_size(next(), a, 1);
+    else if (a == "--ops") num(sc.ops, 1);
     else if (a == "--scattered") sc.scattered = true;
-    else if (a == "--block") sc.block = static_cast<std::uint32_t>(parse_size(next()));
-    else if (a == "--fail") sc.fails.push_back(std::atoi(next().c_str()));
-    else if (a == "--disk-type") sc.disk_type_spec = next();
+    else if (a == "--block") {
+      sc.block = static_cast<std::uint32_t>(sim::parse_size(
+          next(), a, 1, std::numeric_limits<std::uint32_t>::max()));
+    }
+    else if (a == "--fail") sc.fails.push_back(sim::parse_number<int>(next(), a));
+    else if (a == "--disk-type") sc.disk_type_spec = spec();
     else if (a == "--no-bg-mirrors") sc.bg_mirrors = false;
     else if (a == "--no-locks") sc.locks = false;
-    else if (a == "--window") sc.window = std::atoi(next().c_str());
-    else if (a == "--cache-mb") {
-      sc.cache_mb = std::atof(next().c_str());
-      if (sc.cache_mb < 0.0) {
-        std::fprintf(stderr, "--cache-mb must be >= 0\n");
-        std::exit(2);
-      }
+    else if (a == "--window") num(sc.window, 1);
+    else if (a == "--cache-mb") num(sc.cache_mb, 0.0);
+    else if (a == "--cache-policy") {
+      sc.cache_policy = sim::parse_choice<std::string_view>(
+          next(), a, {{"none", "none"}, {"wt", "wt"}, {"wb", "wb"}});
     }
-    else if (a == "--cache-policy") sc.cache_policy = next();
-    else if (a == "--cache-evict") sc.cache_evict = next();
+    else if (a == "--cache-evict") {
+      sc.cache_evict = sim::parse_choice<std::string_view>(
+          next(), a, {{"lru", "lru"}, {"2q", "2q"}});
+    }
     else if (a == "--coop-cache") sc.coop_cache = true;
-    else if (a == "--warm") sc.warm = std::atoi(next().c_str());
-    else if (a == "--workload") sc.workload_kind = next();
-    else if (a == "--faults") sc.faults_spec = next();
+    else if (a == "--warm") num(sc.warm, 0);
+    else if (a == "--workload") {
+      sc.workload_kind = sim::parse_choice<std::string_view>(
+          next(), a, {{"io", "io"}, {"andrew", "andrew"}});
+    }
+    else if (a == "--faults") sc.faults_spec = spec();
     else if (a == "--ha") sc.ha_on = true;
     else if (a == "--no-ha") sc.no_ha = true;
-    else if (a == "--spares") sc.spares = std::atoi(next().c_str());
-    else if (a == "--global-spares") sc.global_spares = std::atoi(next().c_str());
-    else if (a == "--rebuild-mbs") sc.rebuild_mbs = std::atof(next().c_str());
-    else if (a == "--timeout-ms") sc.timeout_ms = std::atof(next().c_str());
+    else if (a == "--spares") num(sc.spares, 0);
+    else if (a == "--global-spares") num(sc.global_spares, 0);
+    else if (a == "--rebuild-mbs") num(sc.rebuild_mbs, 0.0);
+    else if (a == "--timeout-ms") num(sc.timeout_ms, 0.0, kMaxMs);
     else if (a == "--verify-reads") sc.verify_reads = true;
-    else if (a == "--scrub-rate") sc.scrub_rate = std::atof(next().c_str());
-    else if (a == "--fail-threshold") sc.fail_threshold = std::atoi(next().c_str());
-    else if (a == "--seed") sc.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    else if (a == "--open-loop") sc.open_loop_spec = next();
+    else if (a == "--scrub-rate") num(sc.scrub_rate, 0.0);
+    else if (a == "--fail-threshold") num(sc.fail_threshold, 0);
+    else if (a == "--seed") num(sc.seed);
+    else if (a == "--open-loop") sc.open_loop_spec = spec();
     else if (a == "--replay") sc.replay_file = next();
     else if (a == "--dump-trace") sc.dump_trace_file = next();
     else if (a == "--trace") sc.trace_out = next();
@@ -659,217 +535,156 @@ Scenario parse_args(int argc, char** argv) {
       std::fprintf(stderr, "%s: unknown option %s\n\n", argv[0], a.c_str());
       usage(argv[0]);
     }
-    if (has_inline && !consumed_value) {
-      std::fprintf(stderr, "%s: %s takes no value\n", argv[0], a.c_str());
-      std::exit(2);
-    }
-  }
-  if (sc.nodes < 2 || sc.disks < 1 || sc.clients < 1 || sc.ops < 1) {
-    usage(argv[0]);
+    if (has_inline && !consumed_value) reject("%s takes no value", a.c_str());
   }
   return sc;
 }
 
-/// Print "argv0: <message>" to stderr; returns exit code 2.
-[[gnu::format(printf, 2, 3)]] int reject(const char* argv0, const char* fmt,
-                                         ...) {
-  std::fprintf(stderr, "%s: ", argv0);
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(stderr, fmt, args);
-  va_end(args);
-  std::fputc('\n', stderr);
-  return 2;
-}
-
 /// Reject every flag combination that would silently do nothing, or that
 /// no world can run, before anything expensive is built; each rejection
-/// states its reason.  Parses the specs into `sc`.  Returns 0 or exit 2.
-int validate(const char* argv0, Scenario& sc) {
+/// states its reason.  Parses the specs into `sc`.
+void validate(Scenario& sc) {
   const bool cache_on = sc.cache_mb > 0.0 && sc.cache_policy != "none";
-  if (sc.warm < 0) return reject(argv0, "--warm must be >= 0");
   if (sc.warm > 0 && !cache_on) {
-    return reject(argv0,
-        "--warm only makes sense with a cache; add --cache-mb (or drop "
-        "--warm)");
+    reject("--warm only makes sense with a cache; add --cache-mb (or drop "
+           "--warm)");
   }
   if (sc.warm > 0 && (sc.open_loop() || !sc.replay_file.empty() ||
                       sc.workload_kind == "andrew")) {
-    return reject(argv0,
-        "--warm runs unmeasured passes of the synthetic parallel I/O "
-        "workload; --open-loop, --replay and --workload andrew have none "
-        "(drop --warm)");
+    reject("--warm runs unmeasured passes of the synthetic parallel I/O "
+           "workload; --open-loop, --replay and --workload andrew have none "
+           "(drop --warm)");
   }
   if (sc.coop_cache && !cache_on) {
-    return reject(argv0, "--coop-cache requires a cache; add --cache-mb");
+    reject("--coop-cache requires a cache; add --cache-mb");
   }
-  if (sc.workload_kind != "io" && sc.workload_kind != "andrew") {
-    return reject(argv0, "unknown workload '%s' (io|andrew)",
-                  sc.workload_kind.c_str());
-  }
-  if (sc.ha_on && sc.no_ha) return reject(argv0, "--ha and --no-ha conflict");
-  if (sc.spares < 0 || sc.global_spares < 0 || sc.rebuild_mbs < 0 ||
-      sc.timeout_ms < 0) {
-    return reject(argv0,
-        "--spares/--global-spares/--rebuild-mbs/--timeout-ms must be >= 0");
-  }
-  if (sc.scrub_rate < 0 || sc.fail_threshold < 0) {
-    return reject(argv0, "--scrub-rate/--fail-threshold must be >= 0");
-  }
+  if (sc.ha_on && sc.no_ha) reject("--ha and --no-ha conflict");
   if (sc.workload_kind == "andrew" && !sc.replay_file.empty()) {
-    return reject(argv0, "--workload andrew and --replay conflict");
+    reject("--workload andrew and --replay conflict");
   }
   if (sc.open_loop() && (sc.workload_kind == "andrew" ||
                          !sc.replay_file.empty() ||
                          !sc.dump_trace_file.empty())) {
-    return reject(argv0,
-        "--open-loop replaces the workload; it conflicts with --workload "
-        "andrew, --replay, and --dump-trace");
+    reject("--open-loop replaces the workload; it conflicts with --workload "
+           "andrew, --replay, and --dump-trace");
+  }
+  // Only the synthetic parallel I/O workload moves --bytes per op.
+  if (!sc.open_loop() && sc.replay_file.empty() &&
+      sc.dump_trace_file.empty() && sc.workload_kind == "io" &&
+      sc.bytes % sc.block != 0) {
+    reject("--bytes %llu is not a whole number of %u-byte blocks (--block)",
+           static_cast<unsigned long long>(sc.bytes), sc.block);
   }
   // Parse the specs before building anything expensive (a bad clause must
   // fail in milliseconds), but only when given.
-  if (sc.open_loop()) sc.olcli = parse_open_loop_spec(argv0, sc.open_loop_spec);
+  if (sc.open_loop()) sc.olcli = parse_open_loop_spec(sc.open_loop_spec);
   if (!sc.disk_type_spec.empty()) {
-    sc.dtcli = parse_disk_type_spec(argv0, sc.disk_type_spec);
+    sc.dtcli = parse_disk_type_spec(sc.disk_type_spec);
   }
   if (sc.dtcli.kind == DiskTypeCli::Kind::kHybrid) {
     if (sc.arch != workload::Arch::kRaid1 &&
         sc.arch != workload::Arch::kRaid10 &&
         sc.arch != workload::Arch::kRaidX) {
-      return reject(argv0,
-          "--disk-type hybrid places primaries on SSD and mirror images on "
-          "HDD; it needs a mirrored layout (--arch raid1|raid10|raidx)");
+      reject("--disk-type hybrid places primaries on SSD and mirror images "
+             "on HDD; it needs a mirrored layout (--arch raid1|raid10|raidx)");
     }
     if (sc.arch != workload::Arch::kRaid1 && sc.disks % 2 != 0) {
-      return reject(argv0,
-          "--disk-type hybrid splits each node's disk rows in half (SSD "
-          "data rows over HDD image rows); --disks %d must be even",
-          sc.disks);
+      reject("--disk-type hybrid splits each node's disk rows in half (SSD "
+             "data rows over HDD image rows); --disks %d must be even",
+             sc.disks);
     }
   }
 
   // Federations: --shards and --sites build S or N identical worlds.
-  if (sc.shards < 1) return reject(argv0, "--shards must be >= 1 (got %d)", sc.shards);
-  if (sc.threads < 0) {
-    return reject(argv0, "--threads must be >= 0 (got %d)", sc.threads);
-  }
   if (sc.threads > 0 && sc.shards == 1) {
-    return reject(argv0,
-        "--threads drives the shard worker pool; it needs --shards > 1");
+    reject("--threads drives the shard worker pool; it needs --shards > 1");
   }
   if (sc.olcli.remote > 0.0 && sc.shards == 1 && sc.sites == 1) {
-    return reject(argv0,
-        "--open-loop remote=%g sends traffic across shards or sites; it "
-        "needs --shards > 1 or --sites > 1",
-        sc.olcli.remote);
+    reject("--open-loop remote=%g sends traffic across shards or sites; it "
+           "needs --shards > 1 or --sites > 1",
+           sc.olcli.remote);
   }
-  if (sc.sites < 1) return reject(argv0, "--sites must be >= 1 (got %d)", sc.sites);
   if (sc.sites == 1 &&
       (sc.wan_rtt_set || sc.wan_bw_set || sc.wan_window_set || sc.geo_rep)) {
-    return reject(argv0,
-        "--wan-rtt/--wan-bw/--wan-window/--geo-rep shape the inter-site "
-        "WAN; they need --sites > 1");
+    reject("--wan-rtt/--wan-bw/--wan-window/--geo-rep shape the inter-site "
+           "WAN; they need --sites > 1");
   }
   if (sc.geo_rep_mbs_set && !sc.geo_rep) {
-    return reject(argv0, "--geo-rep-mbs throttles replication catch-up; add --geo-rep");
+    reject("--geo-rep-mbs throttles replication catch-up; add --geo-rep");
   }
   if (sc.worlds() > 1) {
     const char* flag = sc.shards > 1 ? "--shards" : "--sites";
     if (sc.shards > 1 && sc.sites > 1) {
-      return reject(argv0,
-          "--sites and --shards do not compose yet (sites placed on shards "
-          "are a planned follow-up); pick one");
+      reject("--sites and --shards do not compose yet (sites placed on "
+             "shards are a planned follow-up); pick one");
     }
     if (!sc.open_loop()) {
-      return reject(argv0,
-          "%s %d drives each world with open-loop traffic; add --open-loop "
-          "SPEC (the closed-loop workloads run one world; per-world closed "
-          "loops are a planned follow-up)",
-          flag, sc.worlds());
+      reject("%s %d drives each world with open-loop traffic; add "
+             "--open-loop SPEC (the closed-loop workloads run one world; "
+             "per-world closed loops are a planned follow-up)",
+             flag, sc.worlds());
     }
     if (sc.arch == workload::Arch::kNfs) {
-      return reject(argv0,
-          "%s needs a block engine per world; --arch nfs has one central "
-          "server and cannot federate",
-          flag);
+      reject("%s needs a block engine per world; --arch nfs has one central "
+             "server and cannot federate",
+             flag);
     }
-  }
-  if (sc.sites > 1) {
-    if (sc.wan_rtt_ms <= 0 || sc.wan_bw <= 0 || sc.wan_window == 0) {
-      return reject(argv0, "--wan-rtt/--wan-bw/--wan-window must be > 0");
-    }
-    if (sc.geo_rep_mbs < 0) return reject(argv0, "--geo-rep-mbs must be >= 0");
   }
   if (sc.shards > 1) {
     if (sc.nodes % sc.shards != 0) {
-      return reject(argv0,
-          "--nodes %d is not divisible by --shards %d (every placement "
-          "group must be identical)",
-          sc.nodes, sc.shards);
+      reject("--nodes %d is not divisible by --shards %d (every placement "
+             "group must be identical)",
+             sc.nodes, sc.shards);
     }
     if (sc.nodes / sc.shards < 2) {
-      return reject(argv0,
-          "--nodes %d over --shards %d leaves %d node(s) per group; the "
-          "array geometry needs >= 2",
-          sc.nodes, sc.shards, sc.nodes / sc.shards);
+      reject("--nodes %d over --shards %d leaves %d node(s) per group; the "
+             "array geometry needs >= 2",
+             sc.nodes, sc.shards, sc.nodes / sc.shards);
     }
     if (!sc.trace_out.empty() || sc.trace_sample_on || sc.slo_on ||
         sc.watch_on) {
-      return reject(argv0,
-          "--trace/--trace-sample/--slo/--watch attach to one simulation's "
-          "hub, and every shard has its own; they do not support --shards "
-          "> 1 yet");
+      reject("--trace/--trace-sample/--slo/--watch attach to one "
+             "simulation's hub, and every shard has its own; they do not "
+             "support --shards > 1 yet");
     }
   }
 
   // Telemetry specs: a sampler without a trace file, or an SLO with no
   // open-loop traffic to observe, would silently do nothing.
   if (sc.trace_sample_on && sc.trace_out.empty()) {
-    return reject(argv0, "--trace-sample needs --trace FILE");
+    reject("--trace-sample needs --trace FILE");
   }
   if (sc.slo_on && !sc.open_loop()) {
-    return reject(argv0, "--slo monitors open-loop traffic; add --open-loop");
+    reject("--slo monitors open-loop traffic; add --open-loop");
   }
-  if (sc.slo_on) sc.slo_cfg = parse_slo_spec(argv0, sc.slo_spec);
-  if (sc.watch_on) sc.wcli = parse_watch_spec(argv0, sc.watch_spec);
+  if (sc.slo_on) sc.slo_cfg = parse_slo_spec(sc.slo_spec);
+  if (sc.watch_on) sc.wcli = parse_watch_spec(sc.watch_spec);
   if (sc.trace_sample_on) {
-    sc.ts_cfg = parse_trace_sample_spec(argv0, sc.trace_sample_spec);
+    sc.ts_cfg = parse_trace_sample_spec(sc.trace_sample_spec);
   }
   if (!sc.replay_file.empty() && !sc.dump_trace_file.empty()) {
-    return reject(argv0,
-        "--replay and --dump-trace conflict (replay consumes a trace, "
-        "dump-trace only generates one)");
+    reject("--replay and --dump-trace conflict (replay consumes a trace, "
+           "dump-trace only generates one)");
   }
   // Validate output paths up front so a bad path fails in milliseconds,
   // not after the whole simulation has run.
   for (const std::string* out : {&sc.trace_out, &sc.metrics_out, &sc.wcli.out}) {
     if (out->empty()) continue;
     std::ofstream probe(*out);
-    if (!probe) return reject(argv0, "cannot write %s", out->c_str());
+    if (!probe) reject("cannot write %s", out->c_str());
   }
 
   if (sc.cache_policy == "none") {
     sc.cache.capacity_blocks = 0;
-  } else if (sc.cache_policy == "wt" || sc.cache_policy == "wb") {
+  } else {
     sc.cache.capacity_blocks = static_cast<std::uint64_t>(
         sc.cache_mb * 1024.0 * 1024.0 / static_cast<double>(sc.block));
     sc.cache.write_policy = sc.cache_policy == "wb"
                                 ? cache::WritePolicy::kWriteBack
                                 : cache::WritePolicy::kWriteThrough;
-  } else {
-    std::fprintf(stderr, "unknown cache policy: %s\n",
-                 sc.cache_policy.c_str());
-    return 2;
   }
-  if (sc.cache_evict == "2q") {
-    sc.cache.eviction = cache::EvictionPolicy::k2Q;
-  } else if (sc.cache_evict != "lru") {
-    std::fprintf(stderr, "unknown eviction policy: %s\n",
-                 sc.cache_evict.c_str());
-    return 2;
-  }
+  if (sc.cache_evict == "2q") sc.cache.eviction = cache::EvictionPolicy::k2Q;
   sc.cache.cooperative = sc.coop_cache;
-  return 0;
 }
 
 int dump_trace(const Scenario& sc) {
@@ -1531,7 +1346,7 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
 
 /// Build the run's worlds -- one, S placement groups, or N sites -- arm
 /// them, drive the workload, and print and export once.
-int run(const char* argv0, const Scenario& sc) {
+int run(const Scenario& sc) {
   const int nworlds = sc.worlds();
   const cluster::ClusterParams params = world_cluster(sc);
   const int world_disks = params.geometry.total_disks();
@@ -1542,35 +1357,27 @@ int run(const char* argv0, const Scenario& sc) {
   ha::FaultPlan plan;
   if (!sc.faults_spec.empty()) {
     const int links = sc.sites > 1 ? wan::Federation::mesh_links(sc.sites) : 0;
-    try {
-      plan = ha::FaultPlan::parse(sc.faults_spec, nworlds * world_disks,
-                                  params.geometry.blocks_per_disk,
-                                  sc.sites > 1 ? sc.sites : 0, links);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-      return 2;
-    }
+    plan = ha::FaultPlan::parse(sc.faults_spec, nworlds * world_disks,
+                                params.geometry.blocks_per_disk,
+                                sc.sites > 1 ? sc.sites : 0, links);
     for (const ha::FaultEvent& ev : plan.events()) {
       if (ev.kind == ha::FaultEvent::Kind::kPartitionNode &&
           sc.timeout_ms <= 0) {
-        std::fprintf(stderr,
-                     "%s: part: faults need --timeout-ms, or requests at "
-                     "the partitioned node block forever\n",
-                     argv0);
-        return 2;
+        reject("part: faults need --timeout-ms, or requests at the "
+               "partitioned node block forever");
       }
       if ((ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
            ev.kind == ha::FaultEvent::Kind::kJoinNode) &&
           (ev.target < 0 || ev.target >= nworlds * sc.nodes_per_world())) {
-        std::fprintf(stderr, "%s: no such node: %d\n", argv0, ev.target);
-        return 2;
+        reject("--faults: no such node: %d (the run has %d)", ev.target,
+               nworlds * sc.nodes_per_world());
       }
     }
   }
   for (int f : sc.fails) {
     if (f < 0 || f >= nworlds * world_disks) {
-      std::fprintf(stderr, "no such disk: %d\n", f);
-      return 2;
+      reject("--fail %d: no such disk (the run has %d)", f,
+             nworlds * world_disks);
     }
   }
 
@@ -1614,12 +1421,7 @@ int run(const char* argv0, const Scenario& sc) {
       fp.geo_rep = sc.geo_rep;
       fp.repl.ship_mbs = sc.geo_rep_mbs;
       fp.cluster = params;
-      try {
-        fed = std::make_unique<wan::Federation>(*sim, fp);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-        return 2;
-      }
+      fed = std::make_unique<wan::Federation>(*sim, fp);
       // Per-site working sets are carved from the site's own primary
       // region, so they must fit in region_blocks, not the whole array.
       std::uint64_t need = 0;
@@ -1630,14 +1432,11 @@ int run(const char* argv0, const Scenario& sc) {
         need += slots * sc.olcli.shape.blocks_per_op;
       }
       if (need > fed->region_blocks()) {
-        std::fprintf(
-            stderr,
-            "%s: per-site tenant working sets need %llu blocks but each "
-            "site's primary region holds %llu (shrink --open-loop ws=/"
-            "tenants= or grow the array)\n",
-            argv0, static_cast<unsigned long long>(need),
-            static_cast<unsigned long long>(fed->region_blocks()));
-        return 2;
+        reject("per-site tenant working sets need %llu blocks but each "
+               "site's primary region holds %llu (shrink --open-loop ws=/"
+               "tenants= or grow the array)",
+               static_cast<unsigned long long>(need),
+               static_cast<unsigned long long>(fed->region_blocks()));
       }
       worlds.assign(fed->worlds().begin(), fed->worlds().end());
     } else {
@@ -1786,8 +1585,15 @@ int run(const char* argv0, const Scenario& sc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Scenario sc = parse_args(argc, argv);
-  if (const int rc = validate(argv[0], sc); rc != 0) return rc;
-  if (!sc.dump_trace_file.empty()) return dump_trace(sc);
-  return run(argv[0], sc);
+  // Every malformed flag, spec or combination throws std::invalid_argument
+  // before any world runs; this is the one place that reports it.
+  try {
+    Scenario sc = parse_args(argc, argv);
+    validate(sc);
+    if (!sc.dump_trace_file.empty()) return dump_trace(sc);
+    return run(sc);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }
