@@ -20,10 +20,10 @@ std::vector<std::string> split_path(std::string_view path) {
   return parts;
 }
 
-FileSystem::FileSystem(raid::IoEngine& engine)
+FileSystem::FileSystem(raid::ArrayController& engine)
     : FileSystem(engine, Params{}) {}
 
-FileSystem::FileSystem(raid::IoEngine& engine, Params params)
+FileSystem::FileSystem(raid::ArrayController& engine, Params params)
     : engine_(engine), sim_(engine.simulation()), params_(params) {
   const std::uint32_t bs = engine_.block_bytes();
   const std::uint64_t inode_bytes = 128;

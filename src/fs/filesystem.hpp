@@ -2,9 +2,9 @@
 //
 // The Andrew benchmark (Fig. 6) measures how the underlying storage layout
 // shapes file-system behaviour, so this FS is deliberately simple but
-// issues *real* block traffic through an IoEngine: directory lookups read
-// directory blocks, creates append directory entries and write inode
-// blocks, file reads/writes move data blocks.  Differences between RAID-x,
+// issues *real* block traffic through an ArrayController: directory
+// lookups read directory blocks, creates append directory entries and
+// write inode blocks, file reads/writes move data blocks.  Differences between RAID-x,
 // RAID-5, RAID-10 and NFS then emerge purely from the storage layer, as in
 // the paper.
 //
@@ -72,8 +72,8 @@ class FileSystem {
     std::uint32_t dirent_bytes = 64;
   };
 
-  explicit FileSystem(raid::IoEngine& engine);
-  FileSystem(raid::IoEngine& engine, Params params);
+  explicit FileSystem(raid::ArrayController& engine);
+  FileSystem(raid::ArrayController& engine, Params params);
 
   /// Initialize an empty volume with a root directory (charged I/O).
   sim::Task<> format(int client);
@@ -104,7 +104,7 @@ class FileSystem {
   std::uint32_t block_bytes() const { return engine_.block_bytes(); }
   std::uint64_t blocks_in_use() const { return allocated_; }
   std::uint64_t data_blocks_total() const;
-  raid::IoEngine& engine() { return engine_; }
+  raid::ArrayController& engine() { return engine_; }
 
  private:
   struct Inode {
@@ -138,7 +138,7 @@ class FileSystem {
 
   std::uint64_t inode_table_block(Ino ino) const;
 
-  raid::IoEngine& engine_;
+  raid::ArrayController& engine_;
   sim::Simulation& sim_;
   Params params_;
   std::uint64_t inode_blocks_;

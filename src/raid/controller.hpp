@@ -90,88 +90,60 @@ class WriteObserver {
                                std::uint32_t nblocks) = 0;
 };
 
-/// The block-level API workloads program against: a logical volume
-/// addressed in blocks, usable from any client node.
-class IoEngine {
+/// The block-level API workloads program against -- a logical volume
+/// addressed in blocks, usable from any client node -- and the common
+/// machinery of the layout-backed controllers.
+class ArrayController {
  public:
-  virtual ~IoEngine() = default;
+  ArrayController(cdd::CddFabric& fabric, EngineParams params);
+  virtual ~ArrayController() = default;
+  ArrayController(const ArrayController&) = delete;
+  ArrayController& operator=(const ArrayController&) = delete;
 
-  virtual std::string name() const = 0;
-  virtual std::uint64_t logical_blocks() const = 0;
-  virtual std::uint32_t block_bytes() const = 0;
-
+  std::string name() const { return layout().name(); }
+  std::uint64_t logical_blocks() const { return layout().logical_blocks(); }
+  std::uint32_t block_bytes() const {
+    return fabric_.cluster().geometry().block_bytes;
+  }
   /// The simulation this engine's world lives in (for layers above that
   /// need timers/locks, e.g. the file system).
-  virtual sim::Simulation& simulation() = 0;
+  sim::Simulation& simulation() { return fabric_.cluster().sim(); }
 
   /// Read blocks [lba, lba+nblocks) into `out` (size nblocks*block_bytes),
   /// on behalf of node `client`.  `out` must outlive the task.  `ctx`
   /// links the request into an active trace; an empty context starts a
   /// new root span when tracing is on.
-  virtual sim::Task<> read(int client, std::uint64_t lba,
-                           std::uint32_t nblocks, std::span<std::byte> out,
-                           obs::TraceContext ctx = {}) = 0;
+  sim::Task<> read(int client, std::uint64_t lba, std::uint32_t nblocks,
+                   std::span<std::byte> out, obs::TraceContext ctx = {});
 
   /// Write `data` (whole blocks) at `lba` on behalf of node `client`.
   /// The Payload overload is the real path: slicing it across disks and
   /// mirrors is O(1) and shares storage.  The span overload copies once
   /// into a Payload and forwards.
-  virtual sim::Task<> write(int client, std::uint64_t lba,
-                            block::Payload data,
-                            obs::TraceContext ctx = {}) = 0;
+  sim::Task<> write(int client, std::uint64_t lba, block::Payload data,
+                    obs::TraceContext ctx = {});
   sim::Task<> write(int client, std::uint64_t lba,
                     std::span<const std::byte> data,
                     obs::TraceContext ctx = {}) {
     return write(client, lba, block::Payload::copy(data), ctx);
   }
 
-  /// Attach a cooperative block-cache fabric in front of this engine.
-  /// Engines without a cache path ignore the call; an attached fabric with
-  /// capacity 0 is treated as absent, which keeps the event sequence
-  /// bit-identical to a cacheless build.
-  virtual void attach_cache(cache::CacheFabric*) {}
-  virtual cache::CacheFabric* cache() { return nullptr; }
-
-  /// Hint from the file-system layer: blocks [lo, hi) are metadata and
-  /// should be evicted last.  No-op without an attached cache.
-  virtual void set_cache_pinned_range(std::uint64_t /*lo*/,
-                                      std::uint64_t /*hi*/) {}
-
-  /// Write every dirty cached block back through the redundancy path
-  /// (write-back caches; no-op otherwise).
-  virtual sim::Task<> flush_cache() { co_return; }
-};
-
-/// Common machinery for the four layout-backed controllers.
-class ArrayController : public IoEngine {
- public:
-  ArrayController(cdd::CddFabric& fabric, EngineParams params);
-
-  std::string name() const override { return layout().name(); }
-  std::uint64_t logical_blocks() const override {
-    return layout().logical_blocks();
-  }
-  std::uint32_t block_bytes() const override {
-    return fabric_.cluster().geometry().block_bytes;
-  }
-  sim::Simulation& simulation() override { return fabric_.cluster().sim(); }
-
-  sim::Task<> read(int client, std::uint64_t lba, std::uint32_t nblocks,
-                   std::span<std::byte> out,
-                   obs::TraceContext ctx = {}) override;
-  sim::Task<> write(int client, std::uint64_t lba, block::Payload data,
-                    obs::TraceContext ctx = {}) override;
-  using IoEngine::write;
-
   virtual const Layout& layout() const = 0;
 
   cdd::CddFabric& fabric() { return fabric_; }
   const EngineParams& params() const { return params_; }
 
-  void attach_cache(cache::CacheFabric* cache) override;
-  cache::CacheFabric* cache() override { return cache_; }
-  void set_cache_pinned_range(std::uint64_t lo, std::uint64_t hi) override;
-  sim::Task<> flush_cache() override;
+  /// Attach a cooperative block-cache fabric in front of this engine.  An
+  /// attached fabric with capacity 0 is treated as absent, which keeps the
+  /// event sequence bit-identical to a cacheless build.
+  void attach_cache(cache::CacheFabric* cache);
+  cache::CacheFabric* cache() { return cache_; }
+  /// Hint from the file-system layer: blocks [lo, hi) are metadata and
+  /// should be evicted last.  No-op without an attached cache.
+  void set_cache_pinned_range(std::uint64_t lo, std::uint64_t hi);
+  /// Write every dirty cached block back through the redundancy path
+  /// (write-back caches; no-op otherwise).
+  sim::Task<> flush_cache();
 
   /// Background (deferred) operations currently in flight -- nonzero only
   /// for RAID-x with background mirroring.
@@ -190,7 +162,6 @@ class ArrayController : public IoEngine {
   /// replication apply into mirror regions -- never fires it.  The
   /// observer is borrowed, not owned; null (the default) disables it.
   void set_write_observer(WriteObserver* obs) { write_observer_ = obs; }
-  WriteObserver* write_observer() const { return write_observer_; }
 
   /// Restore a replaced disk's contents from redundancy: sweep the
   /// layout's rebuild rows, each under the lock groups of the blocks it

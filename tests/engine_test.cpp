@@ -20,7 +20,7 @@ using test::pattern_run;
 
 enum class Kind { kRaid0, kRaid5, kRaid10, kRaidX, kNfs };
 
-std::unique_ptr<raid::IoEngine> make_engine(Kind kind, cdd::CddFabric& fabric,
+std::unique_ptr<raid::ArrayController> make_engine(Kind kind, cdd::CddFabric& fabric,
                                             raid::EngineParams params = {}) {
   switch (kind) {
     case Kind::kRaid0:
@@ -37,7 +37,7 @@ std::unique_ptr<raid::IoEngine> make_engine(Kind kind, cdd::CddFabric& fabric,
   return nullptr;
 }
 
-sim::Task<> write_then_read(raid::IoEngine* eng, int writer, int reader,
+sim::Task<> write_then_read(raid::ArrayController* eng, int writer, int reader,
                             std::uint64_t lba, std::uint32_t nblocks,
                             std::vector<std::byte>* got) {
   const auto data = pattern_run(lba, nblocks, eng->block_bytes());
@@ -83,7 +83,7 @@ TEST_P(EngineRoundTrip, OverwriteReplacesContents) {
   auto first = pattern_run(7, 9, bs, /*salt=*/1);
   auto second = pattern_run(7, 9, bs, /*salt=*/2);
   std::vector<std::byte> got(second.size());
-  auto scenario = [](raid::IoEngine* e, std::span<const std::byte> a,
+  auto scenario = [](raid::ArrayController* e, std::span<const std::byte> a,
                      std::span<const std::byte> b,
                      std::span<std::byte> out) -> sim::Task<> {
     co_await e->write(0, 7, a);
@@ -98,7 +98,7 @@ TEST_P(EngineRoundTrip, UnwrittenBlocksReadAsZero) {
   Rig rig(test::small_cluster());
   auto eng = make_engine(GetParam(), rig.fabric);
   std::vector<std::byte> got(eng->block_bytes() * 3, std::byte{0xff});
-  auto scenario = [](raid::IoEngine* e, std::span<std::byte> out)
+  auto scenario = [](raid::ArrayController* e, std::span<std::byte> out)
       -> sim::Task<> { co_await e->read(0, 100, 3, out); };
   rig.run(scenario(eng.get(), got));
   for (std::byte b : got) EXPECT_EQ(b, std::byte{0});
@@ -108,7 +108,7 @@ TEST_P(EngineRoundTrip, ReadBeyondEndThrows) {
   Rig rig(test::small_cluster());
   auto eng = make_engine(GetParam(), rig.fabric);
   std::vector<std::byte> got(eng->block_bytes());
-  auto scenario = [](raid::IoEngine* e, std::span<std::byte> out,
+  auto scenario = [](raid::ArrayController* e, std::span<std::byte> out,
                      bool* threw) -> sim::Task<> {
     try {
       co_await e->read(0, e->logical_blocks(), 1, out);
@@ -164,13 +164,13 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineRoundTrip4x3,
 
 // --- Fault tolerance ------------------------------------------------------
 
-sim::Task<> write_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> write_all(raid::ArrayController* eng, std::uint64_t lba,
                       std::uint32_t nblocks) {
   const auto data = pattern_run(lba, nblocks, eng->block_bytes());
   co_await eng->write(0, lba, data);
 }
 
-sim::Task<> read_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> read_all(raid::ArrayController* eng, std::uint64_t lba,
                      std::uint32_t nblocks, std::vector<std::byte>* got) {
   got->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
               std::byte{0});
@@ -325,7 +325,7 @@ TEST(Rebuild, RaidxRestoresReplacedDisk) {
 
 // --- Concurrency / consistency ---------------------------------------------
 
-sim::Task<> concurrent_writer(raid::IoEngine* eng, int client,
+sim::Task<> concurrent_writer(raid::ArrayController* eng, int client,
                               std::uint64_t lba, std::uint32_t nblocks,
                               std::uint8_t salt) {
   auto data = pattern_run(lba, nblocks, eng->block_bytes(), salt);

@@ -209,13 +209,13 @@ raid::EngineParams hybrid_engine() {
   return ep;
 }
 
-sim::Task<> write_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> write_all(raid::ArrayController* eng, std::uint64_t lba,
                       std::uint32_t nblocks, std::uint8_t salt = 0) {
   const auto data = pattern_run(lba, nblocks, eng->block_bytes(), salt);
   co_await eng->write(0, lba, data);
 }
 
-sim::Task<> read_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> read_all(raid::ArrayController* eng, std::uint64_t lba,
                      std::uint32_t nblocks, std::vector<std::byte>* got,
                      int client = 1) {
   got->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
@@ -301,7 +301,7 @@ TEST(HybridRaid10, DegradedReadAndRebuildOfAnHddMirror) {
       if (m.disk == 6) {
         rig.cluster.disk(lay.data_location(b).disk).fail();
         std::vector<std::byte> one(eng.block_bytes());
-        auto read_one = [](raid::IoEngine* e, std::uint64_t lba,
+        auto read_one = [](raid::ArrayController* e, std::uint64_t lba,
                            std::span<std::byte> out) -> sim::Task<> {
           co_await e->read(3, lba, 1, out);
         };

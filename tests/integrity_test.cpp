@@ -86,13 +86,13 @@ TEST(Crc32c, RandomSliceVsMaterializeOracle) {
 
 // ----------------------------------------------------- repair per layout --
 
-sim::Task<> do_write(raid::IoEngine* eng, int client, std::uint64_t lba,
+sim::Task<> do_write(raid::ArrayController* eng, int client, std::uint64_t lba,
                      std::uint32_t nblocks, std::uint8_t salt) {
   const auto data = test::pattern_run(lba, nblocks, eng->block_bytes(), salt);
   co_await eng->write(client, lba, data);
 }
 
-sim::Task<> do_read(raid::IoEngine* eng, int client, std::uint64_t lba,
+sim::Task<> do_read(raid::ArrayController* eng, int client, std::uint64_t lba,
                     std::uint32_t nblocks, std::vector<std::byte>* out) {
   out->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
               std::byte{0});

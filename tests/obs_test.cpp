@@ -188,7 +188,7 @@ TEST(ObsTimeline, DepthKeepsPerWindowMaximum) {
 // ---------------------------------------------------------------------------
 // End-to-end: a traced RAID-x workload over the full stack.
 
-sim::Task<> small_workload(raid::IoEngine* eng) {
+sim::Task<> small_workload(raid::ArrayController* eng) {
   const auto data = pattern_run(0, 8, eng->block_bytes());
   co_await eng->write(0, 0, data);
   std::vector<std::byte> got(data.size());

@@ -27,7 +27,7 @@ void expect_parity_consistent(Rig& rig, Raid5Controller& eng,
   EXPECT_EQ(acc, parity) << "stripe " << stripe;
 }
 
-sim::Task<> do_write(IoEngine* eng, int client, std::uint64_t lba,
+sim::Task<> do_write(ArrayController* eng, int client, std::uint64_t lba,
                      std::uint32_t nblocks, std::uint8_t salt) {
   const auto data = test::pattern_run(lba, nblocks, eng->block_bytes(), salt);
   co_await eng->write(client, lba, data);

@@ -11,7 +11,7 @@ namespace {
 
 using test::Rig;
 
-sim::Task<> do_write(IoEngine* eng, int client, std::uint64_t lba,
+sim::Task<> do_write(ArrayController* eng, int client, std::uint64_t lba,
                      std::uint32_t nblocks, std::uint8_t salt) {
   const auto data = test::pattern_run(lba, nblocks, eng->block_bytes(), salt);
   co_await eng->write(client, lba, data);

@@ -13,13 +13,13 @@ namespace {
 using test::Rig;
 using test::pattern_run;
 
-sim::Task<> write_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> write_all(raid::ArrayController* eng, std::uint64_t lba,
                       std::uint32_t nblocks, std::uint8_t salt = 0) {
   const auto data = pattern_run(lba, nblocks, eng->block_bytes(), salt);
   co_await eng->write(0, lba, data);
 }
 
-sim::Task<> read_all(raid::IoEngine* eng, std::uint64_t lba,
+sim::Task<> read_all(raid::ArrayController* eng, std::uint64_t lba,
                      std::uint32_t nblocks, std::vector<std::byte>* got,
                      int client = 1) {
   got->assign(static_cast<std::size_t>(nblocks) * eng->block_bytes(),
