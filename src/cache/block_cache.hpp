@@ -100,7 +100,6 @@ class NodeCache {
   bool enabled() const { return capacity_blocks_ > 0; }
   bool over_capacity() const { return entries_.size() > capacity_blocks_; }
   std::uint64_t capacity_blocks() const { return capacity_blocks_; }
-  std::size_t blocks_cached() const { return entries_.size(); }
   std::size_t dirty_blocks() const { return dirty_count_; }
 
  private:

@@ -43,10 +43,11 @@ std::uint64_t checkpoint_stripe_lba(const raid::ArrayController& engine,
   const std::uint64_t width = engine.layout().stripe_width();
   const std::uint64_t per_proc = stripes_needed(engine, config);
 
-  if (config.local_image_placement && is_raidx(engine)) {
-    // Pick stripes whose image node is this process's node: stripe s has
-    // image node n-1-(s mod n), so s = (n-1-node) (mod n).  Processes
-    // sharing a node are spread across disjoint residue-class runs.
+  if (is_raidx(engine)) {
+    // Place each process's stripes so their images land on its own node
+    // (local-mirror recovery).  Stripe s has image node n-1-(s mod n), so
+    // s = (n-1-node) (mod n).  Processes sharing a node are spread across
+    // disjoint residue-class runs.
     const std::uint64_t node = static_cast<std::uint64_t>(proc) % n;
     const std::uint64_t lane = static_cast<std::uint64_t>(proc) / n;
     const std::uint64_t t = lane * per_proc + index;

@@ -39,9 +39,6 @@ struct CheckpointConfig {
   /// Checkpoint rounds, with compute time between them.
   int rounds = 3;
   sim::Time compute_between = sim::seconds(2.0);
-  /// Place each process's stripes so their images land on its own node
-  /// (RAID-x only; enables local-mirror recovery).
-  bool local_image_placement = true;
   std::uint64_t seed = 11;
 };
 

@@ -77,14 +77,8 @@ class Device {
 
   virtual DeviceClass device_class() const = 0;
 
-  /// Nominal sustained transfer rate in MB/s -- what the HA rebuild
-  /// throttle sizes its token bucket against.
-  virtual double nominal_rate_mbs() const = 0;
-
   /// Time the device's service resource spent occupied.
   virtual sim::Time busy_time() const = 0;
-  /// Requests waiting for the service resource right now.
-  virtual std::size_t queue_depth() const = 0;
 
   /// Functional storage access (no simulated time).  Each stored block is
   /// a one-block slice of the written payload, so a cache entry, a data
@@ -118,7 +112,6 @@ class Device {
   /// stored (preload before the plane attaches) are summed now; later
   /// write_data calls maintain the sums incrementally.  Idempotent.
   void enable_integrity();
-  bool integrity_enabled() const { return integrity_enabled_; }
 
   /// Inject silent corruption into one block: mark its media as rotten
   /// and, when bytes are stored, flip one of them so reads really return
@@ -129,7 +122,6 @@ class Device {
   bool corrupted(std::uint64_t block) const {
     return corrupted_.count(block) != 0;
   }
-  std::size_t corrupted_blocks() const { return corrupted_.size(); }
 
   /// True when the block has been written since integrity was enabled (a
   /// stored sum exists).  Absent sums mean "never written": the expected

@@ -62,7 +62,6 @@ class Disk : public Device {
                  obs::TraceContext ctx = {}) override;
 
   DeviceClass device_class() const override { return DeviceClass::kHdd; }
-  double nominal_rate_mbs() const override { return params_.media_rate_mbs; }
 
   /// Replace with a blank disk (rebuild then restores contents).
   void replace() override;
@@ -70,7 +69,6 @@ class Disk : public Device {
   const DiskParams& params() const { return params_; }
 
   sim::Time busy_time() const override { return queue_.busy_time(); }
-  std::size_t queue_depth() const override { return queue_.queued(); }
 
   /// Pure timing helper (no queueing): service time of one request given
   /// the head position; exposed for the analytic model and unit tests.

@@ -73,11 +73,7 @@ class SsdDevice : public disk::Device {
   disk::DeviceClass device_class() const override {
     return disk::DeviceClass::kSsd;
   }
-  double nominal_rate_mbs() const override {
-    return params_.channel_rate_mbs;
-  }
   sim::Time busy_time() const override { return queue_.busy_time(); }
-  std::size_t queue_depth() const override { return queue_.queued(); }
 
   /// Replace with a blank device: fresh FTL, empty map, all blocks free.
   void replace() override;

@@ -60,13 +60,8 @@ Orchestrator::Orchestrator(raid::ArrayController& engine, HaParams params)
     params_.probe_timeout = sim::milliseconds(50);
   }
 
-  double rate_mbs = params_.rebuild_mbs;
-  if (rate_mbs <= 0 && params_.rebuild_disk_fraction > 0) {
-    rate_mbs = params_.rebuild_disk_fraction *
-               fabric_.cluster().disk(0).nominal_rate_mbs();
-  }
-  if (rate_mbs > 0) {
-    const double rate = rate_mbs * 1e6;  // bytes/s
+  if (params_.rebuild_mbs > 0) {
+    const double rate = params_.rebuild_mbs * 1e6;  // bytes/s
     const double burst = std::max(
         static_cast<double>(fabric_.cluster().geometry().block_bytes),
         rate / 10.0);

@@ -65,13 +65,8 @@ struct HaParams {
   int global_spares = 0;
   /// Latency of wiring a spare in place of the dead drive.
   sim::Time spare_swap_time = sim::seconds(2);
-  /// Rebuild write-bandwidth cap in MB/s; 0 = no cap unless
-  /// rebuild_disk_fraction is set.
+  /// Rebuild write-bandwidth cap in MB/s; 0 = no cap.
   double rebuild_mbs = 0.0;
-  /// Alternative cap: fraction of one disk's media rate (e.g. 0.25 =
-  /// rebuild may consume a quarter of a spindle).  Ignored when
-  /// rebuild_mbs is set.
-  double rebuild_disk_fraction = 0.0;
   /// Launch the layout's rebuild sweep automatically after failover.
   /// Off: the spare is wired in (blank, rebuilding at watermark 0, so
   /// reads fall back to the degraded path) and awaits a manual sweep.

@@ -151,8 +151,9 @@ sim::Task<> IntegrityPlane::scrub_pass() {
     disk::Device& dd = cluster_.disk(d);
     dd.enable_integrity();  // covers a spare swapped in after construction
     if (dd.failed()) continue;
-    const int client =
-        params_.scrub_node >= 0 ? params_.scrub_node : geo.node_of(d);
+    // Each disk is scrubbed by its own node: the local fast path, so no
+    // scrub traffic crosses the wire.
+    const int client = geo.node_of(d);
     for (std::uint64_t off = 0; off < geo.blocks_per_disk; off += chunk) {
       if (dd.failed()) break;  // died mid-sweep; next pass sees the spare
       const auto n = static_cast<std::uint32_t>(

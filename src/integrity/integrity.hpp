@@ -71,9 +71,6 @@ struct IntegrityParams {
   /// once this many distinct corrupt blocks have been detected on it;
   /// 0 disables escalation.
   int fail_threshold = 0;
-  /// Node that issues scrub reads; -1 = each disk is scrubbed by its own
-  /// node (local fast path, no scrub traffic on the wire).
-  int scrub_node = -1;
 };
 
 /// One block the redundancy could not restore (RAID-0, or a second latent

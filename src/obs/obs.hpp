@@ -528,18 +528,6 @@ inline void note_slo_request(sim::Simulation& sim, sim::Time latency,
   }
 }
 
-/// Timeline hooks: no-ops without a Hub.
-inline void record_busy(sim::Simulation& sim, Track track, int idx,
-                        sim::Time begin, sim::Time end) {
-  if (Hub* hub = sim.hub()) hub->timelines().busy(track, idx).add_busy(begin, end);
-}
-
-inline void record_depth(sim::Simulation& sim, Track track, int idx,
-                         std::int64_t value) {
-  if (Hub* hub = sim.hub())
-    hub->timelines().depth(track, idx).sample(sim.now(), value);
-}
-
 /// Cached variants for call sites that record millions of intervals on one
 /// fixed (track, idx) lane: the std::map lookup inside Timelines::busy is
 /// measurable there, and map references are stable, so each lane keeps its

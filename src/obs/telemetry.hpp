@@ -199,10 +199,6 @@ class Scraper {
   /// window first).
   std::vector<sim::Time> times() const;
   std::vector<double> values(std::size_t series) const;
-  std::size_t num_series() const { return series_.size(); }
-  const std::string& series_name(std::size_t i) const {
-    return series_[i].name;
-  }
 
   /// {"interval_ms":..., "samples":[...], "series":{"name":[...], ...}}
   std::string json() const;

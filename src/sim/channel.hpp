@@ -34,7 +34,6 @@ class Channel {
       Waiter* w = head_;
       head_ = w->next;
       if (head_ == nullptr) tail_ = nullptr;
-      --waiting_;
       *w->slot = std::move(value);
       sim_.schedule_resume(0, w->handle);
     } else {
@@ -70,7 +69,6 @@ class Channel {
   }
 
   std::size_t pending() const { return values_.size(); }
-  std::size_t receivers_waiting() const { return waiting_; }
 
  private:
   /// Intrusive wait-list node; lives in the recv() awaiter.  The slot
@@ -90,14 +88,12 @@ class Channel {
       head_ = w;
     }
     tail_ = w;
-    ++waiting_;
   }
 
   Simulation& sim_;
   std::deque<T> values_;
   Waiter* head_ = nullptr;
   Waiter* tail_ = nullptr;
-  std::size_t waiting_ = 0;
 };
 
 /// Single-value, single-waiter rendezvous (an RPC reply slot).
@@ -131,8 +127,6 @@ class Oneshot {
     };
     return Awaiter{this};
   }
-
-  bool ready() const { return value_.has_value(); }
 
  private:
   Simulation& sim_;

@@ -129,7 +129,6 @@ class Trigger {
   explicit Trigger(Simulation& sim);
 
   void set();
-  bool is_set() const { return set_; }
 
   auto wait() {
     struct Awaiter {

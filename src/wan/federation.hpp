@@ -143,7 +143,6 @@ class Federation {
 
   /// Partition/heal a site: every incident link goes down/up.
   void set_site_up(int site, bool up);
-  bool site_up(int site) const { return sites_[site]->up; }
 
   /// Arm a fault plan in federation-global ids.  Disk, node and
   /// corruption events are split across the sites (site = id /
