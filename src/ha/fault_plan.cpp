@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <stdexcept>
 
 #include "cluster/cluster.hpp"
@@ -74,9 +75,9 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
         if (c.key == "seed") {
           seed = c.number<std::uint64_t>();
         } else if (c.key == (rot ? "errors" : "faults")) {
-          count = c.number(0);
+          count = c.number(1, kMaxStorm);
         } else if (c.key == "window") {
-          window = c.duration();
+          window = c.duration(1);
         } else if (!rot && c.key == "heal") {
           heal = c.duration();
         } else {
@@ -142,7 +143,7 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
           ev.target = c.number<int>();
           have_link = true;
         } else if (c.key == "bw") {
-          ev.mbs = c.number<double>();
+          ev.mbs = c.rate(false);
           have_bw = true;
         } else {
           bad_clause(item, "unknown brownout key '" + std::string(c.key) +
@@ -157,7 +158,6 @@ FaultPlan FaultPlan::parse(const std::string& spec, int total_disks,
                              " out of range (federation has " +
                              std::to_string(links) + " links)");
       }
-      if (ev.mbs <= 0.0) bad_clause(item, "bw must be positive");
       plan.events_.push_back(ev);
       continue;
     }
@@ -285,6 +285,7 @@ FaultPlan FaultPlan::random_rot(std::uint64_t seed, int targets,
   // injected" unreachable bookkeeping rather than a real miss.
   std::vector<std::pair<int, std::uint64_t>> victims;
   victims.reserve(static_cast<std::size_t>(errors));
+  std::set<std::pair<int, std::uint64_t>> seen;
   const std::uint64_t capacity =
       static_cast<std::uint64_t>(targets) * blocks_per_disk;
   for (int i = 0; i < errors; ++i) {
@@ -292,7 +293,7 @@ FaultPlan FaultPlan::random_rot(std::uint64_t seed, int targets,
       const int disk = static_cast<int>(rng.uniform(0, targets - 1));
       const std::uint64_t block = rng.uniform_u64(0, blocks_per_disk - 1);
       const auto hit = std::make_pair(disk, block);
-      if (std::find(victims.begin(), victims.end(), hit) == victims.end()) {
+      if (seen.insert(hit).second) {
         victims.push_back(hit);
         break;
       }

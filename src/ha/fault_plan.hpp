@@ -101,6 +101,11 @@ class FaultPlan {
                          std::uint64_t blocks_per_disk = 0, int sites = 0,
                          int links = 0);
 
+  /// The most faults one `rand:` or `rot:` clause may draw.  Both
+  /// generators reserve a slot per fault up front, so the count needs a
+  /// ceiling; 65,536 events already bury a small array.
+  static constexpr int kMaxStorm = 1 << 16;
+
   /// Seeded random plan: `faults` disk failures at distinct uniform times
   /// in [window/10, window], targets drawn over [0, targets); when
   /// heal_after > 0 every failure is serviced that much later, and a disk

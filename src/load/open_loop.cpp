@@ -142,7 +142,7 @@ sim::Task<> dispatcher(Shared& sh, int tenant, sim::Rng rng) {
   bool on = true;
   sim::Time phase_end =
       sh.start + (cfg.dist == ArrivalDist::kBurst
-                      ? sim::Time(rng.exponential(cfg.burst_on_s) * 1e9)
+                      ? sim::seconds(rng.exponential(cfg.burst_on_s))
                       : sh.config.duration);
   int session = 0;
   while (true) {
@@ -151,7 +151,7 @@ sim::Task<> dispatcher(Shared& sh, int tenant, sim::Rng rng) {
       if (sim.now() >= phase_end) {
         on = !on;
         const double mean_s = on ? cfg.burst_on_s : cfg.burst_off_s;
-        phase_end = sim.now() + sim::Time(rng.exponential(mean_s) * 1e9);
+        phase_end = sim.now() + sim::seconds(rng.exponential(mean_s));
       }
       if (!on) {
         const sim::Time sleep =
@@ -163,8 +163,8 @@ sim::Task<> dispatcher(Shared& sh, int tenant, sim::Rng rng) {
       rate *= cfg.burst_mult;
     }
     if (rate <= 0.0) co_return;
-    const sim::Time gap = std::max<sim::Time>(
-        1, sim::Time(rng.exponential(1.0 / rate) * 1e9));
+    const sim::Time gap =
+        std::max<sim::Time>(1, sim::seconds(rng.exponential(1.0 / rate)));
     if (sim.now() + gap >= sh.end_at) co_return;  // window closed
     if (cfg.dist == ArrivalDist::kBurst && sim.now() + gap >= phase_end) {
       co_await sim.delay(phase_end - sim.now());

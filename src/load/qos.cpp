@@ -80,10 +80,8 @@ sim::Task<> QosGate::admit_queued(Tenant& t, int tenant,
   // they wait for a full burst first), so the long-run rate holds.
   const double want = std::min(need, std::max(burst, 1.0));
   if (t.tokens < want) {
-    const sim::Time wait = static_cast<sim::Time>(
-                               (want - t.tokens) / (t.cfg.rate_mbs * 1e6) *
-                               1e9) +
-                           1;
+    const sim::Time wait =
+        sim::seconds((want - t.tokens) / (t.cfg.rate_mbs * 1e6)) + 1;
     co_await sim_.delay(wait);
     refill(t);
   }

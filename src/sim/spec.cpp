@@ -140,6 +140,18 @@ Time parse_duration(std::string_view text, std::string_view where,
   return t;
 }
 
+double parse_rate(std::string_view text, std::string_view where,
+                  bool zero_is_off) {
+  const double v = parse_number<double>(text, where);
+  if (zero_is_off && v == 0.0) return v;
+  if (v < kMinRateMbs) {
+    spec_error(where, quoted(text) + " is out of range: must be " +
+                          (zero_is_off ? "0 (off) or " : "") +
+                          ">= " + show(kMinRateMbs) + " MB/s");
+  }
+  return v;
+}
+
 std::uint64_t parse_size(std::string_view text, std::string_view where,
                          std::uint64_t min, std::uint64_t max) {
   std::string_view unit;

@@ -10,6 +10,7 @@
 //             "0.5s"); a bare number is an error, never a guessed unit;
 //   size      an unsigned number of bytes with an optional K|M|G suffix
 //             (binary, either case): "32K", "1.5M";
+//   rate      MB/s, at least kMinRateMbs (or 0 for "off" where allowed);
 //   choice    one word of a fixed list ("poisson|burst").
 // Every error throws std::invalid_argument "<where>: <why>", where `where`
 // cites the flag and the clause verbatim ("--open-loop clause 'zipf=abc'"),
@@ -28,10 +29,11 @@
 
 namespace raidx::sim {
 
-/// The longest span a spec value may stand for, in seconds: its
-/// nanoseconds still fit a Time with room to spare, so converting it is
-/// always defined.
-inline constexpr double kMaxSpanSeconds = 9e9;
+/// The slowest rate a spec may give, in MB/s (1 KB/s).  At it the largest
+/// block (4 GiB) moves in 50 days and a 1 TB disk rebuilds or scrubs in 32
+/// years: every wait a rate paces, and the run it paces, stay inside
+/// kMaxSpanSeconds and the simulated clock.
+inline constexpr double kMinRateMbs = 1e-3;
 
 /// Throws std::invalid_argument("<where>: <why>").
 [[noreturn]] void spec_error(std::string_view where, std::string_view why);
@@ -47,6 +49,11 @@ T parse_number(std::string_view text, std::string_view where,
 /// Nanoseconds, computed as sim::seconds/milliseconds/microseconds do.
 Time parse_duration(std::string_view text, std::string_view where,
                     Time min = 0);
+
+/// A rate in MB/s of at least kMinRateMbs, or 0 when `zero_is_off` (a
+/// throttle or gate that 0 switches off).
+double parse_rate(std::string_view text, std::string_view where,
+                  bool zero_is_off);
 
 std::uint64_t parse_size(
     std::string_view text, std::string_view where, std::uint64_t min = 0,
@@ -83,6 +90,9 @@ struct Clause {
   }
   Time duration(Time min = 0) const {
     return parse_duration(value, where, min);
+  }
+  double rate(bool zero_is_off) const {
+    return parse_rate(value, where, zero_is_off);
   }
   template <typename T>
   T choice(std::initializer_list<std::pair<std::string_view, T>> options)

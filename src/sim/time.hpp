@@ -13,11 +13,24 @@ namespace raidx::sim {
 /// Simulated time in nanoseconds.
 using Time = std::int64_t;
 
+/// The longest span a double converts to, in seconds: its nanoseconds
+/// fit a Time with room to spare (the clock itself ends at ~292 years).
+inline constexpr double kMaxSpanSeconds = 9e9;
+
+/// `ns` rounded toward zero, saturated at +-kMaxSpanSeconds (NaN reads as
+/// the top): a wait paced by an absurd rate is absurd, never undefined.
+constexpr Time saturate_ns(double ns) {
+  constexpr double kMax = kMaxSpanSeconds * 1e9;
+  if (!(ns < kMax)) return static_cast<Time>(kMax);
+  if (ns < -kMax) return -static_cast<Time>(kMax);
+  return static_cast<Time>(ns);
+}
+
 /// Time-duration helpers.  All return nanosecond counts.
 constexpr Time nanoseconds(std::int64_t v) { return v; }
-constexpr Time microseconds(double v) { return static_cast<Time>(v * 1e3); }
-constexpr Time milliseconds(double v) { return static_cast<Time>(v * 1e6); }
-constexpr Time seconds(double v) { return static_cast<Time>(v * 1e9); }
+constexpr Time microseconds(double v) { return saturate_ns(v * 1e3); }
+constexpr Time milliseconds(double v) { return saturate_ns(v * 1e6); }
+constexpr Time seconds(double v) { return saturate_ns(v * 1e9); }
 
 /// Conversions back to floating-point units for reporting.
 constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-9; }
@@ -31,8 +44,7 @@ constexpr double to_microseconds(Time t) {
 /// Bandwidth helper: time to move `bytes` at `mb_per_s` (1 MB = 1e6 bytes,
 /// matching how the paper quotes link and disk rates).
 constexpr Time transfer_time(std::uint64_t bytes, double mb_per_s) {
-  return static_cast<Time>(static_cast<double>(bytes) / (mb_per_s * 1e6) *
-                           1e9);
+  return seconds(static_cast<double>(bytes) / (mb_per_s * 1e6));
 }
 
 /// Inverse of transfer_time, for reporting aggregate bandwidth in MB/s.

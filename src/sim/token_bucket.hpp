@@ -46,8 +46,7 @@ class TokenBucket {
     refill();
     const double want = std::min(need, burst_);
     if (tokens_ < want) {
-      const Time wait =
-          static_cast<Time>((want - tokens_) / rate_ * 1e9) + 1;
+      const Time wait = seconds((want - tokens_) / rate_) + 1;
       throttled_ns_ += wait;
       co_await sim_.delay(wait);
       refill();

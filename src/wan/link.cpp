@@ -13,8 +13,7 @@ Link::Link(sim::Simulation& sim, int id, int site_a, int site_b,
 }
 
 sim::Time Link::serialization_time(std::uint64_t chunk_bytes) const {
-  return static_cast<sim::Time>(static_cast<double>(chunk_bytes) /
-                                (current_mbs() * 1e6) * 1e9);
+  return sim::transfer_time(chunk_bytes, current_mbs());
 }
 
 sim::Task<bool> Link::transfer(int from_site, std::uint64_t bytes,

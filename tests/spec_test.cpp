@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -174,6 +175,45 @@ TEST(Spec, SizesTakeAnOptionalBinarySuffix) {
             "--block: '0' is out of range: must be in [1, 4096] bytes");
   EXPECT_EQ(error_of([] { sim::parse_size("8K", "--block", 1, 4096); }),
             "--block: '8K' is out of range: must be in [1, 4096] bytes");
+}
+
+TEST(Spec, RatesHaveAFloorAndZeroOnlyWhereItMeansOff) {
+  EXPECT_EQ(sim::parse_rate("20", "--r", false), 20.0);
+  EXPECT_EQ(sim::parse_rate("0.001", "--r", false), sim::kMinRateMbs);
+  EXPECT_EQ(sim::parse_rate("0", "--r", true), 0.0);
+
+  const std::vector<Reject> bad = {
+      {"0", "'0' is out of range: must be >= 0.001 MB/s"},
+      {"0.0009", "'0.0009' is out of range: must be >= 0.001 MB/s"},
+      {"1e-300", "'1e-300' is out of range: must be >= 0.001 MB/s"},
+      {"-5", "'-5' is out of range: must be >= 0.001 MB/s"},
+      {"inf", "'inf' is not finite"},
+      {"5x", "'5x' is not a number"},
+  };
+  for (const Reject& r : bad) {
+    EXPECT_EQ(error_of([&] { sim::parse_rate(r.text, "--r", false); }),
+              "--r: " + std::string(r.why))
+        << "'" << r.text << "'";
+  }
+  EXPECT_EQ(error_of([] { sim::parse_rate("1e-9", "--r", true); }),
+            "--r: '1e-9' is out of range: must be 0 (off) or >= 0.001 MB/s");
+}
+
+TEST(Spec, TimeHelpersSaturateInsteadOfOverflowing) {
+  // A wait paced by a rate converts through these helpers; past
+  // kMaxSpanSeconds it saturates rather than leave the conversion
+  // undefined.
+  constexpr auto kTop = static_cast<sim::Time>(sim::kMaxSpanSeconds * 1e9);
+  EXPECT_EQ(sim::seconds(sim::kMaxSpanSeconds), kTop);
+  EXPECT_EQ(sim::seconds(1e300), kTop);
+  EXPECT_EQ(sim::seconds(-1e300), -kTop);
+  EXPECT_EQ(sim::seconds(std::numeric_limits<double>::infinity()), kTop);
+  EXPECT_EQ(sim::seconds(std::numeric_limits<double>::quiet_NaN()), kTop);
+  EXPECT_EQ(sim::milliseconds(1e300), kTop);
+  EXPECT_EQ(sim::microseconds(1e300), kTop);
+  EXPECT_EQ(sim::transfer_time(1 << 20, 1e-300), kTop);
+  EXPECT_EQ(sim::seconds(2.5), 2'500'000'000);
+  EXPECT_EQ(sim::transfer_time(1'000'000, 1.0), sim::seconds(1));
 }
 
 TEST(Spec, ChoicesNameTheirOptions) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -199,7 +200,8 @@ namespace {
       "{\"metrics\":...,\"events\":[...]})\n"
       "  --verbose          per-client and per-resource detail\n"
       "Sizes (SZ) take an optional K, M or G suffix.  Durations need a unit,\n"
-      "ns|us|ms|s: a bare number such as target=50 is an error.  Flags also\n"
+      "ns|us|ms|s: a bare number such as target=50 is an error.  Rates in\n"
+      "MB/s are at least 0.001 (or 0 where it means off).  Flags also\n"
       "accept --flag=value form.  A malformed value exits 2, citing it.\n",
       argv0);
   std::exit(2);
@@ -264,7 +266,7 @@ OpenLoopCli parse_open_loop_spec(std::string_view spec) {
     else if (c.key == "write") s.write_fraction = c.number(0.0, 1.0);
     else if (c.key == "req-blocks") s.blocks_per_op = c.number(1u);
     else if (c.key == "ws") s.working_set_blocks = c.number<std::uint64_t>();
-    else if (c.key == "qos-mbs") cli.qos_mbs = c.number(0.0);
+    else if (c.key == "qos-mbs") cli.qos_mbs = c.rate(true);
     else if (c.key == "qos-burst") cli.qos_burst_mb = c.number(0.0);
     else if (c.key == "qos-policy") {
       cli.policy = c.choice<load::AdmitPolicy>(
@@ -476,10 +478,10 @@ Scenario parse_args(int argc, char** argv) {
     else if (a == "--shards") num(sc.shards, 1);
     else if (a == "--sites") num(sc.sites, 1);
     else if (a == "--wan-rtt") { sc.wan_rtt_ms = positive(next(), a, kMaxMs); sc.wan_rtt_set = true; }
-    else if (a == "--wan-bw") { sc.wan_bw = positive(next(), a); sc.wan_bw_set = true; }
+    else if (a == "--wan-bw") { sc.wan_bw = sim::parse_rate(next(), a, false); sc.wan_bw_set = true; }
     else if (a == "--wan-window") { sc.wan_window = sim::parse_size(next(), a, 1); sc.wan_window_set = true; }
     else if (a == "--geo-rep") sc.geo_rep = true;
-    else if (a == "--geo-rep-mbs") { num(sc.geo_rep_mbs, 0.0); sc.geo_rep_mbs_set = true; }
+    else if (a == "--geo-rep-mbs") { sc.geo_rep_mbs = sim::parse_rate(next(), a, true); sc.geo_rep_mbs_set = true; }
     else if (a == "--threads") num(sc.threads, 0);
     else if (a == "--disks") num(sc.disks, 1);
     else if (a == "--clients") num(sc.clients, 1);
@@ -516,10 +518,10 @@ Scenario parse_args(int argc, char** argv) {
     else if (a == "--no-ha") sc.no_ha = true;
     else if (a == "--spares") num(sc.spares, 0);
     else if (a == "--global-spares") num(sc.global_spares, 0);
-    else if (a == "--rebuild-mbs") num(sc.rebuild_mbs, 0.0);
+    else if (a == "--rebuild-mbs") sc.rebuild_mbs = sim::parse_rate(next(), a, true);
     else if (a == "--timeout-ms") num(sc.timeout_ms, 0.0, kMaxMs);
     else if (a == "--verify-reads") sc.verify_reads = true;
-    else if (a == "--scrub-rate") num(sc.scrub_rate, 0.0);
+    else if (a == "--scrub-rate") sc.scrub_rate = sim::parse_rate(next(), a, true);
     else if (a == "--fail-threshold") num(sc.fail_threshold, 0);
     else if (a == "--seed") num(sc.seed);
     else if (a == "--open-loop") sc.open_loop_spec = spec();
@@ -1586,7 +1588,9 @@ int run(const Scenario& sc) {
 
 int main(int argc, char** argv) {
   // Every malformed flag, spec or combination throws std::invalid_argument
-  // before any world runs; this is the one place that reports it.
+  // before any world runs; this is the one place that reports it.  Flags
+  // that ask for more worlds, sites or nodes than memory holds are as
+  // unrunnable, and exit the same way.
   try {
     Scenario sc = parse_args(argc, argv);
     validate(sc);
@@ -1594,6 +1598,10 @@ int main(int argc, char** argv) {
     return run(sc);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "%s: out of memory: the flags ask for a run larger "
+                 "than this host can build\n", argv[0]);
     return 2;
   }
 }

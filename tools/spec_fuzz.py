@@ -12,16 +12,21 @@ and its value).  A signal, a timeout, or any other exit code fails.
 Malformed input exits before any world is built, so the set runs in
 seconds.
 
-usage: spec_fuzz.py RAIDXSIM [--seed N] [--per-grammar N] [--jobs N]
+usage: spec_fuzz.py RAIDXSIM
 """
 
-import argparse
 import concurrent.futures
 import os
 import random
 import subprocess
 import sys
 import tempfile
+
+# The cases derive from one fixed seed, so every run checks the same set.
+SEED = 2000
+PER_GRAMMAR = 60
+# Each case exits in milliseconds; a few workers keep the set at seconds.
+JOBS = min(8, os.cpu_count() or 1)
 
 # A small closed-loop run and a short open-loop run: the context each
 # malformed value is dropped into.
@@ -80,7 +85,7 @@ SPECS = {
         "write": (DOUBLE, "0.3", ["1.5", "-0.1"]),
         "req-blocks": (UINT, "1", ["0"]),
         "ws": (UINT, "2048", None),
-        "qos-mbs": (DOUBLE, "20", ["-1"]),
+        "qos-mbs": (DOUBLE, "20", ["-1", "1e-300", "0.0009"]),
         "qos-burst": (DOUBLE, "1", ["-1"]),
         "qos-policy": (WORD, "shed", None),
         "burst-on": (DOUBLE, "0.05", ["-1", "1e10"]),
@@ -115,14 +120,14 @@ SPECS = {
 FAULTS = [
     ("rand:seed={seed},faults={faults},window={window},heal={heal}", {
         "seed": (UINT, "7", None),
-        "faults": (INT, "2", ["-1"]),
-        "window": (DURATION, "10s", None),
+        "faults": (INT, "2", ["-1", "0", "65537"]),
+        "window": (DURATION, "10s", ["0s"]),
         "heal": (DURATION, "3s", None),
     }, IO + ["--no-ha"]),
     ("rot:seed={seed},errors={errors},window={window}", {
         "seed": (UINT, "7", None),
-        "errors": (INT, "5", ["-2"]),
-        "window": (DURATION, "1s", None),
+        "errors": (INT, "5", ["-2", "0", "65537"]),
+        "window": (DURATION, "1s", ["0ns"]),
     }, IO + ["--no-ha"]),
     ("corrupt:disk={disk},block={block}@{at}", {
         "disk": (INT, "3", ["4", "-1"]),
@@ -135,7 +140,7 @@ FAULTS = [
     }, IO + ["--no-ha"]),
     ("brownout:link={link},bw={bw}@{at}", {
         "link": (INT, "0", ["1", "-1"]),
-        "bw": (DOUBLE, "5", ["0", "-5"]),
+        "bw": (DOUBLE, "5", ["0", "-5", "1e-300", "0.0009"]),
         "at": (DURATION, "3s", None),
     }, ["--sites", "2"] + OPEN),
     ("partition:site={site}@{at};heal:site=1@15s", {
@@ -150,9 +155,9 @@ FLAGS = {
     "--shards": (INT, "1", ["0", "-1"]),
     "--sites": (INT, "1", ["0"]),
     "--wan-rtt": (DOUBLE, "40", ["0", "-1", "1e13"]),
-    "--wan-bw": (DOUBLE, "60", ["0", "-1"]),
+    "--wan-bw": (DOUBLE, "60", ["0", "-1", "1e-300"]),
     "--wan-window": (SIZE, "1M", ["0"]),
-    "--geo-rep-mbs": (DOUBLE, "10", ["-1"]),
+    "--geo-rep-mbs": (DOUBLE, "10", ["-1", "1e-300"]),
     "--threads": (INT, "0", ["-1"]),
     "--disks": (INT, "1", ["0"]),
     "--clients": (INT, "2", ["0"]),
@@ -165,15 +170,18 @@ FLAGS = {
     "--warm": (INT, "0", ["-1"]),
     "--spares": (INT, "1", ["-1"]),
     "--global-spares": (INT, "0", ["-1"]),
-    "--rebuild-mbs": (DOUBLE, "5", ["-1"]),
+    "--rebuild-mbs": (DOUBLE, "5", ["-1", "1e-300", "0.0009"]),
     "--timeout-ms": (DOUBLE, "100", ["-1", "1e13"]),
-    "--scrub-rate": (DOUBLE, "100", ["-1"]),
+    "--scrub-rate": (DOUBLE, "100", ["-1", "1e-300"]),
     "--fail-threshold": (INT, "0", ["-1"]),
     "--seed": (UINT, "7", None),
 }
 
-# The inputs that crashed or silently ran another experiment before the
-# grammar was shared: each must exit 2 citing its flag or clause.
+# Inputs that crash, run another experiment, or pace a wait past what a
+# sim::Time holds unless the grammar bounds them: each must exit 2 citing
+# its flag or clause.
+SITES = ["--sites", "2", "--nodes", "4", "--open-loop",
+         "rate=100,duration=0.05"]
 KNOWN = [
     (["--block", "0"], ["--block"]),
     (["--watch", "samples=-5"], ["samples=-5"]),
@@ -185,10 +193,25 @@ KNOWN = [
     (["--open-loop", "rate=100,zipf=abc"], ["zipf=abc"]),
     (["--faults", "rand:seed=1,faults=-1"], ["faults=-1"]),
     (["--faults", "fail:disk=1@-1s"], ["fail:disk=1@-1s"]),
+    # A storm count reserves a slot per fault before anything runs; a zero
+    # count or window runs without faults.
+    (["--faults", "rot:errors=2147483647"], ["errors=2147483647"]),
+    (["--faults", "rand:faults=2147483647"], ["faults=2147483647"]),
+    (["--faults", "rot:seed=1,errors=0"], ["errors=0"]),
+    (["--faults", "rand:seed=1,faults=0"], ["faults=0"]),
+    (["--faults", "rand:faults=2,window=0s"], ["window=0s"]),
+    # A rate of 1e-300 MB/s paces one block over ~1e300 s.
+    (["--rebuild-mbs", "1e-300"], ["--rebuild-mbs", "1e-300"]),
+    (["--scrub-rate", "1e-300"], ["--scrub-rate", "1e-300"]),
+    (SITES + ["--wan-bw", "1e-300"], ["--wan-bw", "1e-300"]),
+    (SITES + ["--geo-rep", "--geo-rep-mbs", "1e-300"],
+     ["--geo-rep-mbs", "1e-300"]),
+    (["--open-loop", "rate=100,qos-mbs=1e-300"], ["qos-mbs=1e-300"]),
+    (SITES + ["--faults", "brownout:link=0,bw=1e-300@1s"], ["bw=1e-300"]),
 ]
 
 
-def spec_cases(rng, flag, per_grammar):
+def spec_cases(rng, flag):
     sep, context, keys = SPECS[flag]
     extra = ["--trace", "TRACE"] if flag == "--trace-sample" else []
     valid = {k: v for k, (_, v, _) in keys.items()}
@@ -198,7 +221,7 @@ def spec_cases(rng, flag, per_grammar):
             pool.append((name, key, text))
     pool += [("unknown key", None, None), ("missing =", None, None)]
     cases = set()
-    while len(cases) < per_grammar:
+    while len(cases) < PER_GRAMMAR:
         name, key, text = rng.choice(pool)
         # A random subset of the other clauses rides along, in a random
         # order, so the bad one is not always first or alone.
@@ -237,7 +260,7 @@ def disk_type_kind_cases():
                          "hybridx:gc=greedy")]
 
 
-def fault_cases(rng, per_grammar):
+def fault_cases(rng):
     pool = []
     for template, keys, context in FAULTS:
         for key, (kind, value, bad) in keys.items():
@@ -246,7 +269,7 @@ def fault_cases(rng, per_grammar):
         pool.append((template, keys, context, "unknown key", None, None))
         pool.append((template, keys, context, "missing =", None, None))
     cases = set()
-    while len(cases) < per_grammar:
+    while len(cases) < PER_GRAMMAR:
         template, keys, context, name, key, text = rng.choice(pool)
         values = {k: v for k, (_, v, _) in keys.items()}
         if key is not None:
@@ -272,13 +295,13 @@ def fault_cases(rng, per_grammar):
     return sorted(cases)
 
 
-def flag_cases(rng, per_grammar):
+def flag_cases(rng):
     pool = []
     for flag, (kind, value, bad) in FLAGS.items():
         for name, text in mutations(kind, value, bad):
             pool.append((flag, name, text))
     cases = set()
-    while len(cases) < per_grammar:
+    while len(cases) < PER_GRAMMAR:
         flag, name, text = rng.choice(pool)
         # Both spellings: --flag value and --flag=value.
         if rng.random() < 0.5:
@@ -321,24 +344,20 @@ def run_case(binary, tmp, case):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("raidxsim")
-    ap.add_argument("--seed", type=int, default=2000)
-    ap.add_argument("--per-grammar", type=int, default=60)
-    ap.add_argument("--jobs", type=int, default=4)
-    opts = ap.parse_args()
-    binary = os.path.abspath(opts.raidxsim)  # the cases run in a temp dir
-    rng = random.Random(opts.seed)
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.strip().splitlines()[-1])
+    binary = os.path.abspath(sys.argv[1])  # the cases run in a temp dir
+    rng = random.Random(SEED)
 
-    groups = {flag: spec_cases(rng, flag, opts.per_grammar) for flag in SPECS}
+    groups = {flag: spec_cases(rng, flag) for flag in SPECS}
     groups["--disk-type"] += disk_type_kind_cases()
-    groups["--faults"] = fault_cases(rng, opts.per_grammar)
-    groups["numeric flags"] = flag_cases(rng, opts.per_grammar)
+    groups["--faults"] = fault_cases(rng)
+    groups["numeric flags"] = flag_cases(rng)
     groups["known"] = [(tuple(a), tuple(c), "known") for a, c in KNOWN]
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp, \
-            concurrent.futures.ThreadPoolExecutor(opts.jobs) as pool:
+            concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         for group, cases in groups.items():
             results = list(pool.map(
                 lambda c: run_case(binary, tmp, c), cases))
