@@ -80,8 +80,8 @@ std::uint32_t crc32c_extend_zeros(std::uint32_t crc, std::uint64_t n) {
 }
 
 std::uint32_t crc_of(const block::Payload& p) {
-  if (p.is_zeros()) return crc32c_zeros(p.size());
-  return crc32c(p.bytes());
+  const std::span<const std::byte> s = p.stored();
+  return crc32c_extend_zeros(crc32c(s), p.size() - s.size());
 }
 
 }  // namespace raidx::integrity

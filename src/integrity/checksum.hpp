@@ -4,15 +4,16 @@
 //   * determinism -- the checksum of a block is a pure function of its
 //     bytes, so every run computes identical sums and corruption detection
 //     is bit-reproducible;
-//   * an O(1)/O(log n) fast path for zero-run payloads -- pure-timing
-//     sweeps (store_data=false) move gigabytes of logically-zero data as
-//     block::Payload zero-runs with no storage behind them, and checksum
-//     maintenance must not materialize those bytes.  Appending a zero byte
-//     to a CRC register is a linear map over GF(2), so extending a CRC by
-//     n zero bytes is one 32x32 bit-matrix power -- O(log n) matrix
-//     squarings, no buffer.
-// crc_of() guarantees the two paths agree: the checksum of a zero-run
-// payload equals the checksum of the same bytes materialized.
+//   * an O(log n) path for zero tails -- a block::Payload stores its bytes
+//     only up to the last nonzero one, and pure-timing sweeps
+//     (store_data=false) move gigabytes of logically-zero data as
+//     zero-runs with no storage behind them at all; checksum maintenance
+//     must not materialize those zeros.  Appending a zero byte to a CRC
+//     register is a linear map over GF(2), so extending a CRC by n zero
+//     bytes is one 32x32 bit-matrix power -- O(log n) matrix squarings, no
+//     buffer.
+// crc_of() checksums the stored prefix and extends it over the tail, so the
+// checksum of any payload equals the checksum of its bytes materialized.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,9 @@ inline std::uint32_t crc32c_zeros(std::uint64_t n) {
   return crc32c_extend_zeros(0, n);
 }
 
-/// Checksum of a payload's bytes.  Zero-runs take the O(log n) path;
-/// the result is identical to checksumming the materialized bytes.
+/// Checksum of a payload's bytes: CRC32C of the stored prefix, extended
+/// over the zero tail in O(log n).  Identical to checksumming the
+/// materialized bytes.
 std::uint32_t crc_of(const block::Payload& p);
 
 }  // namespace raidx::integrity

@@ -8,9 +8,10 @@
 //
 //  * Checksum plane.  Every CDD keeps a CRC32C per block beside the data
 //    it manages (disk::Device::enable_integrity), updated on the write path.
-//    Zero-run payloads checksum in O(log n) without materializing bytes
-//    (integrity::crc32c_zeros), so the perf-sweep configurations that ship
-//    zero-run writes pay no per-byte cost.
+//    A payload's zero tail -- all of a zero-run -- checksums in O(log n)
+//    without materializing bytes (integrity::crc32c_extend_zeros), so the
+//    perf-sweep configurations that ship zero-run writes pay no per-byte
+//    cost.
 //  * Verify-on-read.  With IntegrityParams::verify_reads the serving CDD
 //    re-checksums every read before shipping it.  A mismatch fails the
 //    read (ok = false), which routes the client through the layout's

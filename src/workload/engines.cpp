@@ -39,4 +39,24 @@ std::unique_ptr<raid::ArrayController> make_engine(Arch arch,
   return nullptr;
 }
 
+std::uint64_t logical_blocks(Arch arch, const block::ArrayGeometry& geo,
+                             bool hybrid_mirrors) {
+  switch (arch) {
+    case Arch::kRaid0:
+      return raid::Raid0Layout(geo).logical_blocks();
+    case Arch::kRaid1:
+      return raid::Raid1Layout(geo).logical_blocks();
+    case Arch::kRaid5:
+      return raid::Raid5Layout(geo).logical_blocks();
+    case Arch::kRaid10:
+      return raid::Raid10Layout(geo, hybrid_mirrors).logical_blocks();
+    case Arch::kRaidX:
+      return raid::RaidxLayout(geo, hybrid_mirrors).logical_blocks();
+    case Arch::kNfs:
+      return nfs::NfsLayout(geo, nfs::NfsParams{}.server_node)
+          .logical_blocks();
+  }
+  return 0;
+}
+
 }  // namespace raidx::workload

@@ -4,6 +4,7 @@
 // function so a sweep over architectures is a loop over Arch values.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,5 +24,10 @@ std::vector<Arch> paper_architectures();
 std::unique_ptr<raid::ArrayController> make_engine(
     Arch arch, cdd::CddFabric& fabric, raid::EngineParams params = {},
     nfs::NfsParams nfs_params = {});
+
+/// The logical blocks make_engine(arch, ...) offers over `geo`, from the
+/// layout alone: a caller can size a workload before building a world.
+std::uint64_t logical_blocks(Arch arch, const block::ArrayGeometry& geo,
+                             bool hybrid_mirrors = false);
 
 }  // namespace raidx::workload

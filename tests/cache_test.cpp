@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -386,11 +387,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // A written block is stored once: the writer's cache entry, the data copy
 // and every mirror copy are the same immutable payload, whether the write
-// went through or was absorbed and flushed later.  RAID-5 parity is new
-// bytes, so it is its own buffer.
+// went through or was absorbed and flushed later.  That payload stores the
+// block only up to its last nonzero byte, so a block whose second half is
+// zero keeps its first half.  RAID-5 parity is new bytes, so it is its own
+// buffer.
 using ShareParam = std::tuple<Kind, WritePolicy>;
 
 class CacheSharing : public ::testing::TestWithParam<ShareParam> {};
+
+sim::Task<> write_bytes(raid::ArrayController* eng, int client,
+                        std::uint64_t lba, std::vector<std::byte> data) {
+  co_await eng->write(client, lba, data);
+}
 
 TEST_P(CacheSharing, EntryAndEveryDiskCopyShareOneBuffer) {
   const auto [kind, policy] = GetParam();
@@ -398,39 +406,55 @@ TEST_P(CacheSharing, EntryAndEveryDiskCopyShareOneBuffer) {
   auto eng = make_engine(kind, cr.rig.fabric);
   eng->attach_cache(&cr.cache);
   const std::uint32_t bs = eng->block_bytes();
-  const std::uint64_t lba = 5;
-  const std::vector<std::byte> want = pattern_block(lba, bs, /*salt=*/11);
 
-  cr.rig.run(do_write(eng.get(), 1, lba, 1, /*salt=*/11));
+  // lba 5 is patterned to its last byte; lba 6 has a zero second half.
+  struct Input {
+    std::uint64_t lba;
+    std::vector<std::byte> want;
+    std::size_t stored;
+  };
+  std::vector<Input> inputs{{5, pattern_block(5, bs, /*salt=*/11), bs},
+                            {6, pattern_block(6, bs, /*salt=*/11), bs / 2}};
+  std::fill(inputs[1].want.begin() + bs / 2, inputs[1].want.end(),
+            std::byte{0});
+  for (const Input& in : inputs) {
+    ASSERT_NE(in.want[in.stored - 1], std::byte{0}) << "lba " << in.lba;
+    cr.rig.run(write_bytes(eng.get(), 1, in.lba, in.want));
+  }
   if (policy == WritePolicy::kWriteBack) cr.rig.run(eng->flush_cache());
   ASSERT_EQ(cr.cache.dirty_blocks(1), 0u);
 
-  const block::Payload* entry = cr.cache.cache(1).peek(lba);
-  ASSERT_NE(entry, nullptr);
-  ASSERT_FALSE(entry->is_zeros());
-  EXPECT_TRUE(std::ranges::equal(entry->bytes(), want));
-  const std::byte* buffer = entry->bytes().data();
+  for (const Input& in : inputs) {
+    SCOPED_TRACE("lba " + std::to_string(in.lba));
+    const block::Payload* entry = cr.cache.cache(1).peek(in.lba);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_FALSE(entry->is_zeros());
+    EXPECT_EQ(entry->to_vector(), in.want);
+    EXPECT_EQ(entry->stored().size(), in.stored);
+    const std::byte* buffer = entry->stored().data();
 
-  std::vector<block::PhysBlock> copies{eng->layout().data_location(lba)};
-  for (const block::PhysBlock& m : eng->layout().mirror_locations(lba)) {
-    copies.push_back(m);
-  }
-  EXPECT_EQ(copies.size(), kind == Kind::kRaid5 ? 1u : 2u);
-  for (const block::PhysBlock& pb : copies) {
-    const block::Payload stored =
-        cr.rig.cluster.disk(pb.disk).read_payload(pb.offset, 1);
-    ASSERT_FALSE(stored.is_zeros()) << "disk " << pb.disk;
-    EXPECT_TRUE(std::ranges::equal(stored.bytes(), want))
-        << "disk " << pb.disk;
-    EXPECT_EQ(stored.bytes().data(), buffer) << "disk " << pb.disk;
-  }
-  if (kind == Kind::kRaid5) {
-    const auto& r5 = static_cast<const raid::Raid5Controller&>(*eng).raid5();
-    const block::PhysBlock pp = r5.parity_location(r5.stripe_of(lba));
-    const block::Payload parity =
-        cr.rig.cluster.disk(pp.disk).read_payload(pp.offset, 1);
-    ASSERT_FALSE(parity.is_zeros());
-    EXPECT_NE(parity.bytes().data(), buffer);
+    std::vector<block::PhysBlock> copies{eng->layout().data_location(in.lba)};
+    for (const block::PhysBlock& m : eng->layout().mirror_locations(in.lba)) {
+      copies.push_back(m);
+    }
+    EXPECT_EQ(copies.size(), kind == Kind::kRaid5 ? 1u : 2u);
+    for (const block::PhysBlock& pb : copies) {
+      const block::Payload stored =
+          cr.rig.cluster.disk(pb.disk).read_payload(pb.offset, 1);
+      ASSERT_FALSE(stored.is_zeros()) << "disk " << pb.disk;
+      EXPECT_EQ(stored.to_vector(), in.want) << "disk " << pb.disk;
+      EXPECT_EQ(stored.stored().data(), buffer) << "disk " << pb.disk;
+      EXPECT_EQ(stored.stored().size(), in.stored) << "disk " << pb.disk;
+    }
+    if (kind == Kind::kRaid5) {
+      const auto& r5 =
+          static_cast<const raid::Raid5Controller&>(*eng).raid5();
+      const block::PhysBlock pp = r5.parity_location(r5.stripe_of(in.lba));
+      const block::Payload parity =
+          cr.rig.cluster.disk(pp.disk).read_payload(pp.offset, 1);
+      ASSERT_FALSE(parity.is_zeros());
+      EXPECT_NE(parity.stored().data(), buffer);
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 // warm-cache regression, and error-rate escalation to whole-disk failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "cache/cache_fabric.hpp"
@@ -55,32 +57,73 @@ TEST(Crc32c, PayloadZeroRunEqualsMaterialized) {
   EXPECT_EQ(crc_of(p), crc32c(p.to_vector()));
 }
 
-// The satellite oracle: for random payloads (zero-run and storage-backed)
-// under random nested slicing, the checksum of the slice must equal the
-// checksum of the slice's materialized bytes.  This is exactly the
-// invariant a stale zero-run slice offset would break.
+// The satellite oracle: for random payloads (zero-runs, and bytes with no,
+// a partial or an all-zero tail) under random nested slicing, the slice
+// must materialize to the same cut of the input bytes, and every reader of
+// it -- crc_of, copy_to at a random offset, xor_into -- must agree with
+// the same operation on those bytes.  This is exactly the invariant a
+// stale slice offset, or a reader that forgets the zero tail past the
+// stored prefix, would break.
 TEST(Crc32c, RandomSliceVsMaterializeOracle) {
   std::mt19937 rng(0xC0FFEE);
   for (int iter = 0; iter < 300; ++iter) {
     const std::size_t n = 1 + rng() % 2048;
-    block::Payload p;
-    if (rng() % 3 == 0) {
-      p = block::Payload::zeros(n);
-    } else {
-      std::vector<std::byte> buf(n);
-      for (auto& b : buf) b = static_cast<std::byte>(rng());
-      p = block::Payload::own(std::move(buf));
+    // `want` is the payload's bytes, kept beside it as a plain vector.
+    std::vector<std::byte> want(n, std::byte{0});
+    block::Payload p = block::Payload::zeros(n);
+    if (rng() % 4 != 0) {
+      for (auto& b : want) b = static_cast<std::byte>(rng());
+      // Zero the tail: none of it, part of it, or the whole buffer.
+      std::size_t keep = n;
+      switch (rng() % 3) {
+        case 1: keep = rng() % n; break;
+        case 2: keep = 0; break;
+      }
+      std::fill(want.begin() + keep, want.end(), std::byte{0});
+      p = rng() % 2 == 0 ? block::Payload::own(want)
+                         : block::Payload::copy(want);
+      const std::span<const std::byte> s = p.stored();
+      EXPECT_TRUE(s.empty() || s.back() != std::byte{0}) << "iter=" << iter;
+      EXPECT_LE(s.size(), keep) << "iter=" << iter;
+      EXPECT_EQ(p.is_zeros(), std::ranges::all_of(want, [](std::byte b) {
+                  return b == std::byte{0};
+                })) << "iter=" << iter;
     }
-    // Up to three levels of nested slicing.
+    // Up to three levels of nested slicing.  The first straddles the
+    // prefix/tail boundary when the payload has one.
     const int depth = static_cast<int>(rng() % 4);
     for (int d = 0; d < depth && p.size() > 0; ++d) {
-      const std::size_t off = rng() % p.size();
-      const std::size_t len = rng() % (p.size() - off + 1);
+      const std::size_t edge = p.stored().size();
+      std::size_t off = rng() % p.size();
+      std::size_t len = rng() % (p.size() - off + 1);
+      if (d == 0 && edge > 0 && edge < p.size()) {
+        off = rng() % edge;
+        len = edge - off + 1 + rng() % (p.size() - edge);
+      }
       p = p.slice(off, len);
+      want = std::vector<std::byte>(want.begin() + off,
+                                    want.begin() + off + len);
     }
-    EXPECT_EQ(crc_of(p), crc32c(p.to_vector()))
+    const std::vector<std::byte> bytes = p.to_vector();
+    EXPECT_EQ(bytes, want) << "iter=" << iter;
+    EXPECT_EQ(crc_of(p), crc32c(bytes))
         << "iter=" << iter << " size=" << p.size()
-        << " zeros=" << p.is_zeros();
+        << " stored=" << p.stored().size();
+
+    const std::size_t from = rng() % (p.size() + 1);
+    const std::size_t len = rng() % (p.size() - from + 1);
+    std::vector<std::byte> got(len, std::byte{0xAA});
+    p.copy_to(got, from);
+    EXPECT_TRUE(std::ranges::equal(
+        got, std::span<const std::byte>(bytes).subspan(from, len)))
+        << "iter=" << iter << " from=" << from << " len=" << len;
+
+    std::vector<std::byte> acc(p.size());
+    for (auto& b : acc) b = static_cast<std::byte>(rng());
+    std::vector<std::byte> xored = acc;
+    for (std::size_t i = 0; i < xored.size(); ++i) xored[i] ^= bytes[i];
+    block::xor_into(acc, p);
+    EXPECT_EQ(acc, xored) << "iter=" << iter;
   }
 }
 

@@ -193,13 +193,25 @@ TEST(ParallelIo, CachedReadsOfStoredBytesStayByteExact) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
+// logical_blocks() sizes each array from its layout alone, without a
+// world; it must agree with the engine the factory builds, hybrid
+// placements included.
 TEST(Engines, FactoryProducesAllArchitectures) {
-  Rig rig(test::small_cluster());
+  Rig rig(test::small_cluster(4, /*disks_per_node=*/2));
+  const block::ArrayGeometry& geo = rig.cluster.geometry();
   for (Arch a : {Arch::kRaid0, Arch::kRaid1, Arch::kRaid5, Arch::kRaid10,
                  Arch::kRaidX, Arch::kNfs}) {
     auto eng = make_engine(a, rig.fabric);
     ASSERT_NE(eng, nullptr);
     EXPECT_GT(eng->logical_blocks(), 0u);
+    EXPECT_EQ(logical_blocks(a, geo), eng->logical_blocks()) << arch_name(a);
+  }
+  raid::EngineParams hybrid;
+  hybrid.hybrid_mirrors = true;
+  for (Arch a : {Arch::kRaid10, Arch::kRaidX}) {
+    EXPECT_EQ(logical_blocks(a, geo, /*hybrid_mirrors=*/true),
+              make_engine(a, rig.fabric, hybrid)->logical_blocks())
+        << arch_name(a);
   }
   EXPECT_EQ(paper_architectures().size(), 4u);
 }

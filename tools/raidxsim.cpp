@@ -64,8 +64,8 @@ namespace {
       "                       a block engine (nfs has one central server)\n"
       "                       no --trace/--trace-sample/--slo/--watch\n"
       "                       (each shard has its own hub; not merged yet)\n"
-      "  --threads T        worker threads driving the shards (default =\n"
-      "                     shards; changes wall-clock only, never results)\n"
+      "  --threads T        worker threads driving the shards (default 1;\n"
+      "                     changes wall-clock only, never results)\n"
       "  --sites S          federate S identical sites (each a full\n"
       "                     --nodes x --disks world) over a WAN mesh\n"
       "                     (default 1 = the classic engine).  S > 1 needs\n"
@@ -542,6 +542,8 @@ Scenario parse_args(int argc, char** argv) {
   return sc;
 }
 
+void check_working_sets(const Scenario& sc);
+
 /// Reject every flag combination that would silently do nothing, or that
 /// no world can run, before anything expensive is built; each rejection
 /// states its reason.  Parses the specs into `sc`.
@@ -687,6 +689,7 @@ void validate(Scenario& sc) {
   }
   if (sc.cache_evict == "2q") sc.cache.eviction = cache::EvictionPolicy::k2Q;
   sc.cache.cooperative = sc.coop_cache;
+  if (sc.open_loop()) check_working_sets(sc);
 }
 
 int dump_trace(const Scenario& sc) {
@@ -759,6 +762,42 @@ cluster::WorldParams world_params(const Scenario& sc) {
                              sc.arch != workload::Arch::kRaid1;
   wp.cache = sc.cache;
   return wp;
+}
+
+/// Tenant working sets are carved back to back from each world's logical
+/// space (under --sites, from the site's own primary region).  Reject a
+/// set that cannot fit before any world or per-tenant vector exists,
+/// citing the clause to shrink: req-blocks= or ws= when one tenant alone
+/// overflows, else tenants=.  load::run_open_loop keeps the same bound.
+void check_working_sets(const Scenario& sc) {
+  const load::TenantLoad& shape = sc.olcli.shape;
+  const std::uint64_t per_tenant =
+      std::max<std::uint64_t>(
+          1, shape.working_set_blocks / shape.blocks_per_op) *
+      shape.blocks_per_op;
+  const cluster::WorldParams wp = world_params(sc);
+  const std::uint64_t capacity =
+      workload::logical_blocks(wp.arch, world_cluster(sc).geometry,
+                               wp.engine.hybrid_mirrors) /
+      static_cast<std::uint64_t>(sc.sites);
+  const auto tenants = static_cast<std::uint64_t>(sc.olcli.tenants);
+  if (per_tenant <= capacity && tenants <= capacity / per_tenant) return;
+
+  const std::string_view key = shape.blocks_per_op > capacity ? "req-blocks"
+                               : per_tenant > capacity        ? "ws"
+                                                              : "tenants";
+  std::string where = "--open-loop '" + sc.open_loop_spec + "'";
+  for (const sim::Clause& c :
+       sim::parse_clauses(sc.open_loop_spec, ',', "--open-loop")) {
+    if (c.key == key) where = c.where;
+  }
+  reject("%s: %llu tenant(s) x %llu-block working sets do not fit %s %llu "
+         "logical blocks (%llu fit; shrink ws=/tenants= or grow the array)",
+         where.c_str(), static_cast<unsigned long long>(tenants),
+         static_cast<unsigned long long>(per_tenant),
+         sc.sites > 1 ? "each site's primary region of" : "the array's",
+         static_cast<unsigned long long>(capacity),
+         static_cast<unsigned long long>(capacity / per_tenant));
 }
 
 /// Cache counters summed over every world.
@@ -1079,7 +1118,7 @@ int drive_open_loop(const Scenario& sc,
   ocfg.duration = sim::seconds(ol.duration_s);
   ocfg.seed = sc.seed;
   ocfg.max_in_flight = ol.cap;
-  const int nthreads = sc.threads > 0 ? sc.threads : sc.shards;
+  const int nthreads = sc.threads > 0 ? sc.threads : 1;
   if (sharded) {
     std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
                 "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
@@ -1424,22 +1463,6 @@ int run(const Scenario& sc) {
       fp.repl.ship_mbs = sc.geo_rep_mbs;
       fp.cluster = params;
       fed = std::make_unique<wan::Federation>(*sim, fp);
-      // Per-site working sets are carved from the site's own primary
-      // region, so they must fit in region_blocks, not the whole array.
-      std::uint64_t need = 0;
-      for (int t = 0; t < sc.olcli.tenants; ++t) {
-        const std::uint64_t slots = std::max<std::uint64_t>(
-            1, sc.olcli.shape.working_set_blocks /
-                   sc.olcli.shape.blocks_per_op);
-        need += slots * sc.olcli.shape.blocks_per_op;
-      }
-      if (need > fed->region_blocks()) {
-        reject("per-site tenant working sets need %llu blocks but each "
-               "site's primary region holds %llu (shrink --open-loop ws=/"
-               "tenants= or grow the array)",
-               static_cast<unsigned long long>(need),
-               static_cast<unsigned long long>(fed->region_blocks()));
-      }
       worlds.assign(fed->worlds().begin(), fed->worlds().end());
     } else {
       single = std::make_unique<cluster::World>(*sim, params, wp);

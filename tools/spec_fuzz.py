@@ -79,7 +79,7 @@ SPECS = {
         "rate": (DOUBLE, "100", ["0", "-5"]),
         "dist": (WORD, "poisson", None),
         "zipf": (DOUBLE, "0.9", ["-0.5"]),
-        "tenants": (INT, "2", ["0", "-1"]),
+        "tenants": (INT, "2", ["0", "-1", "70000"]),
         "sessions": (INT, "32", ["0"]),
         "duration": (DOUBLE, "0.05", ["0", "-1", "1e10"]),
         "write": (DOUBLE, "0.3", ["1.5", "-0.1"]),
