@@ -227,11 +227,11 @@ CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
 }
 
 sim::Task<Reply> CddFabric::submit(int client, int target_node,
-                                   Request&& req) {
+                                   Request&& req, obs::Span&& span) {
   req.from = client;
   if (target_node == client) {
     ++local_requests_;
-    return submit_local(client, std::move(req));
+    return submit_local(client, std::move(req), std::move(span));
   }
   ++remote_requests_;
   // Only data-path ops are safely retryable: reads and probes are
@@ -245,23 +245,27 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node,
       can_retry ? (req.timeout > 0 ? req.timeout : params_.request_timeout)
                 : 0;
   if (timeout <= 0) {
-    return submit_remote(client, target_node, std::move(req));
+    return submit_remote(client, target_node, std::move(req),
+                         std::move(span));
   }
   const int max_retries =
       req.retries >= 0 ? req.retries : params_.max_retries;
-  return submit_timed(client, target_node, std::move(req), timeout,
-                      max_retries);
+  return submit_timed(client, target_node, std::move(req), std::move(span),
+                      timeout, max_retries);
 }
 
-sim::Task<Reply> CddFabric::submit_local(int client, Request req) {
+sim::Task<Reply> CddFabric::submit_local(int client, Request req,
+                                         obs::Span span) {
   sim::Oneshot<Reply> slot(cluster_.sim());
   req.reply = &slot;
   service(client).mailbox().send(std::move(req));
-  co_return co_await slot.wait();
+  Reply reply = co_await slot.wait();
+  span.close();
+  co_return reply;
 }
 
 sim::Task<Reply> CddFabric::submit_remote(int client, int target_node,
-                                          Request req) {
+                                          Request req, obs::Span span) {
   const std::uint64_t request_bytes = req.wire_bytes();
   sim::Oneshot<Reply> slot(cluster_.sim());
   req.reply = &slot;
@@ -273,11 +277,13 @@ sim::Task<Reply> CddFabric::submit_remote(int client, int target_node,
   // seed's semantics; chaos runs must configure request_timeout.
   Reply reply = co_await slot.wait();
   co_await cluster_.node(client).cpu_work(reply.wire_bytes());
+  span.close();
   co_return reply;
 }
 
 sim::Task<Reply> CddFabric::submit_timed(int client, int target_node,
-                                         Request req, sim::Time timeout,
+                                         Request req, obs::Span span,
+                                         sim::Time timeout,
                                          int max_retries) {
   const std::uint64_t request_bytes = req.wire_bytes();
   for (int attempt = 0;; ++attempt) {
@@ -297,11 +303,13 @@ sim::Task<Reply> CddFabric::submit_timed(int client, int target_node,
     Reply reply = co_await slot.wait();
     if (!reply.timed_out) {
       co_await cluster_.node(client).cpu_work(reply.wire_bytes());
+      span.close();
       co_return reply;
     }
     ++timeouts_;
     if (attempt >= max_retries) {
       ++retries_exhausted_;
+      span.close();
       co_return reply;  // ok = false, timed_out = true
     }
     ++retries_;
@@ -343,6 +351,12 @@ sim::Time CddFabric::backoff_delay(int attempt) {
   return static_cast<sim::Time>(d);
 }
 
+// The four RPC entries share one shape: open the RPC's span, build its
+// Request, and hand both to submit(), whose path coroutine closes the span
+// once the reply is in.  Plain functions, so an RPC in flight holds no
+// entry frame and one Request; every caller awaits the returned task at
+// once, so the span opens and closes at the same instants as a coroutine
+// entry's would.
 sim::Task<Reply> CddFabric::probe(int client, int node, int disk,
                                   sim::Time timeout, obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
@@ -355,7 +369,7 @@ sim::Task<Reply> CddFabric::probe(int client, int node, int disk,
   req.timeout = timeout > 0 ? timeout : params_.request_timeout;
   req.retries = 0;  // the prober's cadence is the retry policy
   req.ctx = span.ctx();
-  co_return co_await submit(client, node, std::move(req));
+  return submit(client, node, std::move(req), std::move(span));
 }
 
 sim::Task<Reply> CddFabric::read(int client, int disk_id, std::uint64_t offset,
@@ -376,7 +390,7 @@ sim::Task<Reply> CddFabric::read(int client, int disk_id, std::uint64_t offset,
   req.nblocks = nblocks;
   req.prio = prio;
   req.ctx = span.ctx();
-  co_return co_await submit(client, target, std::move(req));
+  return submit(client, target, std::move(req), std::move(span));
 }
 
 sim::Task<Reply> CddFabric::scrub_read(int client, int disk_id,
@@ -398,7 +412,7 @@ sim::Task<Reply> CddFabric::scrub_read(int client, int disk_id,
   req.prio = disk::IoPriority::kBackground;
   req.verify = true;
   req.ctx = span.ctx();
-  co_return co_await submit(client, target, std::move(req));
+  return submit(client, target, std::move(req), std::move(span));
 }
 
 sim::Task<Reply> CddFabric::write(int client, int disk_id,
@@ -425,7 +439,7 @@ sim::Task<Reply> CddFabric::write(int client, int disk_id,
   req.payload = std::move(data);
   req.prio = prio;
   req.ctx = span.ctx();
-  co_return co_await submit(client, target, std::move(req));
+  return submit(client, target, std::move(req), std::move(span));
 }
 
 sim::Task<> CddFabric::lock_groups(int client,
@@ -447,7 +461,7 @@ sim::Task<> CddFabric::lock_groups(int client,
       if (lock_home(g) == home) req.lock_groups.push_back(g);
     }
     if (req.lock_groups.empty()) continue;
-    co_await submit(client, home, std::move(req));
+    co_await submit(client, home, std::move(req), obs::Span{});
   }
 }
 
@@ -468,7 +482,7 @@ sim::Task<> CddFabric::unlock_groups(int client,
       if (lock_home(g) == home) req.lock_groups.push_back(g);
     }
     if (req.lock_groups.empty()) continue;
-    co_await submit(client, home, std::move(req));
+    co_await submit(client, home, std::move(req), obs::Span{});
   }
 }
 

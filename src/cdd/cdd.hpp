@@ -211,11 +211,16 @@ class CddFabric {
   /// completes when the reply has fully arrived back at the client.  Picks
   /// one coroutine per delivery path (local mailbox, untimed remote, timed
   /// remote with retries), so an RPC's frame holds only its own path.
-  sim::Task<Reply> submit(int client, int target_node, Request&& req);
-  sim::Task<Reply> submit_local(int client, Request req);
-  sim::Task<Reply> submit_remote(int client, int target_node, Request req);
+  /// `span` is the RPC's own span (empty for lock traffic, whose span the
+  /// caller holds); the path coroutine closes it once the reply is in.
+  sim::Task<Reply> submit(int client, int target_node, Request&& req,
+                          obs::Span&& span);
+  sim::Task<Reply> submit_local(int client, Request req, obs::Span span);
+  sim::Task<Reply> submit_remote(int client, int target_node, Request req,
+                                 obs::Span span);
   sim::Task<Reply> submit_timed(int client, int target_node, Request req,
-                                sim::Time timeout, int max_retries);
+                                obs::Span span, sim::Time timeout,
+                                int max_retries);
 
   /// Watchdog fired for a pending RPC: resolve it with a timed-out reply
   /// unless the real reply won the race (then the map entry is gone).

@@ -12,6 +12,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/sync.hpp"
@@ -50,6 +51,8 @@ class LockGroupTable {
   void apply_replica_update(std::uint64_t group, std::uint64_t owner);
   std::uint64_t replica_owner(std::uint64_t group) const;  // 0 if free/unknown
   std::uint64_t replica_updates() const { return replica_updates_; }
+  /// Groups the replica has seen held (freed ones included).
+  std::size_t replica_groups() const { return replica_.size(); }
 
  private:
   struct Waiter {
@@ -61,9 +64,37 @@ class LockGroupTable {
     std::deque<Waiter> queue;
   };
 
+  /// group -> replicated owner: open addressing with linear probing, so
+  /// an update allocates nothing per group (the table doubles at half
+  /// load).  A freed group keeps its slot with owner 0, as replica_owner()
+  /// treats free and unknown alike and grant/free flips then never churn.
+  class ReplicaMap {
+   public:
+    /// The owner slot of `group`, inserted (owner 0) when `insert`.
+    /// Null when the group is unknown and `insert` is false.
+    std::uint64_t* find(std::uint64_t group, bool insert);
+    std::uint64_t get(std::uint64_t group) const;
+    std::size_t size() const { return used_; }
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    struct Slot {
+      std::uint64_t group = kEmpty;
+      std::uint64_t owner = 0;
+    };
+    std::size_t home(std::uint64_t group) const {
+      const auto mixed = (group * 0x9E3779B97F4A7C15ull) >> 32;
+      return static_cast<std::size_t>(mixed) & (slots_.size() - 1);
+    }
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+  };
+
   sim::Simulation& sim_;
   std::unordered_map<std::uint64_t, Entry> table_;
-  std::unordered_map<std::uint64_t, std::uint64_t> replica_;
+  ReplicaMap replica_;
   std::uint64_t replica_updates_ = 0;
 };
 

@@ -31,16 +31,4 @@ Node::Node(sim::Simulation& sim, int id, NodeParams params,
   }
 }
 
-sim::Task<> Node::cpu_work(std::uint64_t bytes) {
-  auto guard = co_await cpu_.acquire();
-  const auto per_byte = static_cast<sim::Time>(
-      params_.cpu_ns_per_byte * static_cast<double>(bytes));
-  co_await sim_.delay(params_.cpu_op_overhead + per_byte);
-}
-
-sim::Task<> Node::compute(sim::Time t) {
-  auto guard = co_await cpu_.acquire();
-  co_await sim_.delay(t);
-}
-
 }  // namespace raidx::cluster

@@ -12,6 +12,7 @@
 // default and behaves bit-identically to the pre-Device code.
 #pragma once
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -21,7 +22,6 @@
 #include "flash/ssd.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/resource.hpp"
-#include "sim/task.hpp"
 
 namespace raidx::cluster {
 
@@ -48,11 +48,52 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
+  /// Awaitable that holds the node's CPU for a fixed service time.  It
+  /// lives in the awaiting coroutine's frame, so a request waiting for the
+  /// CPU carries no frame of its own.  Takes the CPU (or parks behind its
+  /// FIFO), waits out the time through delay()'s own path -- or, after a
+  /// parked grant, through Simulation::resume_after -- and releases the CPU
+  /// in await_resume: the events, their order and the fast resumes of an
+  /// acquire/delay/release coroutine.  A zero-time charge suspends only
+  /// when it must queue.
+  class [[nodiscard]] Charge : private sim::Resource::CallbackWaiter {
+   public:
+    Charge(Node& node, sim::Time t) : node_(&node), t_(t) {}
+    Charge(const Charge&) = delete;
+    Charge& operator=(const Charge&) = delete;
+
+    bool await_ready() noexcept {
+      return t_ <= 0 && node_->cpu_.try_acquire();
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept {
+      if (t_ > 0 && node_->cpu_.try_acquire()) {
+        return node_->sim_.delay(t_).await_suspend(h);
+      }
+      caller_ = h;
+      on_grant = [](sim::Resource::CallbackWaiter* w) {
+        auto* self = static_cast<Charge*>(w);
+        self->node_->sim_.resume_after(self->t_, self->caller_);
+      };
+      node_->cpu_.park(this);
+      return std::noop_coroutine();
+    }
+    void await_resume() noexcept { node_->cpu_.release(); }
+
+   private:
+    Node* node_;
+    sim::Time t_;
+    std::coroutine_handle<> caller_{};
+  };
+
   /// Charge CPU time for handling `bytes` of I/O payload.
-  sim::Task<> cpu_work(std::uint64_t bytes);
+  Charge cpu_work(std::uint64_t bytes) {
+    const auto per_byte = static_cast<sim::Time>(
+        params_.cpu_ns_per_byte * static_cast<double>(bytes));
+    return Charge(*this, params_.cpu_op_overhead + per_byte);
+  }
 
   /// Charge a raw computation time (checksum/XOR/compile work).
-  sim::Task<> compute(sim::Time t);
+  Charge compute(sim::Time t) { return Charge(*this, t); }
 
   int id() const { return id_; }
   int num_disks() const { return static_cast<int>(disks_.size()); }

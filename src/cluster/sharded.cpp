@@ -16,9 +16,14 @@ ShardedCluster::Shard::Shard(sim::Simulation& sim,
   sim.set_hub(&hub);
 }
 
-// The hub dies before the World's tiers; detach it so nothing torn down
-// after it can reach it through the Simulation.
-ShardedCluster::Shard::~Shard() { sim().set_hub(nullptr); }
+// Frames still suspended may hold the uplinks, which die before the
+// World's own teardown: destroy them first.  The hub dies before the
+// World's tiers; detach it so nothing torn down after it can reach it
+// through the Simulation.
+ShardedCluster::Shard::~Shard() {
+  sim().abandon();
+  sim().set_hub(nullptr);
+}
 
 ShardedCluster::ShardedCluster(const ClusterParams& group_params,
                                const ShardedParams& sp)

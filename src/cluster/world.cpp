@@ -23,7 +23,7 @@ World::World(sim::Simulation& sim, const ClusterParams& cluster_params,
 // Members die in reverse order: the gate, plane and orchestrator let go of
 // the engine before it dies, and the orchestrator precedes the fabric's
 // destruction as its contract requires.
-World::~World() = default;
+World::~World() { sim().abandon(); }
 
 void World::arm(const ha::HaParams* ha,
                 const integrity::IntegrityParams* integrity) {

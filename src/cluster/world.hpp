@@ -46,6 +46,10 @@ struct World {
   /// whichever worker drives the shard.
   World(sim::Simulation& sim, const ClusterParams& cluster_params,
         const WorldParams& params);
+  /// Abandons the simulation first (Simulation::abandon): every process
+  /// still suspended on it dies while the tiers it holds grants on are
+  /// alive.  So a world dies with its simulation's run, never while
+  /// another world on the same simulation keeps running.
   ~World();
   World(const World&) = delete;
   World& operator=(const World&) = delete;

@@ -56,6 +56,20 @@ Mat zero_byte_matrix() {
   return m;
 }
 
+/// ops[k] advances the register by 2^k zero bytes.  Built once: powers of
+/// one matrix commute, so any n applies the operators of its set bits.
+const std::array<Mat, 64>& zero_run_operators() {
+  static const std::array<Mat, 64> ops = [] {
+    std::array<Mat, 64> o;
+    o[0] = zero_byte_matrix();
+    for (std::size_t k = 1; k < o.size(); ++k) {
+      o[k] = mat_mul(o[k - 1], o[k - 1]);
+    }
+    return o;
+  }();
+  return ops;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::uint32_t crc, std::span<const std::byte> data) {
@@ -71,10 +85,9 @@ std::uint32_t crc32c_extend_zeros(std::uint32_t crc, std::uint64_t n) {
   if (n == 0) return crc;
   // Work on the raw register (the ~ finalization is an affine wrapper).
   std::uint32_t reg = ~crc;
-  Mat op = zero_byte_matrix();
-  for (; n != 0; n >>= 1) {
-    if (n & 1) reg = mat_apply(op, reg);
-    if (n > 1) op = mat_mul(op, op);
+  const std::array<Mat, 64>& ops = zero_run_operators();
+  for (std::size_t k = 0; n != 0; ++k, n >>= 1) {
+    if (n & 1) reg = mat_apply(ops[k], reg);
   }
   return ~reg;
 }

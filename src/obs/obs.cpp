@@ -410,6 +410,13 @@ bool Tracer::write_chrome(const std::string& path,
 
 void Timeline::add_busy(sim::Time begin, sim::Time end) {
   if (end <= begin) return;
+  // Busy intervals arrive in near time order, so most fall inside the
+  // window the previous one ended in: add there with no division.  The
+  // general path would add the same chunk to the same slot.
+  if (begin >= last_begin_ && end <= last_end_) {
+    busy_ns_[last_] += static_cast<double>(end - begin);
+    return;
+  }
   const std::size_t last = static_cast<std::size_t>((end - 1) / window_);
   if (last >= busy_ns_.size()) busy_ns_.resize(last + 1, 0.0);
   sim::Time t = begin;
@@ -420,6 +427,9 @@ void Timeline::add_busy(sim::Time begin, sim::Time end) {
     busy_ns_[w] += static_cast<double>(chunk);
     t += chunk;
   }
+  last_ = last;
+  last_begin_ = static_cast<sim::Time>(last) * window_;
+  last_end_ = last_begin_ + window_;
 }
 
 std::vector<double> Timeline::utilization() const {

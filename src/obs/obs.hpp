@@ -220,6 +220,11 @@ class Timeline {
  private:
   sim::Time window_;
   std::vector<double> busy_ns_;
+  // The window the last interval ended in, [last_begin_, last_end_);
+  // empty until the first interval.
+  std::size_t last_ = 0;
+  sim::Time last_begin_ = 0;
+  sim::Time last_end_ = 0;
 };
 
 /// Per-window maximum of a sampled value (queue depth).

@@ -787,9 +787,15 @@ sim::Task<> RaidxController::read_chunk(int client, std::uint64_t lba,
                                         std::span<std::byte> out,
                                         obs::TraceContext ctx) {
   if (!params_.balance_mirror_reads || nblocks != 1) {
-    co_await ArrayController::read_chunk(client, lba, nblocks, out, ctx);
-    co_return;
+    return ArrayController::read_chunk(client, lba, nblocks, out, ctx);
   }
+  return read_balanced_block(client, lba, out, ctx);
+}
+
+sim::Task<> RaidxController::read_balanced_block(int client,
+                                                 std::uint64_t lba,
+                                                 std::span<std::byte> out,
+                                                 obs::TraceContext ctx) {
   // Spread single-block reads over the two copies; a failed copy falls
   // back to the other through the degraded path.
   const block::PhysBlock first = lba % 2 == 1

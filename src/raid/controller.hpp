@@ -406,6 +406,8 @@ class RaidxController : public ArrayController {
   /// next-phase file system targets.  Multi-block chunks always read the
   /// data stripe: a stripe's images are clustered on ONE disk, so routing
   /// a whole stripe at them would serialize what striping parallelizes.
+  /// Returns the base chunk read itself, with no frame of its own, unless
+  /// it balances.
   sim::Task<> read_chunk(int client, std::uint64_t lba, std::uint32_t nblocks,
                          std::span<std::byte> out,
                          obs::TraceContext ctx = {}) override;
@@ -428,6 +430,11 @@ class RaidxController : public ArrayController {
   }
 
  private:
+  /// The balanced single-block read: block `lba` from whichever copy its
+  /// parity picks.
+  sim::Task<> read_balanced_block(int client, std::uint64_t lba,
+                                  std::span<std::byte> out,
+                                  obs::TraceContext ctx);
   /// Flush a full stripe's images: one clustered run + one neighbor block.
   sim::Task<> flush_stripe_images(int client, std::uint64_t stripe,
                                   block::Payload stripe_data,

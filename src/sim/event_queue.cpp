@@ -5,16 +5,27 @@
 
 namespace raidx::sim {
 
-Simulation::~Simulation() {
+Simulation::~Simulation() { abandon(); }
+
+void Simulation::abandon() {
+  abandoning_ = true;
   drain_finished();
   // Destroy any still-suspended top-level frames.  Nothing will resume them
-  // afterwards: the event queue dies with us and child frames are owned by
+  // afterwards: the queue is dropped below and child frames are owned by
   // their parents' frames, so destruction cascades safely.
   for (auto h : processes_) {
     if (h) h.destroy();
   }
+  processes_.clear();
   release_events(fifo_.data() + fifo_head_, fifo_.data() + fifo_.size());
   release_events(heap_.data(), heap_.data() + heap_.size());
+  fifo_.clear();
+  fifo_head_ = 0;
+  heap_.clear();
+  size_ = 0;
+  foreground_ = 0;
+  pending_exception_ = nullptr;
+  abandoning_ = false;
 }
 
 void Simulation::release_events(Event* first, Event* last) {

@@ -120,6 +120,20 @@ class Simulation {
     return Awaiter{this, d};
   }
 
+  /// Resume `h` `d` nanoseconds from now, from a callback rather than from
+  /// an await: the same fast-path test delay()'s suspension makes, so a
+  /// callback that continues a coroutine after a wait (a CPU grant, then
+  /// its service time) resumes by direct call exactly where delay() would
+  /// have resumed by symmetric transfer.  d <= 0 resumes at once, as
+  /// delay(0) never suspends.
+  void resume_after(Time d, std::coroutine_handle<> h) {
+    if (d <= 0) {
+      h.resume();
+      return;
+    }
+    suspend_delay(d, h).resume();
+  }
+
   /// Awaitable like delay(), but the wakeup is a *daemon* event: it fires
   /// in timestamp order while foreground work keeps the simulation going,
   /// yet never keeps run() alive by itself -- once only daemon events
@@ -189,6 +203,15 @@ class Simulation {
   /// the clock is left at the last dispatched event rather than dragged
   /// to `end`, so consecutive windows splice seamlessly.
   void run_window(Time end);
+
+  /// Teardown: destroy every process frame still suspended and drop every
+  /// queued event.  A world calls this before its tiers die, because a run
+  /// that threw leaves requests mid-flight whose frames hold grants on the
+  /// world's resources (and the destructor would otherwise reach them only
+  /// after those resources are gone).  While it runs, released resources
+  /// hand nothing on: their waiters are being destroyed too.
+  void abandon();
+  bool abandoning() const { return abandoning_; }
 
   /// Schedule `fn` at the absolute instant `at` (>= now()).  The shard
   /// synchronizer stamps cross-shard messages in the sender's frame of
@@ -346,6 +369,7 @@ class Simulation {
   std::size_t foreground_ = 0;  // size_ minus parked daemon events
   bool unbounded_drain_ = false;
   bool daemon_pass_running_ = false;
+  bool abandoning_ = false;
   QueueStats queue_stats_;
   // Events stamped now_, in seq order; [0, fifo_head_) already fired.
   std::vector<Event> fifo_;

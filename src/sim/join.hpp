@@ -11,6 +11,7 @@
 //   co_await join.wait();   // rethrows the first failure, if any
 #pragma once
 
+#include <coroutine>
 #include <exception>
 #include <utility>
 
@@ -34,10 +35,20 @@ class Joiner {
   }
 
   /// Await completion of every spawned child, then rethrow the first
-  /// captured exception.  Spawn all children before waiting.
-  Task<> wait() {
-    co_await latch_.wait();
-    if (error_) std::rethrow_exception(error_);
+  /// captured exception.  Spawn all children before waiting.  A plain
+  /// awaitable over the latch: the waiter parks directly, with no frame of
+  /// its own.
+  auto wait() {
+    struct Awaiter {
+      Joiner* joiner;
+      decltype(std::declval<Latch&>().wait()) latch;
+      bool await_ready() const noexcept { return latch.await_ready(); }
+      void await_suspend(std::coroutine_handle<> h) { latch.await_suspend(h); }
+      void await_resume() const {
+        if (joiner->error_) std::rethrow_exception(joiner->error_);
+      }
+    };
+    return Awaiter{this, latch_.wait()};
   }
 
   bool failed() const { return error_ != nullptr; }

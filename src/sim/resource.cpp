@@ -34,16 +34,25 @@ void Resource::enqueue(int priority, Waiter* w) {
 }
 
 void Resource::release() {
+  // A frame torn down by Simulation::abandon() may hold a slot on a
+  // resource that lived in a frame already destroyed: touch nothing.
+  if (sim_.abandoning()) [[unlikely]] return;
   for (auto& q : waiters_) {
     if (q.head != nullptr) {
       // Hand the slot straight to the waiter: in_use_ is unchanged.  The
       // node lives in the waiter's frame, which stays suspended (and its
-      // memory valid) until the scheduled resume fires.
+      // memory valid) until the scheduled resume or grant fires.  Both
+      // take one same-instant event, so the two waiter kinds order alike.
       Waiter* w = q.head;
       q.head = w->next;
       if (q.head == nullptr) q.tail = nullptr;
       --q.count;
-      sim_.schedule_resume(0, w->handle);
+      if (w->handle) {
+        sim_.schedule_resume(0, w->handle);
+      } else {
+        auto* cw = static_cast<CallbackWaiter*>(w);
+        sim_.schedule(0, [cw] { cw->on_grant(cw); });
+      }
       return;
     }
   }

@@ -10,7 +10,9 @@
 // Waiters are intrusive list nodes embedded in the acquire() awaiter, which
 // lives in the suspended coroutine's frame -- stable storage for exactly as
 // long as the wait lasts.  Parking and waking a waiter therefore never
-// touches the heap.
+// touches the heap.  A frameless awaitable that has more to do between the
+// grant and its coroutine's resumption parks a CallbackWaiter instead; its
+// grant runs from the same same-instant event a resume would take.
 #pragma once
 
 #include <coroutine>
@@ -90,6 +92,18 @@ class Resource {
     std::coroutine_handle<> handle{};
     Waiter* next = nullptr;
   };
+
+  /// A waiter whose grant calls `on_grant` instead of resuming a
+  /// coroutine.  Its `handle` stays null, which is how release() tells the
+  /// two kinds apart, so a plain Waiter does not grow.
+  struct CallbackWaiter : Waiter {
+    void (*on_grant)(CallbackWaiter*) = nullptr;
+  };
+
+  /// Queue `w` behind every most-urgent waiter after try_acquire() has
+  /// failed.  The slot is handed over in arrival order, exactly as to an
+  /// acquire() awaiter; `w` must stay valid until its grant runs.
+  void park(CallbackWaiter* w) { enqueue(0, w); }
 
  private:
   struct WaitQueue {

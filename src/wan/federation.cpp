@@ -57,6 +57,8 @@ Federation::Federation(sim::Simulation& sim, FederationParams params)
 }
 
 Federation::~Federation() {
+  // Frames still suspended may hold the links, which die before the sites.
+  sim_.abandon();
   for (auto& s : sites_) s->engine->set_write_observer(nullptr);
 }
 

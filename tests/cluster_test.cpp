@@ -10,6 +10,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/sharded.hpp"
 #include "obs/collect.hpp"
+#include "sim/resource.hpp"
 #include "test_util.hpp"
 
 namespace raidx::cluster {
@@ -126,6 +127,149 @@ TEST(Node, ComputeChargesRawTime) {
   sim.spawn(task(cluster.node(2)));
   sim.run();
   EXPECT_EQ(sim.now(), sim::milliseconds(7));
+}
+
+// --- Frameless CPU charges, event for event --------------------------------
+//
+// Node::cpu_work and Node::compute are awaitables with no frame of their
+// own.  They must schedule exactly what the coroutine they replace did:
+// acquire the CPU, delay() for the service time, release.  Each scenario
+// runs the same jobs through that reference coroutine on a bare Resource
+// and through a Node's CPU, and compares every completion instant and
+// order, the event count and the delay() fast resumes.
+
+sim::Task<> reference_charge(sim::Simulation& sim, sim::Resource& cpu,
+                             sim::Time t) {
+  auto guard = co_await cpu.acquire();
+  co_await sim.delay(t);
+}
+
+struct Job {
+  sim::Time start = 0;
+  std::vector<std::uint64_t> charges;  // bytes for cpu_work, else ns
+};
+
+struct ChargeRun {
+  std::vector<std::pair<int, sim::Time>> done;  // (job, completion)
+  std::uint64_t events = 0;
+  std::uint64_t fast_resumes = 0;
+  bool operator==(const ChargeRun&) const = default;
+};
+
+template <typename ChargeFn>
+sim::Task<> charge_job(sim::Simulation& sim, ChargeFn charge, int id,
+                       const Job* job, ChargeRun* out) {
+  if (job->start > 0) co_await sim.delay(job->start);
+  for (std::uint64_t c : job->charges) {
+    co_await charge(c);
+    out->done.emplace_back(id, sim.now());
+  }
+}
+
+template <typename MakeCharge>
+ChargeRun run_jobs(sim::Simulation& sim, MakeCharge charge,
+                   const std::vector<Job>& jobs) {
+  ChargeRun out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    sim.spawn(charge_job(sim, charge, static_cast<int>(i), &jobs[i], &out));
+  }
+  sim.run();
+  out.events = sim.events_processed();
+  out.fast_resumes = sim.queue_stats().fast_resumes;
+  return out;
+}
+
+/// The reference and the Node's charge on the same jobs; `bytes` selects
+/// cpu_work (charges are payload bytes) over compute (charges are ns).
+std::pair<ChargeRun, ChargeRun> both_charges(const std::vector<Job>& jobs,
+                                             bool bytes) {
+  const NodeParams params;
+  auto service = [&params, bytes](std::uint64_t c) {
+    if (!bytes) return static_cast<sim::Time>(c);
+    return params.cpu_op_overhead +
+           static_cast<sim::Time>(params.cpu_ns_per_byte *
+                                  static_cast<double>(c));
+  };
+  sim::Simulation ref_sim;
+  sim::Resource cpu(ref_sim, 1);
+  const ChargeRun ref = run_jobs(
+      ref_sim,
+      [&](std::uint64_t c) {
+        return reference_charge(ref_sim, cpu, service(c));
+      },
+      jobs);
+
+  sim::Simulation node_sim;
+  Node node(node_sim, 0, params, disk::BusParams{}, disk::DiskParams{},
+            /*num_disks=*/0);
+  const ChargeRun got =
+      bytes ? run_jobs(node_sim,
+                       [&node](std::uint64_t c) { return node.cpu_work(c); },
+                       jobs)
+            : run_jobs(node_sim,
+                       [&node](std::uint64_t c) {
+                         return node.compute(static_cast<sim::Time>(c));
+                       },
+                       jobs);
+  EXPECT_EQ(node.cpu_busy(), cpu.busy_time());
+  return {ref, got};
+}
+
+TEST(NodeCharge, LoneChargeOnAnEmptyQueueTakesTheFastPath) {
+  for (bool bytes : {false, true}) {
+    const auto [ref, got] = both_charges({{0, {4096}}}, bytes);
+    EXPECT_EQ(got, ref) << "bytes " << bytes;
+    EXPECT_EQ(got.done.size(), 1u);
+    EXPECT_GT(got.fast_resumes, 0u) << "bytes " << bytes;
+  }
+}
+
+TEST(NodeCharge, UncontendedChargesMatchTheCoroutine) {
+  // Starts far enough apart that no charge ever waits for the CPU.
+  const std::vector<Job> jobs = {{0, {1000, 2000}},
+                                 {sim::milliseconds(5), {3000}},
+                                 {sim::milliseconds(9), {10, 20, 30}}};
+  for (bool bytes : {false, true}) {
+    const auto [ref, got] = both_charges(jobs, bytes);
+    EXPECT_EQ(got, ref) << "bytes " << bytes;
+    EXPECT_EQ(got.done.size(), 6u);
+  }
+}
+
+TEST(NodeCharge, ContendedChargesQueueFifoLikeTheCoroutine) {
+  // Everyone arrives at once, and later arrivals land mid-service, so
+  // most charges park behind the CPU and run from a grant.
+  const std::vector<Job> jobs = {{0, {30000, 10000}},
+                                 {0, {5000, 5000, 5000}},
+                                 {0, {20000}},
+                                 {7000, {1000, 40000}},
+                                 {7000, {2500}},
+                                 {31000, {100, 100}}};
+  for (bool bytes : {false, true}) {
+    const auto [ref, got] = both_charges(jobs, bytes);
+    EXPECT_EQ(got, ref) << "bytes " << bytes;
+    EXPECT_EQ(got.done.size(), 11u);
+  }
+  // Sanity: with compute() the third job's single charge completes after
+  // the first two jobs' first charges, in arrival order.
+  const auto [ref, got] = both_charges(jobs, false);
+  ASSERT_GE(got.done.size(), 3u);
+  EXPECT_EQ(got.done[0], std::make_pair(0, sim::Time{30000}));
+  EXPECT_EQ(got.done[1], std::make_pair(1, sim::Time{35000}));
+  EXPECT_EQ(got.done[2], std::make_pair(2, sim::Time{55000}));
+}
+
+TEST(NodeCharge, ZeroTimeChargesSuspendOnlyToQueue) {
+  // A zero-time compute() on an idle CPU completes without suspending; one
+  // that finds the CPU busy parks and resumes from its grant.
+  const std::vector<Job> jobs = {{0, {0, 0}},
+                                 {0, {8000, 0}},
+                                 {0, {0}},
+                                 {4000, {0, 0}},
+                                 {8000, {0}}};
+  const auto [ref, got] = both_charges(jobs, false);
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(got.done.size(), 8u);
 }
 
 TEST(ClusterParams, TrojansDefaultsMatchThePaper) {

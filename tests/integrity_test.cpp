@@ -42,14 +42,31 @@ TEST(Crc32c, ZeroRunMatchesMaterializedZeros) {
 }
 
 TEST(Crc32c, ExtendZerosComposesWithData) {
-  // crc(data ++ 0^n) must equal extend_zeros(crc(data), n).
+  // crc(data ++ 0^n) must equal extend_zeros(crc(data), n), for run
+  // lengths up to 2^20 and on both sides of every power of two (each set
+  // bit of n picks one of the precomputed operators).
   const auto data = test::pattern_block(3, 97);
-  for (std::uint64_t n : {1ull, 13ull, 256ull, 5000ull}) {
-    std::vector<std::byte> padded = data;
-    padded.resize(data.size() + n, std::byte{0});
-    EXPECT_EQ(crc32c_extend_zeros(crc32c(data), n), crc32c(padded))
-        << "n=" << n;
+  std::vector<std::uint64_t> ns = {0, 13, 256, 5000, 1ull << 20};
+  for (int k = 1; k <= 20; ++k) {
+    ns.push_back((1ull << k) - 1);
+    ns.push_back((1ull << k) + 1);
   }
+  std::sort(ns.begin(), ns.end());
+  ns.erase(std::unique(ns.begin(), ns.end()), ns.end());
+  // The oracle appends the zeros byte by byte, one run after another.
+  const std::vector<std::byte> zeros(ns.back(), std::byte{0});
+  const std::uint32_t base = crc32c(data);
+  std::uint32_t running = base;
+  std::uint64_t have = 0;
+  for (std::uint64_t n : ns) {
+    running = crc32c(running, std::span<const std::byte>(zeros.data(),
+                                                          n - have));
+    have = n;
+    EXPECT_EQ(crc32c_extend_zeros(base, n), running) << "n=" << n;
+  }
+  std::vector<std::byte> padded = data;
+  padded.resize(data.size() + 5000, std::byte{0});
+  EXPECT_EQ(crc32c_extend_zeros(base, 5000), crc32c(padded));
 }
 
 TEST(Crc32c, PayloadZeroRunEqualsMaterialized) {

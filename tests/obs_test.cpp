@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -172,6 +173,40 @@ TEST(ObsTimeline, BusySplitsAcrossWindows) {
   EXPECT_NEAR(u[0], 0.5, 1e-9);
   EXPECT_NEAR(u[1], 0.5, 1e-9);
   EXPECT_NEAR(u[2], 0.5, 1e-9);
+}
+
+TEST(ObsTimeline, LastWindowCursorIsBitIdenticalToTheSplit) {
+  // Mostly near-ordered intervals (the cursor's fast path), with backward
+  // jumps, window-straddling spans and empty ones mixed in.  Every window
+  // must hold exactly the double the per-window split computes, added in
+  // the same order.
+  const sim::Time window = sim::microseconds(250);
+  obs::Timeline t(window);
+  std::vector<double> want;
+  std::mt19937_64 rng(7);
+  sim::Time at = 0;
+  for (int i = 0; i < 20000; ++i) {
+    sim::Time begin = at + static_cast<sim::Time>(rng() % 40000);
+    if (rng() % 16 == 0) begin = static_cast<sim::Time>(rng() % (at + 1));
+    const std::uint64_t span = rng() % 8 == 0 ? 900000 : 30000;
+    const sim::Time end = begin + static_cast<sim::Time>(rng() % span);
+    at = std::max(at, begin);
+    t.add_busy(begin, end);
+    for (sim::Time s = begin; s < end;) {
+      const auto w = static_cast<std::size_t>(s / window);
+      const sim::Time chunk =
+          std::min(end, static_cast<sim::Time>(w + 1) * window) - s;
+      if (w >= want.size()) want.resize(w + 1, 0.0);
+      want[w] += static_cast<double>(chunk);
+      s += chunk;
+    }
+  }
+  const std::vector<double> got = t.utilization();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w], want[w] / static_cast<double>(window))
+        << "window " << w;
+  }
 }
 
 TEST(ObsTimeline, DepthKeepsPerWindowMaximum) {

@@ -361,6 +361,54 @@ TEST(Joiner, PropagatesChildException) {
   EXPECT_TRUE(caught);
 }
 
+// A frame that counts its own destruction.
+struct Alive {
+  int* live;
+  explicit Alive(int* l) : live(l) { ++*live; }
+  Alive(const Alive&) = delete;
+  Alive& operator=(const Alive&) = delete;
+  ~Alive() { --*live; }
+};
+
+Task<> hold_slot(Simulation& sim, Resource& r, int* live) {
+  Alive a(live);
+  auto guard = co_await r.acquire();
+  co_await sim.delay(milliseconds(10));
+}
+
+// Owns a resource in its own frame and keeps a child holding a slot on it,
+// as ArrayController::read does with its chunk window.
+Task<> window_owner(Simulation& sim, int* live) {
+  Alive a(live);
+  Resource window(sim, 1);
+  sim.spawn(hold_slot(sim, window, live));
+  sim.spawn(hold_slot(sim, window, live));
+  co_await sim.delay(milliseconds(50));
+}
+
+TEST(Simulation, AbandonDestroysSuspendedFramesWhileTheirResourcesLive) {
+  Simulation sim;
+  int live = 0;
+  {
+    Resource cpu(sim, 1);
+    // One holder mid-delay and two waiters parked on a resource that
+    // outlives the frames; then an owner that dies before the children
+    // holding a slot on its own frame-local resource.
+    for (int i = 0; i < 3; ++i) sim.spawn(hold_slot(sim, cpu, &live));
+    sim.spawn(window_owner(sim, &live));
+    sim.run_until(milliseconds(1));
+    EXPECT_EQ(live, 6);
+    EXPECT_GT(sim.pending_events(), 0u);
+    sim.abandon();
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_FALSE(sim.abandoning());
+  }
+  // Nothing is left for the destructor to reach.
+  sim.run();
+  EXPECT_EQ(sim.now(), milliseconds(1));
+}
+
 TEST(LatencyRecorder, SummarizesSamples) {
   LatencyRecorder rec;
   for (int i = 1; i <= 100; ++i) rec.add(milliseconds(i));

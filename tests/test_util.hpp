@@ -15,6 +15,20 @@
 
 namespace raidx::test {
 
+// Sanitizer instrumentation grows coroutine frames, so frame-byte bounds
+// hold only for uninstrumented builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kInstrumentedFrames = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kInstrumentedFrames = true;
+#else
+constexpr bool kInstrumentedFrames = false;
+#endif
+#else
+constexpr bool kInstrumentedFrames = false;
+#endif
+
 /// A small cluster geometry that keeps tests fast: tiny blocks, few blocks
 /// per disk, but the full network/CPU/disk stack.
 inline cluster::ClusterParams small_cluster(int nodes = 4,

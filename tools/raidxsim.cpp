@@ -1157,6 +1157,8 @@ int drive_open_loop(const Scenario& sc,
                                         first.gate.get()));
       r = load::fold_results(std::move(one));
     }
+  } catch (const std::bad_alloc&) {
+    throw;  // main reports it: an unrunnable size, not a failed run
   } catch (const std::exception& e) {
     std::printf("run failed: %s\n", e.what());
     return 1;
@@ -1281,6 +1283,8 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
     workload::AndrewResult ar;
     try {
       ar = workload::run_andrew(*world.engine, acfg);
+    } catch (const std::bad_alloc&) {
+      throw;  // main reports it: an unrunnable size, not a failed run
     } catch (const std::exception& e) {
       std::printf("run failed: %s\n", e.what());
       return 1;
@@ -1322,6 +1326,8 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
     workload::ParallelIoResult r;
     try {
       r = workload::run_parallel_io(*world.engine, cfg);
+    } catch (const std::bad_alloc&) {
+      throw;  // main reports it: an unrunnable size, not a failed run
     } catch (const std::exception& e) {
       std::printf("run failed: %s\n", e.what());
       return 1;
