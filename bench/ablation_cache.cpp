@@ -73,9 +73,9 @@ ReadPoint small_read(const Cfg& c) {
   cfg.scattered = true;
   // One unmeasured pass over the same access sequence warms the cache;
   // the control keeps the seed's single-pass behavior.
-  cfg.warm_passes = world.cache.enabled() ? 1 : 0;
+  cfg.warm_passes = world.cache->enabled() ? 1 : 0;
   const auto r = workload::run_parallel_io(*world.engine, cfg);
-  return {r.aggregate_mbs, world.cache.stats()};
+  return {r.aggregate_mbs, world.cache->stats()};
 }
 
 sim::Task<> warm_quarter(raid::ArrayController* eng, int node,
@@ -116,26 +116,26 @@ SharedPoint shared_scan(const Cfg& c) {
       static_cast<std::uint32_t>(region_blocks / 4);
   std::vector<std::vector<std::byte>> bufs(
       kClients, std::vector<std::byte>(static_cast<std::size_t>(quarter) * bs));
-  if (world.cache.enabled()) {
+  sim::Simulation& sim = world.sim();
+  if (world.cache->enabled()) {
     for (int q = 0; q < 4; ++q) {
-      world.sim.spawn(warm_quarter(world.engine.get(), q,
-                                   static_cast<std::uint64_t>(q) * quarter,
-                                   quarter, &bufs[static_cast<std::size_t>(q)]));
+      sim.spawn(warm_quarter(world.engine.get(), q,
+                             static_cast<std::uint64_t>(q) * quarter, quarter,
+                             &bufs[static_cast<std::size_t>(q)]));
     }
-    world.sim.run();
+    sim.run();
   }
   const int ops = 256;  // 8 MB of 32 KB reads per client
-  const sim::Time t0 = world.sim.now();
+  const sim::Time t0 = sim.now();
   for (int i = 0; i < kClients; ++i) {
-    world.sim.spawn(shared_reads(world.engine.get(), i, region_blocks, ops,
-                                 /*seed=*/1000 + static_cast<std::uint64_t>(i),
-                                 &bufs[static_cast<std::size_t>(i)]));
+    sim.spawn(shared_reads(world.engine.get(), i, region_blocks, ops,
+                           /*seed=*/1000 + static_cast<std::uint64_t>(i),
+                           &bufs[static_cast<std::size_t>(i)]));
   }
-  world.sim.run();
+  sim.run();
   return {sim::bandwidth_mbs(
-              static_cast<std::uint64_t>(kClients) * ops * bs,
-              world.sim.now() - t0),
-          world.cache.stats()};
+              static_cast<std::uint64_t>(kClients) * ops * bs, sim.now() - t0),
+          world.cache->stats()};
 }
 
 struct AndrewPoint {
@@ -149,19 +149,7 @@ AndrewPoint andrew(const Cfg& c) {
               to_cache(c, clp.geometry.block_bytes));
   workload::AndrewConfig cfg;
   cfg.clients = kClients;
-  return {workload::run_andrew(*world.engine, cfg), world.cache.stats()};
-}
-
-std::string secs(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", sim::to_seconds(t));
-  return buf;
-}
-
-std::string ratio(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
+  return {workload::run_andrew(*world.engine, cfg), world.cache->stats()};
 }
 
 }  // namespace
@@ -215,16 +203,18 @@ int main() {
     }
     const double scan_s = sim::to_seconds(ap.result.scan_dir);
     const double readall_s = sim::to_seconds(ap.result.read_all);
-    table.add_row({c.tag, bench::mbs(rp.mbs), ratio(rp.mbs / base_read),
-                   bench::mbs(sp.mbs), ratio(sp.mbs / base_shared),
-                   secs(ap.result.scan_dir), ratio(base_scan / scan_s),
-                   secs(ap.result.read_all), ratio(base_readall / readall_s),
-                   secs(ap.result.total())});
+    const double total_s = sim::to_seconds(ap.result.total());
+    const auto fmt = sim::TablePrinter::fmt;
+    table.add_row({c.tag, fmt(rp.mbs, 2), fmt(rp.mbs / base_read, 2),
+                   fmt(sp.mbs, 2), fmt(sp.mbs / base_shared, 2),
+                   fmt(scan_s, 3), fmt(base_scan / scan_s, 2),
+                   fmt(readall_s, 3), fmt(base_readall / readall_s, 2),
+                   fmt(total_s, 3)});
     json.add("read_mbs_" + c.tag, rp.mbs);
     json.add("shared_mbs_" + c.tag, sp.mbs);
     json.add("andrew_scan_s_" + c.tag, scan_s);
     json.add("andrew_readall_s_" + c.tag, readall_s);
-    json.add("andrew_total_s_" + c.tag, sim::to_seconds(ap.result.total()));
+    json.add("andrew_total_s_" + c.tag, total_s);
   }
   table.print();
 

@@ -79,8 +79,8 @@ int main() {
     sim::TablePrinter table(
         {"configuration", "foreground MB/s", "sustained MB/s"});
     auto add = [&](const char* label, Measured m) {
-      table.add_row({label, bench::mbs(m.foreground),
-                     bench::mbs(m.sustained)});
+      table.add_row({label, sim::TablePrinter::fmt(m.foreground),
+                     sim::TablePrinter::fmt(m.sustained)});
     };
     add("RAID-x: background + clustered  (OSM, the paper)",
         measure_raidx(true, true, spec.op, spec.bytes, spec.ops,

@@ -46,9 +46,10 @@ int main() {
       params.geometry.disks_per_node = k;
       char label[16];
       std::snprintf(label, sizeof(label), "%2dx%d", n, k);
-      table.add_row({label, std::to_string(n),
-                     bench::mbs(measure(params, IoOp::kRead, n)),
-                     bench::mbs(measure(params, IoOp::kWrite, n))});
+      const double read = measure(params, IoOp::kRead, n);
+      const double write = measure(params, IoOp::kWrite, n);
+      table.add_row({label, std::to_string(n), sim::TablePrinter::fmt(read),
+                     sim::TablePrinter::fmt(write)});
     }
     table.print();
   }
@@ -62,9 +63,10 @@ int main() {
       auto params = bench::perf_trojans();
       params.geometry.block_bytes = kb * 1024;
       params.geometry.blocks_per_disk = (10ull << 30) / params.geometry.block_bytes;
-      table.add_row({std::to_string(kb) + " KB",
-                     bench::mbs(measure(params, IoOp::kRead, 16)),
-                     bench::mbs(measure(params, IoOp::kWrite, 16))});
+      const double read = measure(params, IoOp::kRead, 16);
+      const double write = measure(params, IoOp::kWrite, 16);
+      table.add_row({std::to_string(kb) + " KB", sim::TablePrinter::fmt(read),
+                     sim::TablePrinter::fmt(write)});
     }
     table.print();
   }

@@ -4,46 +4,39 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 
-#include "cache/cache_fabric.hpp"
-#include "cdd/cdd.hpp"
-#include "cluster/cluster.hpp"
-#include "obs/collect.hpp"
+#include "cluster/world.hpp"
 #include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "workload/engines.hpp"
 
 namespace raidx::bench {
 
-/// One self-contained simulated cluster + CDD fabric + engine.  Every data
-/// point gets a fresh world so runs are independent and reproducible.  The
-/// default cache (capacity 0) leaves the engine bit-identical to a
-/// cacheless build; pass CacheParams to put a block cache in front.
-struct World {
-  explicit World(cluster::ClusterParams params, workload::Arch arch,
-                 raid::EngineParams engine_params = {},
-                 cache::CacheParams cache_params = {})
-      : cluster(sim, params),
-        fabric(cluster),
-        cache(cluster, cache_params),
-        engine(workload::make_engine(arch, fabric, engine_params)) {
-    engine->attach_cache(&cache);
-    // Metrics and timelines on, span tracing off: recording busy windows
-    // never adds or reorders simulation events, so bench numbers are
-    // identical to a hub-less run (only span tracing would grow memory
-    // with run length, and benches do not need spans).
-    sim.set_hub(&hub);
-  }
-
-  sim::Simulation sim;
+/// What one data point owns besides its world: the Simulation the world
+/// runs on and the obs Hub its snapshot reads.  Metrics and timelines on,
+/// span tracing off: recording busy windows never adds or reorders
+/// simulation events, so bench numbers are identical to a hub-less run
+/// (only span tracing would grow memory with run length, and benches do
+/// not need spans).
+struct Stage {
+  Stage() { simulation.set_hub(&hub); }
+  sim::Simulation simulation;
   obs::Hub hub;
-  cluster::Cluster cluster;
-  cdd::CddFabric fabric;
-  cache::CacheFabric cache;
-  std::unique_ptr<raid::ArrayController> engine;
+};
+
+/// One data point: a cluster::World (Cluster -> CddFabric -> CacheFabric
+/// -> engine, plus whatever tiers arm() adds) on the point's own Stage,
+/// which outlives it.  Every data point gets a fresh world so runs are
+/// independent and reproducible.  The default cache (capacity 0) leaves
+/// the engine bit-identical to a cacheless build; pass CacheParams to put
+/// a block cache in front.
+struct World : Stage, cluster::World {
+  World(const cluster::ClusterParams& params, workload::Arch arch,
+        raid::EngineParams engine_params = {},
+        cache::CacheParams cache_params = {})
+      : cluster::World(simulation, params,
+                       {arch, engine_params, cache_params}) {}
 };
 
 /// True when RAIDX_BENCH_SMOKE is set: benches shrink to a scale that
@@ -161,16 +154,15 @@ inline std::string frame_pool_json(const sim::Simulation& sim) {
 /// Embed one world's metrics-registry snapshot and utilization/queue-depth
 /// timelines under "<key>" -- per-disk and per-link counters, histogram
 /// percentiles, and windowed busy fractions, all from the shared registry.
-/// Pass an orchestrator and/or integrity plane to include their gated key
-/// sections (`ha.*`, `integrity.*`).
-inline void add_obs(sim::JsonWriter& w, const std::string& key, World& world,
-                    const ha::Orchestrator* orch = nullptr,
-                    const integrity::IntegrityPlane* integrity = nullptr) {
-  obs::collect_cluster(world.hub.registry(), world.cluster, &world.fabric,
-                       &world.cache, orch, integrity);
+/// World::collect exports every tier the world holds, so an armed
+/// orchestrator or integrity plane adds its gated key section (`ha.*`,
+/// `integrity.*`).
+inline void add_obs(sim::JsonWriter& w, const std::string& key, World& world) {
+  world.collect(world.hub.registry());
   w.add_raw(key, "{\"registry\":" + world.hub.registry().snapshot_json() +
                      ",\"timelines\":" + world.hub.timelines().json() +
-                     ",\"frame_pool\":" + frame_pool_json(world.sim) + "}");
+                     ",\"frame_pool\":" + frame_pool_json(world.sim()) +
+                     "}");
 }
 
 /// Append the block-cache counters (zeros when no cache was attached, so
@@ -217,12 +209,6 @@ inline raid::EngineParams paper_engine() {
   raid::EngineParams p;
   p.verify_parity_on_read = true;
   return p;
-}
-
-inline std::string mbs(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
 }
 
 }  // namespace raidx::bench

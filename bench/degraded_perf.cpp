@@ -41,12 +41,12 @@ double measure(Arch arch, State state, sim::JsonWriter& json,
                const std::string& obs_key) {
   World world(bench::perf_trojans(), arch);
   if (state != State::kHealthy) {
-    world.cluster.disk(kVictim).fail();
+    world.cluster->disk(kVictim).fail();
   }
   if (state == State::kRebuilding) {
-    world.cluster.disk(kVictim).replace();
+    world.cluster->disk(kVictim).replace();
     // A bounded sweep keeps the rebuild active throughout the measurement.
-    world.sim.spawn(world.engine->rebuild_disk(0, kVictim, 1500));
+    world.sim().spawn(world.engine->rebuild_disk(0, kVictim, 1500));
   }
   ParallelIoConfig cfg;
   cfg.clients = 8;
@@ -58,8 +58,7 @@ double measure(Arch arch, State state, sim::JsonWriter& json,
     // The sweep outlives the reads by minutes of simulated time.  Its
     // registry (per-disk counters, event count, end instant) pins it
     // without the long utilization timelines.
-    obs::collect_cluster(world.hub.registry(), world.cluster, &world.fabric,
-                         &world.cache);
+    world.collect(world.hub.registry());
     json.add_raw(obs_key, "{\"registry\":" +
                               world.hub.registry().snapshot_json() + "}");
   } else if (!obs_key.empty()) {
@@ -105,8 +104,8 @@ double repair_ms(Arch arch, sim::JsonWriter& json, const std::string& key) {
   const std::vector<std::uint64_t> slots =
       repair_slots(world.engine->layout());
   std::size_t fixed = 0;
-  world.sim.spawn(repair_all(world.engine.get(), slots, &fixed));
-  world.sim.run();
+  world.sim().spawn(repair_all(world.engine.get(), slots, &fixed));
+  world.sim().run();
   if (fixed != slots.size()) {
     std::fprintf(stderr, "degraded_perf: %s repaired %zu of %zu slots\n",
                  workload::arch_name(arch), fixed, slots.size());
@@ -114,7 +113,7 @@ double repair_ms(Arch arch, sim::JsonWriter& json, const std::string& key) {
   }
   json.add(key + "_repair_slots", static_cast<std::uint64_t>(slots.size()));
   bench::add_obs(json, "obs_" + key + "_repair", world);
-  return sim::to_seconds(world.sim.now()) * 1e3;
+  return sim::to_seconds(world.sim().now()) * 1e3;
 }
 
 /// JSON key prefix of an architecture: "RAID-10" -> "raid10".
@@ -150,10 +149,10 @@ int main() {
     json.add(k + "_degraded_mbs", degraded);
     json.add(k + "_rebuilding_mbs", rebuilding);
     json.add(k + "_repair_ms", repair);
-    char ms[32];
-    std::snprintf(ms, sizeof(ms), "%.3f", repair);
-    table.add_row({workload::arch_name(arch), bench::mbs(healthy),
-                   bench::mbs(degraded), bench::mbs(rebuilding), ms});
+    table.add_row({workload::arch_name(arch), sim::TablePrinter::fmt(healthy),
+                   sim::TablePrinter::fmt(degraded),
+                   sim::TablePrinter::fmt(rebuilding),
+                   sim::TablePrinter::fmt(repair, 3)});
   }
   table.print();
   std::printf(

@@ -51,17 +51,17 @@ bool survives(Arch arch, const std::vector<int>& victims) {
   auto params = cluster::ClusterParams::trojans_4x3();
   params.geometry.blocks_per_disk = 4096;
   bench::World world(params, arch);
-  world.sim.spawn(fill(world.engine.get()));
+  world.sim().spawn(fill(world.engine.get()));
   try {
-    world.sim.run();
+    world.sim().run();
   } catch (const raid::IoError&) {
     return false;
   }
-  for (int v : victims) world.cluster.disk(v).fail();
+  for (int v : victims) world.cluster->disk(v).fail();
   bool ok = false;
-  world.sim.spawn(verify(world.engine.get(), &ok));
+  world.sim().spawn(verify(world.engine.get(), &ok));
   try {
-    world.sim.run();
+    world.sim().run();
   } catch (const raid::IoError&) {
     return false;
   }

@@ -45,10 +45,7 @@ double measure(Arch arch, const Panel& panel, int clients,
   cfg.bytes_per_op = panel.bytes_per_op;
   cfg.ops_per_client = panel.ops_per_client;
   cfg.scattered = panel.scattered;
-  // The paper's clients are distinct from the NFS file server.
-  if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
-    cfg.exclude_node = srv->server_node();
-  }
+  cfg.exclude_node = workload::exclude_node(arch);
   const auto result = workload::run_parallel_io(*world.engine, cfg);
   // Endpoint configurations also ship their per-disk/per-link utilization
   // timelines and latency-histogram percentiles, via the shared registry.
@@ -102,7 +99,7 @@ int main() {
         const double mbs = measure(
             a, panel, clients, with_obs ? &json : nullptr,
             std::string("obs_") + panel_keys[p]);
-        row.push_back(bench::mbs(mbs));
+        row.push_back(sim::TablePrinter::fmt(mbs));
         if (at_endpoint) {
           json.add(std::string(panel_keys[p]) + "_mbs_" +
                        workload::arch_name(a),

@@ -26,9 +26,7 @@ AndrewResult measure(Arch arch, int clients,
   World world(bench::perf_trojans(), arch, bench::paper_engine());
   AndrewConfig cfg;
   cfg.clients = clients;
-  if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
-    cfg.exclude_node = srv->server_node();
-  }
+  cfg.exclude_node = workload::exclude_node(arch);
   AndrewResult r = workload::run_andrew(*world.engine, cfg);
   // Endpoint runs ship their per-disk utilization timelines and latency
   // histograms alongside the headline seconds.
@@ -37,9 +35,7 @@ AndrewResult measure(Arch arch, int clients,
 }
 
 std::string secs(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", sim::to_seconds(t));
-  return buf;
+  return sim::TablePrinter::fmt(sim::to_seconds(t));
 }
 
 }  // namespace

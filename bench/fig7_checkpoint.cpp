@@ -30,9 +30,7 @@ using ckpt::Strategy;
 using workload::Arch;
 
 std::string secs(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", sim::to_seconds(t));
-  return buf;
+  return sim::TablePrinter::fmt(sim::to_seconds(t), 3);
 }
 
 cluster::ClusterParams geometry(int nodes, int disks_per_node) {
@@ -149,17 +147,17 @@ int main() {
       *local = co_await ckpt::recover_from_local_mirror(*eng, *c, 0);
       *striped = co_await ckpt::recover_striped(*eng, *c, 0);
     };
-    world.sim.spawn(probe(rx, &cfg, &t_local, &t_striped));
-    world.sim.run();
+    world.sim().spawn(probe(rx, &cfg, &t_local, &t_striped));
+    world.sim().run();
 
     // Permanent failure: lose a disk, recover from the stripes (degraded).
-    world.cluster.disk(1).fail();
+    world.cluster->disk(1).fail();
     auto probe2 = [](raid::RaidxController* eng, const CheckpointConfig* c,
                      sim::Time* out) -> sim::Task<> {
       *out = co_await ckpt::recover_striped(*eng, *c, 0);
     };
-    world.sim.spawn(probe2(rx, &cfg, &t_degraded));
-    world.sim.run();
+    world.sim().spawn(probe2(rx, &cfg, &t_degraded));
+    world.sim().run();
 
     table.add_row({"transient: local mirror images", secs(t_local)});
     table.add_row({"striped read (all disks healthy)", secs(t_striped)});

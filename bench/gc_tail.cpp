@@ -54,7 +54,8 @@ cluster::ClusterParams flash_cluster(double op, flash::GcPolicy policy) {
   p.geometry.nodes = 4;
   p.geometry.block_bytes = 4096;
   p.geometry.blocks_per_disk = bench::smoke_pick<std::uint64_t>(4096, 512);
-  p.device_map.assign(4, disk::DeviceClass::kSsd);
+  p.device_map = workload::device_map(workload::DiskType::kSsd, Arch::kRaid10,
+                                      p.geometry);
   p.flash.over_provision = op;
   p.flash.gc_policy = policy;
   return p;
@@ -177,12 +178,6 @@ void add_point(sim::JsonWriter& json, const std::string& key,
            static_cast<double>(p.flash.gc_max_pause) / 1e6);
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
 const char* policy_name(flash::GcPolicy p) {
   return p == flash::GcPolicy::kGreedy ? "greedy" : "costben";
 }
@@ -211,7 +206,7 @@ int main() {
                   bench::paper_engine());
       const load::OpenLoopResult r =
           load::run_open_loop(*world.engine, write_pressure());
-      const Point p = to_point(r, world.cluster);
+      const Point p = to_point(r, *world.cluster);
       if (p.flash.gc_erases == 0) {
         std::fprintf(stderr,
                      "gc_tail: %s op=%.2f never triggered GC -- the sweep "
@@ -219,6 +214,7 @@ int main() {
                      policy_name(policy), op);
         return 1;
       }
+      const auto fmt = [](double v) { return sim::TablePrinter::fmt(v); };
       table.add_row({policy_name(policy), fmt(op), fmt(p.read_p50_ms),
                      fmt(p.read_p99_ms), fmt(p.read_p999_ms),
                      fmt(p.p99_ms), fmt(p.flash.wa()),
@@ -259,19 +255,18 @@ int main() {
     ip.scrub = true;
     ip.scrub_rate_mbs = 8.0;
     ip.scrub_interval = sim::milliseconds(100);
-    integrity::IntegrityPlane plane(*world.engine, ip);
+    world.arm(nullptr, &ip);
     const load::OpenLoopResult r =
         load::run_open_loop(*world.engine, write_pressure());
-    const Point p = to_point(r, world.cluster);
+    const Point p = to_point(r, *world.cluster);
+    const std::uint64_t scrubbed = world.plane->stats().blocks_scrubbed;
     std::printf("\nscrub overlap (op=0.07 greedy): read p99 %.2f ms, read "
                 "p999 %.2f ms, WA %.2f, %llu blocks scrubbed\n",
                 p.read_p99_ms, p.read_p999_ms, p.flash.wa(),
-                static_cast<unsigned long long>(
-                    plane.stats().blocks_scrubbed));
+                static_cast<unsigned long long>(scrubbed));
     add_point(json, "overlap_scrub", p);
-    json.add("overlap_scrub_blocks_scrubbed",
-             plane.stats().blocks_scrubbed);
-    bench::add_obs(json, "obs_overlap_scrub", world, nullptr, &plane);
+    json.add("overlap_scrub_blocks_scrubbed", scrubbed);
+    bench::add_obs(json, "obs_overlap_scrub", world);
   }
 
   // --- Overlap: the same pressure with a rebuild sweeping disk 1. ---
@@ -279,16 +274,16 @@ int main() {
     World world(flash_cluster(0.07, flash::GcPolicy::kGreedy),
                 Arch::kRaid10, bench::paper_engine());
     auto swap_and_rebuild = [](World* w) -> sim::Task<> {
-      co_await w->sim.delay(sim::milliseconds(100));
-      w->cluster.disk(1).fail();
-      w->cluster.disk(1).replace();
+      co_await w->sim().delay(sim::milliseconds(100));
+      w->cluster->disk(1).fail();
+      w->cluster->disk(1).replace();
       co_await w->engine->rebuild_disk(1, 1);
     };
-    world.sim.spawn(swap_and_rebuild(&world));
+    world.sim().spawn(swap_and_rebuild(&world));
     const load::OpenLoopResult r =
         load::run_open_loop(*world.engine, write_pressure());
-    const Point p = to_point(r, world.cluster);
-    if (world.cluster.disk(1).rebuilding()) {
+    const Point p = to_point(r, *world.cluster);
+    if (world.cluster->disk(1).rebuilding()) {
       std::fprintf(stderr, "gc_tail: rebuild did not finish\n");
       return 1;
     }
@@ -315,30 +310,27 @@ int main() {
     cfg.duration = sim::seconds(bench::smoke_pick(5.0, 2.0));
     return cfg;
   };
-  auto hda_cluster = [](bool hybrid) {
+  auto hda_world = [](workload::DiskType type) {
     cluster::ClusterParams p = bench::perf_trojans();
     p.geometry.nodes = 4;
     p.geometry.disks_per_node = 2;
     p.geometry.blocks_per_disk = bench::smoke_pick<std::uint64_t>(4096, 1024);
-    if (hybrid) {
-      p.device_map.assign(8, disk::DeviceClass::kHdd);
-      for (int j = 0; j < 4; ++j) p.device_map[j] = disk::DeviceClass::kSsd;
-    }
-    return p;
+    p.device_map = workload::device_map(type, Arch::kRaidX, p.geometry);
+    raid::EngineParams ep = bench::paper_engine();
+    ep.hybrid_mirrors = workload::hybrid_mirrors(type, Arch::kRaidX);
+    return World(p, Arch::kRaidX, ep);
   };
   Point hdd, hyb;
   {
-    World world(hda_cluster(false), Arch::kRaidX, bench::paper_engine());
+    World world = hda_world(workload::DiskType::kHdd);
     hdd = to_point(load::run_open_loop(*world.engine, small_writes()),
-                   world.cluster);
+                   *world.cluster);
     add_point(json, "small_write_hdd", hdd);
   }
   {
-    raid::EngineParams ep = bench::paper_engine();
-    ep.hybrid_mirrors = true;
-    World world(hda_cluster(true), Arch::kRaidX, ep);
+    World world = hda_world(workload::DiskType::kHybrid);
     hyb = to_point(load::run_open_loop(*world.engine, small_writes()),
-                   world.cluster);
+                   *world.cluster);
     add_point(json, "small_write_hybrid", hyb);
     bench::add_obs(json, "obs_small_write_hybrid", world);
   }

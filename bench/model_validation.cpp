@@ -99,10 +99,10 @@ int main() {
     const double r5 = saturated(Arch::kRaid5, row.op, row.small);
     const double cd = saturated(Arch::kRaid10, row.op, row.small);
     const double rx = saturated(Arch::kRaidX, row.op, row.small);
-    auto ratio = [&](double v) { return bench::mbs(v / r0); };
-    table.add_row({row.name, ratio(r5), bench::mbs(row.predict_r5),
-                   ratio(cd), bench::mbs(row.predict_cd), ratio(rx),
-                   bench::mbs(row.predict_rx)});
+    const auto fmt = [](double v) { return sim::TablePrinter::fmt(v); };
+    table.add_row({row.name, fmt(r5 / r0), fmt(row.predict_r5),
+                   fmt(cd / r0), fmt(row.predict_cd), fmt(rx / r0),
+                   fmt(row.predict_rx)});
   }
   table.print();
   std::printf(

@@ -57,20 +57,15 @@ Point measure(sim::Time probe_interval, double rebuild_mbs,
   hp.probe_timeout = sim::milliseconds(5);
   hp.spare_swap_time = sim::milliseconds(500);
   hp.rebuild_mbs = rebuild_mbs;
-  ha::Orchestrator orch(*world.engine, hp);
-
-  // Inject the fault from inside the simulation so detection latency is
-  // measured from a mid-run instant, not t=0.
-  auto inject = [](sim::Simulation* sim, cluster::Cluster* cl,
-                   ha::Orchestrator* o) -> sim::Task<> {
-    co_await sim->delay(sim::milliseconds(50));
-    cl->disk(2).fail();
-    o->note_fault_injected(2);
-  };
-  world.sim.spawn(inject(&world.sim, &world.cluster, &orch));
-  world.sim.run();
+  // Fail the drive mid-run, so detection latency is measured from a
+  // mid-run instant, not t=0.
+  world.faults =
+      ha::FaultPlan::parse("fail:disk=2@50ms", world.cluster->total_disks());
+  world.arm(&hp, nullptr);
+  world.sim().run();
 
   Point pt;
+  const ha::Orchestrator& orch = *world.orchestrator;
   const ha::HaStats& s = orch.stats();
   if (s.rebuilds_completed != 1 || s.detection_ns.size() != 1 ||
       s.mttr_ns.size() != 1) {
@@ -83,20 +78,8 @@ Point measure(sim::Time probe_interval, double rebuild_mbs,
   if (const sim::TokenBucket* tb = orch.throttle()) {
     pt.rebuild_bytes = tb->granted_tokens();
   }
-  if (json != nullptr) {
-    obs::collect_cluster(world.hub.registry(), world.cluster, &world.fabric,
-                         &world.cache, &orch);
-    json->add_raw(obs_key,
-                  "{\"registry\":" + world.hub.registry().snapshot_json() +
-                      ",\"timelines\":" + world.hub.timelines().json() + "}");
-  }
+  if (json != nullptr) bench::add_obs(*json, obs_key, world);
   return pt;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
 }
 
 }  // namespace
@@ -115,7 +98,9 @@ int main() {
     sim::TablePrinter table({"probe_ms", "detection_ms", "mttr_s"});
     for (int ms : probe_ms) {
       const Point p = measure(sim::milliseconds(ms), /*rebuild_mbs=*/0.0);
-      table.add_row({std::to_string(ms), fmt(p.detection_ms), fmt(p.mttr_s)});
+      table.add_row({std::to_string(ms),
+                     sim::TablePrinter::fmt(p.detection_ms, 3),
+                     sim::TablePrinter::fmt(p.mttr_s, 3)});
       const std::string k = "probe" + std::to_string(ms) + "ms";
       json.add("detection_ms_" + k, p.detection_ms);
       json.add("mttr_s_" + k, p.mttr_s);
@@ -143,7 +128,8 @@ int main() {
       const bool last = i + 1 == caps.size();
       const Point p = measure(sim::milliseconds(5), c.mbs,
                               last ? &json : nullptr, "obs_mttr");
-      table.add_row({c.label, fmt(p.mttr_s), std::to_string(p.rebuild_bytes)});
+      table.add_row({c.label, sim::TablePrinter::fmt(p.mttr_s, 3),
+                     std::to_string(p.rebuild_bytes)});
       json.add(std::string("mttr_s_") + c.label, p.mttr_s);
       if (c.mbs > 0.0) {
         json.add(std::string("rebuild_bytes_") + c.label,

@@ -118,12 +118,6 @@ Point sweep_point(Arch arch, double rate_ops) {
   return p;
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
 using workload::arch_name;  // display names ("RAID-x") for the tables
 
 // Lowercase JSON key stems, matching raidxsim's --arch spellings.
@@ -145,6 +139,7 @@ int main() {
       "isolation\n16-node Trojans cluster, 32 KB scattered reads\n\n");
 
   sim::JsonWriter json = bench::bench_json("saturation");
+  const auto fmt = [](double v) { return sim::TablePrinter::fmt(v); };
 
   // --- Sweep: offered load vs goodput vs tail latency, per layout. ---
   // Rates bracket the measured single-block random-read capacity of the
@@ -208,17 +203,18 @@ int main() {
     cfg.tenants = {t};
     cfg.duration = sim::seconds(1.0);
     const load::OpenLoopResult r = load::run_open_loop(*world.engine, cfg);
+    const std::uint64_t events = world.sim().events_processed();
     std::printf("surge: %llu arrivals, peak %llu in flight, drained %.1f s "
                 "(sim), %llu events\n\n",
                 static_cast<unsigned long long>(r.offered),
                 static_cast<unsigned long long>(r.peak_in_flight),
                 sim::to_seconds(r.drained_at),
-                static_cast<unsigned long long>(world.sim.events_processed()));
+                static_cast<unsigned long long>(events));
     json.add("surge_offered", r.offered);
     json.add("surge_completed", r.completed);
     json.add("surge_peak_in_flight", r.peak_in_flight);
     json.add("surge_drained_s", sim::to_seconds(r.drained_at));
-    json.add("surge_events", world.sim.events_processed());
+    json.add("surge_events", events);
     if (r.peak_in_flight < 100000 || r.completed != r.offered) {
       std::fprintf(stderr,
                    "saturation: surge failed the 100k-session floor "
@@ -263,15 +259,14 @@ int main() {
       cfg.tenants = {steady()};
       if (with_bursty) cfg.tenants.push_back(bursty());
       cfg.duration = sim::seconds(dur_s);
-      std::unique_ptr<load::QosGate> gate;
       if (gated) {
         load::TenantQos none;  // steady tenant: unlimited
         load::TenantQos cap;   // bursty tenant: held to its mean rate
         cap.rate_mbs = 10.0;
         cap.burst_mb = 2.0;
         cap.policy = load::AdmitPolicy::kShed;
-        gate = std::make_unique<load::QosGate>(
-            world.sim, std::vector<load::TenantQos>{none, cap});
+        world.gate = std::make_unique<load::QosGate>(
+            world.sim(), std::vector<load::TenantQos>{none, cap});
         // The gated run doubles as the telemetry showcase: attribution
         // and the SLO monitor stay on so the snapshot below carries the
         // full attr.* + slo.* key families for the CI --require gate.
@@ -282,7 +277,7 @@ int main() {
         world.hub.enable_slo(slo);
       }
       const load::OpenLoopResult r =
-          load::run_open_loop(*world.engine, cfg, gate.get());
+          load::run_open_loop(*world.engine, cfg, world.gate.get());
       struct Out {
         double t0_p99_ms;
         double t0_goodput;
@@ -291,11 +286,12 @@ int main() {
         double t1_admitted_mb;
       } out{r.tenants[0].latency.quantile(0.99) / 1e6,
             r.tenants[0].goodput_mbs,
-            gate ? gate->stats(1).admitted
-                 : (r.tenants.size() > 1 ? r.tenants[1].completed : 0),
+            gated ? world.gate->stats(1).admitted
+                  : (r.tenants.size() > 1 ? r.tenants[1].completed : 0),
             r.tenants.size() > 1 ? r.tenants[1].shed : 0,
-            gate ? static_cast<double>(gate->stats(1).admitted_bytes) / 1e6
-                 : 0.0};
+            gated ? static_cast<double>(world.gate->stats(1).admitted_bytes) /
+                        1e6
+                  : 0.0};
       // The gated run's world carries the full load.* + qos.* key
       // families; snapshot it into the report for the CI --require gate.
       if (gated) bench::add_obs(json, "obs_saturation", world);
@@ -382,7 +378,7 @@ int main() {
     }
     std::string err;
     if (!tracer.export_chrome_reservoir("BENCH_saturation_traces.json",
-                                        world.sim.now(), &err)) {
+                                        world.sim().now(), &err)) {
       std::fprintf(stderr, "saturation: %s\n", err.c_str());
       return 1;
     }

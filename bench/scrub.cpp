@@ -58,24 +58,25 @@ Point measure_mttd(double rate_mbs, sim::JsonWriter* json = nullptr,
   ip.scrub = true;
   ip.scrub_rate_mbs = rate_mbs;
   ip.scrub_interval = sim::seconds(1);
-  integrity::IntegrityPlane plane(*world.engine, ip);
+  world.arm(nullptr, &ip);
+  const integrity::IntegrityPlane& plane = *world.plane;
 
   const std::vector<std::uint64_t> victims = {3, 10, 17, 24, 31, 38};
-  auto driver = [](World* w, integrity::IntegrityPlane* pl,
+  auto driver = [](World* w,
                    const std::vector<std::uint64_t>* lbas) -> sim::Task<> {
     // Foreground working set first, so the rotten blocks carry real
     // checksums (a never-written block would take the zero-fill path).
     const std::uint32_t bs = w->engine->block_bytes();
     co_await w->engine->write(0, 0, block::Payload::zeros(48ull * bs));
-    co_await w->sim.delay(sim::milliseconds(10));
+    co_await w->sim().delay(sim::milliseconds(10));
     for (std::uint64_t lba : *lbas) {
       const auto pb = w->engine->layout().data_location(lba);
-      w->cluster.disk(pb.disk).corrupt(pb.offset);
-      pl->note_corruption_injected(pb.disk, pb.offset);
+      w->cluster->disk(pb.disk).corrupt(pb.offset);
+      w->plane->note_corruption_injected(pb.disk, pb.offset);
     }
   };
-  world.sim.spawn(driver(&world, &plane, &victims));
-  world.sim.run();
+  world.sim().spawn(driver(&world, &victims));
+  world.sim().run();
 
   const integrity::IntegrityStats& s = plane.stats();
   if (plane.undetected() != 0 || s.repaired != victims.size() ||
@@ -96,9 +97,7 @@ Point measure_mttd(double rate_mbs, sim::JsonWriter* json = nullptr,
   if (const sim::TokenBucket* tb = plane.throttle()) {
     pt.scrubbed_bytes = tb->granted_tokens();
   }
-  if (json != nullptr) {
-    bench::add_obs(*json, obs_key, world, nullptr, &plane);
-  }
+  if (json != nullptr) bench::add_obs(*json, obs_key, world);
   return pt;
 }
 
@@ -106,24 +105,15 @@ Point measure_mttd(double rate_mbs, sim::JsonWriter* json = nullptr,
 // geometry and workload otherwise.
 double measure_read_mbs(bool verify) {
   World world(bench::perf_trojans(), Arch::kRaidX, bench::paper_engine());
-  std::unique_ptr<integrity::IntegrityPlane> plane;
-  if (verify) {
-    integrity::IntegrityParams ip;
-    ip.verify_reads = true;
-    plane = std::make_unique<integrity::IntegrityPlane>(*world.engine, ip);
-  }
+  integrity::IntegrityParams ip;
+  ip.verify_reads = true;
+  world.arm(nullptr, verify ? &ip : nullptr);
   workload::ParallelIoConfig cfg;
   cfg.clients = 4;
   cfg.op = workload::IoOp::kRead;
   cfg.bytes_per_op = bench::smoke_pick(16ull << 20, 2ull << 20);
   const auto result = workload::run_parallel_io(*world.engine, cfg);
   return result.aggregate_mbs;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
 }
 
 }  // namespace
@@ -155,7 +145,8 @@ int main() {
       const bool last = i + 1 == caps.size();
       const Point p =
           measure_mttd(c.mbs, last ? &json : nullptr, "obs_scrub");
-      table.add_row({c.label, fmt(p.mttd_s), std::to_string(p.repaired),
+      table.add_row({c.label, sim::TablePrinter::fmt(p.mttd_s, 3),
+                     std::to_string(p.repaired),
                      std::to_string(p.scrubbed_bytes)});
       json.add(std::string("mttd_s_") + c.label, p.mttd_s);
       json.add(std::string("scrubbed_bytes_") + c.label, p.scrubbed_bytes);
@@ -170,8 +161,8 @@ int main() {
     const double off = measure_read_mbs(false);
     const double on = measure_read_mbs(true);
     sim::TablePrinter table({"verify_reads", "aggregate_mbs"});
-    table.add_row({"off", bench::mbs(off)});
-    table.add_row({"on", bench::mbs(on)});
+    table.add_row({"off", sim::TablePrinter::fmt(off)});
+    table.add_row({"on", sim::TablePrinter::fmt(on)});
     std::printf("Verify-on-read: foreground read bandwidth\n");
     table.print();
     const double pct = off > 0.0 ? (off - on) / off * 100.0 : 0.0;

@@ -14,18 +14,6 @@ using namespace raidx;
 using analytic::Arch;
 using analytic::ModelParams;
 
-std::string fmt_mbs(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
-
-std::string fmt_ms(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", sim::to_milliseconds(t));
-  return buf;
-}
-
 }  // namespace
 
 int main() {
@@ -63,7 +51,7 @@ int main() {
                          "Chained Declustering", "RAID-x"});
     auto row = [&](const char* name, double (*f)(Arch, const ModelParams&)) {
       std::vector<std::string> cells = {name};
-      for (Arch a : archs) cells.push_back(fmt_mbs(f(a, p)));
+      for (Arch a : archs) cells.push_back(sim::TablePrinter::fmt(f(a, p), 1));
       t.add_row(std::move(cells));
     };
     row("Read", analytic::read_bandwidth);
@@ -80,7 +68,10 @@ int main() {
     auto row = [&](const char* name,
                    sim::Time (*f)(Arch, const ModelParams&)) {
       std::vector<std::string> cells = {name};
-      for (Arch a : archs) cells.push_back(fmt_ms(f(a, p)));
+      for (Arch a : archs) {
+        const double ms = sim::to_milliseconds(f(a, p));
+        cells.push_back(sim::TablePrinter::fmt(ms, 1));
+      }
       t.add_row(std::move(cells));
     };
     row("Large read (m blocks)", analytic::large_read_time);

@@ -37,9 +37,7 @@ double measure(Arch arch, const OpSpec& spec, int clients) {
   cfg.bytes_per_op = spec.bytes_per_op;
   cfg.ops_per_client = spec.ops_per_client;
   cfg.scattered = spec.scattered;
-  if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
-    cfg.exclude_node = srv->server_node();
-  }
+  cfg.exclude_node = workload::exclude_node(arch);
   return workload::run_parallel_io(*world.engine, cfg).aggregate_mbs;
 }
 
@@ -66,11 +64,9 @@ int main() {
       const double one = measure(archs[a], ops[o], 1);
       const double sixteen = measure(archs[a], ops[o], 16);
       at16[{static_cast<int>(a), static_cast<int>(o)}] = sixteen;
-      char improve[32];
-      std::snprintf(improve, sizeof(improve), "%.2f",
-                    one > 0 ? sixteen / one : 0.0);
-      table.add_row({ops[o].name, bench::mbs(one), bench::mbs(sixteen),
-                     improve});
+      table.add_row({ops[o].name, sim::TablePrinter::fmt(one),
+                     sim::TablePrinter::fmt(sixteen),
+                     sim::TablePrinter::fmt(one > 0 ? sixteen / one : 0.0)});
     }
     table.print();
     std::printf("\n");

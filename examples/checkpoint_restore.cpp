@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "ckpt/checkpoint.hpp"
-#include "cluster/cluster.hpp"
-#include "raid/controller.hpp"
+#include "cluster/world.hpp"
 #include "sim/event_queue.hpp"
 
 using namespace raidx;
@@ -44,10 +43,9 @@ sim::Task<> recover_demo(raid::RaidxController& array,
 int main() {
   std::printf("Striped checkpointing with staggering on a 4x3 RAID-x\n\n");
   sim::Simulation sim;
-  auto params = cluster::ClusterParams::trojans_4x3();
-  cluster::Cluster cluster(sim, params);
-  cdd::CddFabric fabric(cluster);
-  raid::RaidxController array(fabric);
+  cluster::World world(sim, cluster::ClusterParams::trojans_4x3(),
+                       {.arch = workload::Arch::kRaidX});
+  auto& array = dynamic_cast<raid::RaidxController&>(*world.engine);
 
   ckpt::CheckpointConfig cfg;
   cfg.processes = 12;
@@ -71,7 +69,7 @@ int main() {
               sim::to_seconds(result.total_elapsed), cfg.rounds);
 
   std::printf("recovery paths:\n");
-  sim.spawn(recover_demo(array, cluster, cfg));
+  sim.spawn(recover_demo(array, *world.cluster, cfg));
   sim.run();
 
   std::printf("\nOSM placement guarantee: every process's checkpoint "

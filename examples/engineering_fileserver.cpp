@@ -10,9 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
+#include "cluster/world.hpp"
 #include "fs/filesystem.hpp"
-#include "raid/controller.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/join.hpp"
 #include "sim/random.hpp"
@@ -96,10 +95,9 @@ int main() {
   std::printf("Serverless engineering file store on RAID-x "
               "(16-node Trojans cluster)\n\n");
   sim::Simulation sim;
-  cluster::Cluster cluster(sim, cluster::ClusterParams::trojans());
-  cdd::CddFabric fabric(cluster);
-  raid::RaidxController array(fabric);
-  fs::FileSystem fsys(array);
+  cluster::World world(sim, cluster::ClusterParams::trojans(),
+                       {.arch = workload::Arch::kRaidX});
+  fs::FileSystem fsys(*world.engine);
 
   sim.spawn(project(fsys));
   sim.run();

@@ -9,8 +9,7 @@
 //   4. service returns to normal, contents intact.
 #include <cstdio>
 
-#include "cluster/cluster.hpp"
-#include "raid/controller.hpp"
+#include "cluster/world.hpp"
 #include "sim/event_queue.hpp"
 
 using namespace raidx;
@@ -27,7 +26,7 @@ std::vector<std::byte> make_payload(std::uint32_t bs) {
   return payload;
 }
 
-sim::Task<sim::Time> timed_read(raid::RaidxController& array,
+sim::Task<sim::Time> timed_read(raid::ArrayController& array,
                                 std::vector<std::byte>& out) {
   auto& sim = array.simulation();
   const sim::Time t0 = sim.now();
@@ -35,20 +34,25 @@ sim::Task<sim::Time> timed_read(raid::RaidxController& array,
   co_return sim.now() - t0;
 }
 
-sim::Task<> scenario(raid::RaidxController& array,
-                     cluster::Cluster& cluster) {
+sim::Task<> scenario(raid::ArrayController& array, cluster::Cluster& cluster,
+                     int* mismatches) {
   auto& sim = array.simulation();
   const auto payload = make_payload(array.block_bytes());
+  std::vector<std::byte> buf(payload.size());
+  auto check = [&] {
+    if (buf == payload) return "contents ok";
+    ++*mismatches;
+    return "MISMATCH";
+  };
 
   std::printf("[%7.3f s] writing %zu KB across the array...\n",
               sim::to_seconds(sim.now()), payload.size() / 1024);
   co_await array.write(0, 0, payload);
 
-  std::vector<std::byte> buf(payload.size());
   sim::Time healthy = co_await timed_read(array, buf);
   std::printf("[%7.3f s] healthy read: %.2f ms  (%s)\n",
               sim::to_seconds(sim.now()), sim::to_milliseconds(healthy),
-              buf == payload ? "contents ok" : "MISMATCH");
+              check());
 
   const int victim = 2;
   cluster.disk(victim).fail();
@@ -60,7 +64,7 @@ sim::Task<> scenario(raid::RaidxController& array,
               "from mirror images; %s)\n",
               sim::to_seconds(sim.now()), sim::to_milliseconds(degraded),
               static_cast<double>(degraded) / static_cast<double>(healthy),
-              buf == payload ? "contents ok" : "MISMATCH");
+              check());
 
   cluster.disk(victim).replace();
   std::printf("[%7.3f s] replacement disk installed; rebuilding...\n",
@@ -77,7 +81,7 @@ sim::Task<> scenario(raid::RaidxController& array,
   sim::Time restored = co_await timed_read(array, buf);
   std::printf("[%7.3f s] post-rebuild read: %.2f ms  (%s)\n",
               sim::to_seconds(sim.now()), sim::to_milliseconds(restored),
-              buf == payload ? "contents ok" : "MISMATCH");
+              check());
 
   // Prove the rebuilt disk's *image zones* are also correct: fail a
   // neighbor and read through the rebuilt disk's mirrors.
@@ -88,8 +92,7 @@ sim::Task<> scenario(raid::RaidxController& array,
   sim::Time via_rebuilt = co_await timed_read(array, buf);
   std::printf("[%7.3f s] read via rebuilt images: %.2f ms  (%s)\n",
               sim::to_seconds(sim.now()),
-              sim::to_milliseconds(via_rebuilt),
-              buf == payload ? "contents ok" : "MISMATCH");
+              sim::to_milliseconds(via_rebuilt), check());
 }
 
 }  // namespace
@@ -101,11 +104,10 @@ int main() {
   auto params = cluster::ClusterParams::trojans();
   params.geometry.nodes = 4;
   params.geometry.blocks_per_disk = 4096;
-  cluster::Cluster cluster(sim, params);
-  cdd::CddFabric fabric(cluster);
-  raid::RaidxController array(fabric);
+  cluster::World world(sim, params, {.arch = workload::Arch::kRaidX});
 
-  sim.spawn(scenario(array, cluster));
+  int mismatches = 0;
+  sim.spawn(scenario(*world.engine, *world.cluster, &mismatches));
   sim.run();
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

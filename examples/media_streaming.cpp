@@ -9,8 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "cluster/cluster.hpp"
-#include "raid/controller.hpp"
+#include "cluster/world.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/join.hpp"
 #include "sim/stats.hpp"
@@ -31,7 +30,7 @@ struct StreamStats {
   int chunks = 0;
 };
 
-sim::Task<> viewer(raid::RaidxController& array, int node,
+sim::Task<> viewer(raid::ArrayController& array, int node,
                    std::uint64_t title_lba, StreamStats& stats) {
   auto& sim = array.simulation();
   const std::uint32_t bs = array.block_bytes();
@@ -61,18 +60,18 @@ void run_for_viewers(int viewers) {
   sim::Simulation sim;
   auto params = cluster::ClusterParams::trojans();
   params.disk.store_data = false;  // archive content is synthetic
-  cluster::Cluster cluster(sim, params);
-  cdd::CddFabric fabric(cluster);
-  raid::EngineParams ep;
-  ep.read_chunk_blocks = 2;  // streaming readahead
-  ep.read_window = 4;
-  raid::RaidxController array(fabric, ep);
+  cluster::WorldParams wp;
+  wp.arch = workload::Arch::kRaidX;
+  wp.engine.read_chunk_blocks = 2;  // streaming readahead
+  wp.engine.read_window = 4;
+  cluster::World world(sim, params, wp);
+  raid::ArrayController& array = *world.engine;
 
   const std::uint64_t title_blocks =
       kTitleBytes / array.block_bytes();
   std::vector<StreamStats> stats(static_cast<std::size_t>(viewers));
 
-  auto root = [](raid::RaidxController* arr, std::vector<StreamStats>* st,
+  auto root = [](raid::ArrayController* arr, std::vector<StreamStats>* st,
                  int n, std::uint64_t tblocks) -> sim::Task<> {
     sim::Joiner join(arr->simulation());
     for (int v = 0; v < n; ++v) {

@@ -16,7 +16,8 @@ using namespace raidx;
 
 namespace {
 
-sim::Task<> demo(raid::RaidxController& array, sim::Simulation& sim) {
+sim::Task<> demo(raid::RaidxController& array, sim::Simulation& sim,
+                 bool* match) {
   const std::uint32_t bs = array.block_bytes();
 
   // 1 MB of application data, written from node 5 starting at block 100.
@@ -39,8 +40,8 @@ sim::Task<> demo(raid::RaidxController& array, sim::Simulation& sim) {
   std::printf("read  : %zu KB in %.2f ms from another node\n",
               back.size() / 1024, sim::to_milliseconds(sim.now() - t0));
 
-  std::printf("verify: %s\n", back == payload ? "contents match" :
-                                                "MISMATCH");
+  *match = back == payload;
+  std::printf("verify: %s\n", *match ? "contents match" : "MISMATCH");
 }
 
 }  // namespace
@@ -66,11 +67,12 @@ int main() {
               static_cast<double>(array.logical_blocks()) *
                   array.block_bytes() / 1e9);
 
-  sim.spawn(demo(array, sim));
+  bool match = false;
+  sim.spawn(demo(array, sim, &match));
   sim.run();
 
   std::printf("\ncluster counters: %llu local + %llu remote CDD requests\n",
               static_cast<unsigned long long>(fabric.local_requests()),
               static_cast<unsigned long long>(fabric.remote_requests()));
-  return 0;
+  return match ? 0 : 1;
 }

@@ -59,4 +59,29 @@ std::uint64_t logical_blocks(Arch arch, const block::ArrayGeometry& geo,
   return 0;
 }
 
+std::vector<disk::DeviceClass> device_map(DiskType type, Arch arch,
+                                          const block::ArrayGeometry& geo) {
+  std::vector<disk::DeviceClass> map;
+  if (type == DiskType::kHdd) return map;
+  const int total = geo.total_disks();
+  map.reserve(static_cast<std::size_t>(total));
+  for (int id = 0; id < total; ++id) {
+    bool ssd = true;
+    if (type == DiskType::kHybrid) {
+      ssd = arch == Arch::kRaid1 ? id % 2 == 0
+                                 : id / geo.nodes < geo.disks_per_node / 2;
+    }
+    map.push_back(ssd ? disk::DeviceClass::kSsd : disk::DeviceClass::kHdd);
+  }
+  return map;
+}
+
+bool hybrid_mirrors(DiskType type, Arch arch) {
+  return type == DiskType::kHybrid && arch != Arch::kRaid1;
+}
+
+int exclude_node(Arch arch) {
+  return arch == Arch::kNfs ? nfs::NfsParams{}.server_node : -1;
+}
+
 }  // namespace raidx::workload

@@ -1,4 +1,5 @@
-// Factory for the four measured I/O architectures.
+// Factory for the four measured I/O architectures, and the rules that
+// pick what an architecture is built over and driven from.
 //
 // Benchmarks, examples, and tests all build engines through this one
 // function so a sweep over architectures is a loop over Arch values.
@@ -8,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "disk/device.hpp"
 #include "nfs/nfs.hpp"
 #include "raid/controller.hpp"
 
@@ -29,5 +31,26 @@ std::unique_ptr<raid::ArrayController> make_engine(
 /// layout alone: a caller can size a workload before building a world.
 std::uint64_t logical_blocks(Arch arch, const block::ArrayGeometry& geo,
                              bool hybrid_mirrors = false);
+
+/// The device mix behind an array's slots (raidxsim --disk-type).
+enum class DiskType { kHdd, kSsd, kHybrid };
+
+/// The device class of every global disk id of `geo` under `type`: empty
+/// for hdd (every slot a spindle), every slot flash for ssd.  Hybrid puts
+/// the top disk rows (data) on flash and the bottom rows (mirror images)
+/// on spindles -- except RAID-1, whose mirror pairs are adjacent global
+/// ids, so even ids (primaries) are flash and odd ids (mirrors) spindles.
+std::vector<disk::DeviceClass> device_map(DiskType type, Arch arch,
+                                          const block::ArrayGeometry& geo);
+
+/// Whether `arch` over a `type` device map needs the hybrid placement
+/// variant (raid::EngineParams::hybrid_mirrors): only hybrid on the
+/// row-split layouts, since device_map() already splits RAID-1 pairs.
+bool hybrid_mirrors(DiskType type, Arch arch);
+
+/// The node a closed-loop workload keeps its clients off: the paper's
+/// clients are distinct from the NFS file server, so for kNfs the server
+/// node make_engine places, and -1 (none) for every block engine.
+int exclude_node(Arch arch);
 
 }  // namespace raidx::workload

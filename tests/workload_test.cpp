@@ -216,6 +216,50 @@ TEST(Engines, FactoryProducesAllArchitectures) {
   EXPECT_EQ(paper_architectures().size(), 4u);
 }
 
+// The rules raidxsim and the benches share: the device behind each global
+// disk id under --disk-type, whether the engine needs the hybrid placement
+// variant over it, and which node the closed-loop clients stay off.
+TEST(Engines, DiskTypeRulesAndNfsClientExclusion) {
+  using disk::DeviceClass;
+  constexpr DeviceClass kH = DeviceClass::kHdd;
+  constexpr DeviceClass kS = DeviceClass::kSsd;
+  const std::vector<Arch> all = {Arch::kRaid0,  Arch::kRaid1, Arch::kRaid5,
+                                 Arch::kRaid10, Arch::kRaidX, Arch::kNfs};
+  block::ArrayGeometry geo;  // 3 nodes x 4 disk rows: D(g*3 + j)
+  geo.nodes = 3;
+  geo.disks_per_node = 4;
+  for (Arch a : all) {
+    EXPECT_TRUE(device_map(DiskType::kHdd, a, geo).empty()) << arch_name(a);
+    EXPECT_EQ(device_map(DiskType::kSsd, a, geo),
+              std::vector<DeviceClass>(12, kS))
+        << arch_name(a);
+    EXPECT_FALSE(hybrid_mirrors(DiskType::kHdd, a)) << arch_name(a);
+    EXPECT_FALSE(hybrid_mirrors(DiskType::kSsd, a)) << arch_name(a);
+  }
+  // Row-split layouts: the top two rows (data) are flash, the bottom two
+  // (images) spindles, and the engine places images on the bottom half.
+  const std::vector<DeviceClass> rows = {kS, kS, kS, kS, kS, kS,
+                                         kH, kH, kH, kH, kH, kH};
+  for (Arch a : {Arch::kRaid10, Arch::kRaidX}) {
+    EXPECT_EQ(device_map(DiskType::kHybrid, a, geo), rows) << arch_name(a);
+    EXPECT_TRUE(hybrid_mirrors(DiskType::kHybrid, a)) << arch_name(a);
+  }
+  // RAID-1 mirrors adjacent ids: even primaries flash, odd mirrors
+  // spindles, with no placement variant.
+  EXPECT_EQ(device_map(DiskType::kHybrid, Arch::kRaid1, geo),
+            (std::vector<DeviceClass>{kS, kH, kS, kH, kS, kH, kS, kH, kS, kH,
+                                      kS, kH}));
+  EXPECT_FALSE(hybrid_mirrors(DiskType::kHybrid, Arch::kRaid1));
+
+  Rig rig(test::small_cluster(4));
+  for (Arch a : all) {
+    const auto eng = make_engine(a, rig.fabric);
+    const auto* srv = dynamic_cast<const nfs::NfsEngine*>(eng.get());
+    EXPECT_EQ(srv != nullptr, a == Arch::kNfs) << arch_name(a);
+    EXPECT_EQ(exclude_node(a), srv ? srv->server_node() : -1) << arch_name(a);
+  }
+}
+
 TEST(Andrew, RunsAllPhasesOnTinyConfig) {
   Rig rig(perf_cluster());
   raid::RaidxController eng(rig.fabric);

@@ -33,7 +33,6 @@
 #include "integrity/integrity.hpp"
 #include "load/open_loop.hpp"
 #include "load/qos.hpp"
-#include "nfs/nfs.hpp"
 #include "obs/obs.hpp"
 #include "sim/spec.hpp"
 #include "sim/stats.hpp"
@@ -287,8 +286,7 @@ OpenLoopCli parse_open_loop_spec(std::string_view spec) {
 /// Parsed --disk-type: which device model backs each array slot, plus the
 /// flash tuning shared by every SSD in the run.
 struct DiskTypeCli {
-  enum class Kind { kHdd, kSsd, kHybrid };
-  Kind kind = Kind::kHdd;
+  workload::DiskType kind = workload::DiskType::kHdd;
   flash::FlashParams flash;
 };
 
@@ -296,14 +294,14 @@ struct DiskTypeCli {
 DiskTypeCli parse_disk_type_spec(std::string_view spec) {
   DiskTypeCli cli;
   const std::size_t colon = spec.find(':');
-  cli.kind = sim::parse_choice<DiskTypeCli::Kind>(
+  cli.kind = sim::parse_choice<workload::DiskType>(
       spec.substr(0, colon), "--disk-type",
-      {{"hdd", DiskTypeCli::Kind::kHdd},
-       {"ssd", DiskTypeCli::Kind::kSsd},
-       {"hybrid", DiskTypeCli::Kind::kHybrid}});
+      {{"hdd", workload::DiskType::kHdd},
+       {"ssd", workload::DiskType::kSsd},
+       {"hybrid", workload::DiskType::kHybrid}});
   if (colon == std::string_view::npos) return cli;
   const std::string_view tail = spec.substr(colon + 1);
-  if (cli.kind == DiskTypeCli::Kind::kHdd) {
+  if (cli.kind == workload::DiskType::kHdd) {
     reject("--disk-type hdd takes no tuning spec ('%.*s' tunes the flash "
            "model; use ssd:... or hybrid:...)",
            static_cast<int>(tail.size()), tail.data());
@@ -585,7 +583,7 @@ void validate(Scenario& sc) {
   if (!sc.disk_type_spec.empty()) {
     sc.dtcli = parse_disk_type_spec(sc.disk_type_spec);
   }
-  if (sc.dtcli.kind == DiskTypeCli::Kind::kHybrid) {
+  if (sc.dtcli.kind == workload::DiskType::kHybrid) {
     if (sc.arch != workload::Arch::kRaid1 &&
         sc.arch != workload::Arch::kRaid10 &&
         sc.arch != workload::Arch::kRaidX) {
@@ -713,36 +711,16 @@ int dump_trace(const Scenario& sc) {
 /// --shards), with the device mix --disk-type asks for.
 cluster::ClusterParams world_cluster(const Scenario& sc) {
   auto params = cluster::ClusterParams::trojans();
-  const int nodes = sc.nodes_per_world();
-  params.geometry.nodes = nodes;
+  params.geometry.nodes = sc.nodes_per_world();
   params.geometry.disks_per_node = sc.disks;
   params.geometry.block_bytes = sc.block;
   params.geometry.blocks_per_disk = (10ull << 30) / sc.block;
   // Andrew builds a real file system and verifies its bytes, so the disks
   // must store data; the synthetic sweeps only measure timing.
   params.disk.store_data = sc.workload_kind == "andrew";
-
-  // Device mix: ssd makes every slot flash; hybrid puts the top disk rows
-  // (data) on flash and the bottom rows (mirror images) on spindles --
-  // except RAID-1, whose mirror pairs are adjacent global ids, so the map
-  // splits even (primary, SSD) from odd (mirror, HDD) instead.
   params.flash = sc.dtcli.flash;
-  if (sc.dtcli.kind != DiskTypeCli::Kind::kHdd) {
-    const int total = nodes * sc.disks;
-    params.device_map.assign(static_cast<std::size_t>(total),
-                             disk::DeviceClass::kHdd);
-    for (int id = 0; id < total; ++id) {
-      bool ssd = true;
-      if (sc.dtcli.kind == DiskTypeCli::Kind::kHybrid) {
-        ssd = sc.arch == workload::Arch::kRaid1 ? id % 2 == 0
-                                                : id / nodes < sc.disks / 2;
-      }
-      if (ssd) {
-        params.device_map[static_cast<std::size_t>(id)] =
-            disk::DeviceClass::kSsd;
-      }
-    }
-  }
+  params.device_map =
+      workload::device_map(sc.dtcli.kind, sc.arch, params.geometry);
   return params;
 }
 
@@ -756,10 +734,7 @@ cluster::WorldParams world_params(const Scenario& sc) {
   wp.engine.use_locks = sc.locks;
   wp.engine.read_window = sc.window;
   wp.engine.write_window = sc.window;
-  // RAID-1 pairs are already split even/odd by the device map; only the
-  // row-split layouts need the hybrid placement variant.
-  wp.engine.hybrid_mirrors = sc.dtcli.kind == DiskTypeCli::Kind::kHybrid &&
-                             sc.arch != workload::Arch::kRaid1;
+  wp.engine.hybrid_mirrors = workload::hybrid_mirrors(sc.dtcli.kind, sc.arch);
   wp.cache = sc.cache;
   return wp;
 }
@@ -1275,9 +1250,7 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
     workload::AndrewConfig acfg;
     acfg.clients = sc.clients;
     acfg.seed = sc.seed;
-    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
-      acfg.exclude_node = srv->server_node();
-    }
+    acfg.exclude_node = workload::exclude_node(sc.arch);
     std::printf("raidxsim: Andrew benchmark on %s, %d clients\n",
                 name.c_str(), sc.clients);
     workload::AndrewResult ar;
@@ -1309,9 +1282,7 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
     cfg.scattered = sc.scattered;
     cfg.warm_passes = sc.warm;
     cfg.seed = sc.seed;
-    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(world.engine.get())) {
-      cfg.exclude_node = srv->server_node();
-    }
+    cfg.exclude_node = workload::exclude_node(sc.arch);
     std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
                 name.c_str(), sc.nodes, sc.disks,
                 params.geometry.describe().c_str(), sc.clients, sc.ops,
