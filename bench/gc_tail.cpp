@@ -43,9 +43,12 @@ using namespace raidx;
 using bench::World;
 using workload::Arch;
 
-/// 4 nodes x 1 flash disk, small enough (4096 pages/disk, 512 under
+/// 4 nodes x 1 flash disk, small enough (4096 pages/disk, 1024 under
 /// smoke) that the overwrite window wraps the physical space several
-/// times in CI seconds.  4 KB pages rather than the default 32 KB stripe
+/// times in CI seconds.  The smoke disk still needs enough 64-page erase
+/// blocks for each OP step to add one: at 512 pages, 7% and 15% both
+/// land on the FTL's floor of logical + 2 blocks and simulate the same
+/// device.  4 KB pages rather than the default 32 KB stripe
 /// unit: the per-byte CPU/wire costs of a 32 KB block (~20 ms end to end
 /// on the 1999-era cluster model) would bury the millisecond-scale GC
 /// pauses this bench exists to measure.
@@ -53,7 +56,7 @@ cluster::ClusterParams flash_cluster(double op, flash::GcPolicy policy) {
   cluster::ClusterParams p = bench::perf_trojans();
   p.geometry.nodes = 4;
   p.geometry.block_bytes = 4096;
-  p.geometry.blocks_per_disk = bench::smoke_pick<std::uint64_t>(4096, 512);
+  p.geometry.blocks_per_disk = bench::smoke_pick<std::uint64_t>(4096, 1024);
   p.device_map = workload::device_map(workload::DiskType::kSsd, Arch::kRaid10,
                                       p.geometry);
   p.flash.over_provision = op;
@@ -81,7 +84,7 @@ load::OpenLoopConfig write_pressure() {
   load::TenantLoad writer;
   writer.rate_ops = 400.0;
   writer.write_fraction = 1.0;
-  writer.working_set_blocks = bench::smoke_pick<std::uint64_t>(7936, 960);
+  writer.working_set_blocks = bench::smoke_pick<std::uint64_t>(7936, 1984);
   writer.sessions = 1024;
   // The probe's reads are single flash pages -- no rotation to hide
   // behind, so every collect they land behind shows up whole in their
@@ -94,7 +97,7 @@ load::OpenLoopConfig write_pressure() {
   reader.sessions = 256;
   load::OpenLoopConfig cfg;
   cfg.tenants = {writer, reader};
-  cfg.duration = sim::seconds(bench::smoke_pick(60.0, 4.0));
+  cfg.duration = sim::seconds(bench::smoke_pick(60.0, 8.0));
   return cfg;
 }
 
@@ -201,9 +204,23 @@ int main() {
   // Read-probe p999 per OP step (greedy), for the knee-shrink check below.
   std::vector<double> greedy_p999;
   for (flash::GcPolicy policy : policies) {
+    std::vector<std::size_t> built;  // free erase blocks per OP step
     for (double op : ops) {
       World world(flash_cluster(op, policy), Arch::kRaid10,
                   bench::paper_engine());
+      // Each OP step must build a device of its own size, or two rows of
+      // the sweep measure one device and the gate cannot see the knob.
+      const std::size_t free =
+          dynamic_cast<const flash::SsdDevice&>(world.cluster->disk(0))
+              .free_blocks();
+      if (std::find(built.begin(), built.end(), free) != built.end()) {
+        std::fprintf(stderr,
+                     "gc_tail: op=%.2f builds the same %zu free erase "
+                     "blocks per disk as a smaller OP step\n",
+                     op, free);
+        return 1;
+      }
+      built.push_back(free);
       const load::OpenLoopResult r =
           load::run_open_loop(*world.engine, write_pressure());
       const Point p = to_point(r, *world.cluster);
