@@ -201,10 +201,11 @@ int main() {
   sim::TablePrinter table({"policy", "op", "r_p50_ms", "r_p99_ms",
                            "r_p999_ms", "w_p99_ms", "write_amp",
                            "gc_erases", "gc_stalls", "max_pause_ms"});
-  // Read-probe p999 per OP step (greedy), for the knee-shrink check below.
+  // Read-probe p999 per OP step (greedy), for the headline keys below.
   std::vector<double> greedy_p999;
   for (flash::GcPolicy policy : policies) {
     std::vector<std::size_t> built;  // free erase blocks per OP step
+    std::vector<Point> steps;        // this policy's points, by OP step
     for (double op : ops) {
       World world(flash_cluster(op, policy), Arch::kRaid10,
                   bench::paper_engine());
@@ -246,21 +247,34 @@ int main() {
       if (policy == flash::GcPolicy::kGreedy) {
         greedy_p999.push_back(p.read_p999_ms);
       }
+      // The headline claim, per policy: more spare blocks mean emptier
+      // victims, so write amplification falls at every OP step, and the
+      // GC tail a foreground *reader* sees is shorter at 28% than at 7%.
+      // (The 15% step's read p999 is within a sample of the maximum at
+      // smoke scale, so only the ends are compared.)
+      if (!steps.empty() && p.flash.wa() >= steps.back().flash.wa()) {
+        std::fprintf(stderr,
+                     "gc_tail: %s write amplification %.3f at op=%.2f does "
+                     "not fall below %.3f at the previous OP step\n",
+                     policy_name(policy), p.flash.wa(), op,
+                     steps.back().flash.wa());
+        return 1;
+      }
+      if (op == ops.back() && p.read_p999_ms >= steps.front().read_p999_ms) {
+        std::fprintf(stderr,
+                     "gc_tail: %s read p999 %.2f ms at op=%.2f is not below "
+                     "%.2f ms at op=%.2f\n",
+                     policy_name(policy), p.read_p999_ms, op,
+                     steps.front().read_p999_ms, ops.front());
+        return 1;
+      }
+      steps.push_back(p);
     }
   }
   table.print();
-
-  // The headline claim: deeper over-provisioning shortens the GC tail a
-  // foreground *reader* sees.
-  if (greedy_p999.front() <= greedy_p999.back()) {
-    std::printf("\nread p999 knee: %.2f ms at OP 7%% -> %.2f ms at OP "
-                "28%%\n",
-                greedy_p999.front(), greedy_p999.back());
-  } else {
-    std::printf("\nread p999 knee shrinks with OP: %.2f ms at 7%% -> %.2f "
-                "ms at 28%%\n",
-                greedy_p999.front(), greedy_p999.back());
-  }
+  std::printf("\nread p999 knee shrinks with OP: %.2f ms at 7%% -> %.2f ms "
+              "at 28%%\n",
+              greedy_p999.front(), greedy_p999.back());
   json.add("read_p999_op007_ms", greedy_p999.front());
   json.add("read_p999_op028_ms", greedy_p999.back());
 

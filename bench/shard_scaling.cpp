@@ -84,7 +84,7 @@ Row run_config(int total_nodes, int shards) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const load::ShardedLoadResult r =
-      load::run_open_loop_sharded(world, cfg, 0.1, row.threads);
+      load::run_open_loop(world, cfg, 0.1, row.threads);
   const auto t1 = std::chrono::steady_clock::now();
   row.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();

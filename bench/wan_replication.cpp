@@ -20,9 +20,7 @@
 // bench itself exits 1 when a scenario's invariant fails: unbounded lag,
 // a cache hierarchy that does not pay, or a backlog that never drains.
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "ha/fault_plan.hpp"
@@ -44,9 +42,10 @@ wan::FederationParams fed_params(bool geo_rep) {
   return fp;
 }
 
-load::OpenLoopConfig site_traffic(wan::Federation& fed, int site,
-                                  double duration_s, double rate,
-                                  double write_frac, double remote_frac) {
+/// Each site's traffic; the composition runner seeds site s with 42 + s
+/// and carves its tenant from the site's own primary region.
+load::OpenLoopConfig site_traffic(double duration_s, double rate,
+                                  double write_frac) {
   load::TenantLoad t;
   t.rate_ops = rate;
   t.blocks_per_op = 2;
@@ -57,40 +56,23 @@ load::OpenLoopConfig site_traffic(wan::Federation& fed, int site,
   load::OpenLoopConfig cfg;
   cfg.tenants = {t};
   cfg.duration = sim::seconds(duration_s);
-  cfg.seed = 42 + static_cast<std::uint64_t>(site);
-  cfg.base_lba = fed.region_base(site);
-  if (remote_frac > 0.0) {
-    cfg.remote.fraction = remote_frac;
-    wan::Federation* f = &fed;
-    cfg.remote.exec = [f, site](std::uint64_t slot, std::uint32_t nblocks,
-                                bool write) {
-      return f->remote_io(site, slot, nblocks, write);
-    };
-  }
+  cfg.seed = 42;
   return cfg;
 }
 
 void add_repl_keys(sim::JsonWriter& json, const std::string& p,
                    wan::Federation& fed) {
   const wan::Replicator& r = *fed.replicator();
-  std::uint64_t appended = 0, coalesced = 0, shipped = 0;
-  for (int src = 0; src < fed.sites(); ++src) {
-    for (int dst = 0; dst < fed.sites(); ++dst) {
-      if (src == dst) continue;
-      appended += r.stream(src, dst).appended;
-      coalesced += r.stream(src, dst).coalesced;
-      shipped += r.stream(src, dst).shipped;
-    }
-  }
-  json.add(p + "repl_appended", appended);
-  json.add(p + "repl_coalesced", coalesced);
-  json.add(p + "repl_shipped", shipped);
-  json.add(p + "repl_peak_backlog", r.peak_backlog());
+  const wan::StreamStats t = r.totals();
+  json.add(p + "repl_appended", t.appended);
+  json.add(p + "repl_coalesced", t.coalesced);
+  json.add(p + "repl_shipped", t.shipped);
+  json.add(p + "repl_peak_backlog", t.peak_backlog);
   json.add(p + "repl_lag_p50_ms", r.lag().quantile(0.5) / 1e6);
   json.add(p + "repl_lag_p99_ms", r.lag().quantile(0.99) / 1e6);
-  json.add(p + "repl_lag_max_ms", static_cast<double>(r.max_lag()) / 1e6);
-  json.add(p + "repl_staleness_violations", r.staleness_violations());
-  json.add(p + "converged_s", sim::to_seconds(r.last_converged()));
+  json.add(p + "repl_lag_max_ms", static_cast<double>(t.max_lag) / 1e6);
+  json.add(p + "repl_staleness_violations", t.staleness_violations);
+  json.add(p + "converged_s", sim::to_seconds(t.last_drain));
 }
 
 void add_obs_wan(sim::JsonWriter& json, const std::string& key,
@@ -110,33 +92,21 @@ int run_steady(sim::JsonWriter& json, sim::TablePrinter& table) {
 
   sim::Simulation sim;
   wan::Federation fed(sim, fed_params(true));
-  std::vector<std::unique_ptr<load::OpenLoopDriver>> drivers;
-  for (int s = 0; s < fed.sites(); ++s) {
-    drivers.push_back(std::make_unique<load::OpenLoopDriver>(
-        fed.engine(s), site_traffic(fed, s, duration, rate, 0.3, 0.1)));
-  }
-  for (auto& d : drivers) d->start();
-  sim.run();
-  std::uint64_t completed = 0;
-  double goodput = 0.0;
-  for (auto& d : drivers) {
-    const load::OpenLoopResult r = d->finish();
-    completed += r.completed;
-    goodput += r.goodput_mbs;
-  }
+  const load::ShardedLoadResult res =
+      load::run_open_loop(fed, site_traffic(duration, rate, 0.3), 0.1, 1);
 
   const wan::Replicator& r = *fed.replicator();
-  table.add_row({"steady", sim::TablePrinter::fmt(goodput, 1),
+  const wan::StreamStats t = r.totals();
+  table.add_row({"steady", sim::TablePrinter::fmt(res.goodput_mbs, 1),
                  std::to_string(fed.stats().origin_reads),
                  std::to_string(fed.stats().cache_hits),
                  sim::TablePrinter::fmt(r.lag().quantile(0.99) / 1e6, 2),
-                 sim::TablePrinter::fmt(
-                     static_cast<double>(r.max_lag()) / 1e6, 2),
-                 std::to_string(r.peak_backlog()),
-                 sim::TablePrinter::fmt(sim::to_seconds(r.last_converged()),
-                                        3)});
-  json.add("steady.completed", completed);
-  json.add("steady.goodput_mbs", goodput);
+                 sim::TablePrinter::fmt(static_cast<double>(t.max_lag) / 1e6,
+                                        2),
+                 std::to_string(t.peak_backlog),
+                 sim::TablePrinter::fmt(sim::to_seconds(t.last_drain), 3)});
+  json.add("steady.completed", res.completed);
+  json.add("steady.goodput_mbs", res.goodput_mbs);
   json.add("steady.wan_remote_reads", fed.stats().remote_reads);
   json.add("steady.wan_remote_writes", fed.stats().remote_writes);
   json.add("steady.wan_cache_hits", fed.stats().cache_hits);
@@ -144,17 +114,17 @@ int run_steady(sim::JsonWriter& json, sim::TablePrinter& table) {
   add_repl_keys(json, "steady.", fed);
   add_obs_wan(json, "steady.obs_wan", fed);
 
-  if (r.total_backlog() != 0) {
+  if (t.backlog != 0) {
     std::fprintf(stderr, "wan_replication: steady backlog never drained "
                          "(%llu entries left)\n",
-                 static_cast<unsigned long long>(r.total_backlog()));
+                 static_cast<unsigned long long>(t.backlog));
     return 1;
   }
-  if (r.staleness_violations() != 0) {
+  if (t.staleness_violations != 0) {
     std::fprintf(stderr,
                  "wan_replication: %llu staleness violations in steady "
                  "state -- replication lag is not bounded\n",
-                 static_cast<unsigned long long>(r.staleness_violations()));
+                 static_cast<unsigned long long>(t.staleness_violations));
     return 1;
   }
   if (r.lag().count() == 0 || fed.stats().remote_reads == 0) {
@@ -250,23 +220,20 @@ int run_recovery(sim::JsonWriter& json, sim::TablePrinter& table) {
       wan::Federation::mesh_links(fp.sites));
   fed.arm_faults(plan);
 
-  // Write-heavy local traffic at site 0 only: every committed write
-  // appends to the 0->1 mirror stream, which is exactly the flow the
-  // partition dams up.
-  load::OpenLoopDriver driver(
-      fed.engine(0), site_traffic(fed, 0, duration, rate, 1.0, 0.0));
-  driver.start();
-  sim.run();
-  (void)driver.finish();
+  // Write-heavy local traffic at site 0 only (its primary region starts
+  // at LBA 0): every committed write appends to the 0->1 mirror stream,
+  // which is exactly the flow the partition dams up.
+  (void)load::run_open_loop(fed.engine(0), site_traffic(duration, rate, 1.0));
 
   const wan::Replicator& r = *fed.replicator();
-  const double converged_s = sim::to_seconds(r.last_converged());
+  const wan::StreamStats t = r.totals();
+  const double converged_s = sim::to_seconds(t.last_drain);
   const double recovery_s = converged_s - heal_at;
   table.add_row({"recovery", "-", "-", "-",
                  sim::TablePrinter::fmt(r.lag().quantile(0.99) / 1e6, 2),
-                 sim::TablePrinter::fmt(
-                     static_cast<double>(r.max_lag()) / 1e6, 2),
-                 std::to_string(r.peak_backlog()),
+                 sim::TablePrinter::fmt(static_cast<double>(t.max_lag) / 1e6,
+                                        2),
+                 std::to_string(t.peak_backlog),
                  sim::TablePrinter::fmt(converged_s, 3)});
   json.add("recovery.partition_at_s", part_at);
   json.add("recovery.heal_at_s", heal_at);
@@ -274,17 +241,17 @@ int run_recovery(sim::JsonWriter& json, sim::TablePrinter& table) {
   add_repl_keys(json, "recovery.", fed);
   add_obs_wan(json, "recovery.obs_wan", fed);
 
-  if (r.peak_backlog() < 8) {
+  if (t.peak_backlog < 8) {
     std::fprintf(stderr,
                  "wan_replication: the partition built no real backlog "
                  "(peak %llu) -- the scenario is not exercising recovery\n",
-                 static_cast<unsigned long long>(r.peak_backlog()));
+                 static_cast<unsigned long long>(t.peak_backlog));
     return 1;
   }
-  if (r.total_backlog() != 0) {
+  if (t.backlog != 0) {
     std::fprintf(stderr, "wan_replication: backlog never drained after "
                          "the heal (%llu entries left)\n",
-                 static_cast<unsigned long long>(r.total_backlog()));
+                 static_cast<unsigned long long>(t.backlog));
     return 1;
   }
   if (recovery_s <= 0.0) {

@@ -1,9 +1,8 @@
 #include "cluster/sharded.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <span>
-#include <stdexcept>
-#include <utility>
 
 #include "block/payload.hpp"
 
@@ -76,6 +75,14 @@ sim::Task<bool> ShardedCluster::remote_io(int src, int dst, bool write,
   co_return co_await done.wait();
 }
 
+sim::Task<bool> ShardedCluster::remote_io(int src, std::uint64_t slot,
+                                          std::uint32_t nblocks, bool write) {
+  const int dst = (src + 1) % shards();
+  const std::uint64_t span =
+      std::max<std::uint64_t>(1, engine(dst).logical_blocks() / nblocks);
+  return remote_io(src, dst, write, (slot % span) * nblocks, nblocks);
+}
+
 sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
                                          std::uint64_t lba,
                                          std::uint32_t nblocks,
@@ -126,35 +133,29 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
               [&done, ok] { done.set(ok); });
 }
 
-void ShardedCluster::arm_faults(const ha::FaultPlan& plan,
-                                const ha::HaParams* orch,
-                                const integrity::IntegrityParams* integrity) {
-  if (plan.has_wan()) {
-    throw std::invalid_argument(
-        "site and link faults need a WAN federation, not placement groups");
-  }
-  (void)arm_worlds(plan, worlds_, orch, integrity);
-}
-
-std::string ShardedCluster::merged_snapshot_json() {
+void ShardedCluster::collect(obs::Registry& reg) {
   // Each group's hub holds what its load tier exported during the run;
   // its collected counters fold in under the same prefix.
-  obs::Registry merged;
   for (int s = 0; s < shards(); ++s) {
-    merged.merge_from(shard(s).hub.registry(), world_prefix("shard", s));
+    reg.merge_from(shard(s).hub.registry(), world_prefix("shard", s));
   }
-  merge_worlds(merged, "shard", worlds_);
-  merged.counter("sim.shard.windows").inc(group_.stats().windows);
-  merged.counter("sim.shard.messages").inc(group_.stats().messages);
+  merge_worlds(reg, "shard", worlds_);
+  reg.counter("sim.shard.windows").inc(group_.stats().windows);
+  reg.counter("sim.shard.messages").inc(group_.stats().messages);
   std::uint64_t sent = 0, served = 0, failed = 0;
   for (int s = 0; s < shards(); ++s) {
     sent += shard(s).remote_sent;
     served += shard(s).remote_served;
     failed += shard(s).remote_failed;
   }
-  merged.counter("remote.sent").inc(sent);
-  merged.counter("remote.served").inc(served);
-  merged.counter("remote.failed").inc(failed);
+  reg.counter("remote.sent").inc(sent);
+  reg.counter("remote.served").inc(served);
+  reg.counter("remote.failed").inc(failed);
+}
+
+std::string ShardedCluster::merged_snapshot_json() {
+  obs::Registry merged;
+  collect(merged);
   return merged.snapshot_json();
 }
 

@@ -50,7 +50,7 @@ struct ShardedParams : WorldParams {
   std::uint32_t header_bytes = 512;
 };
 
-class ShardedCluster {
+class ShardedCluster final : public Composition {
  public:
   /// `group_params` describes ONE group (geometry.nodes = nodes per
   /// shard); the federation is `sp.shards` identical groups.
@@ -87,12 +87,11 @@ class ShardedCluster {
 
   sim::ShardGroup& group() { return group_; }
   Shard& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
-  std::span<World* const> worlds() const { return worlds_; }
   raid::ArrayController& engine(int s) { return *shard(s).engine; }
   sim::Simulation& sim(int s) { return group_.sim(s); }
 
   /// Advance the federation to global completion on `threads` workers.
-  void run(int threads) { group_.run(threads); }
+  void run(int threads) override { group_.run(threads); }
 
   /// Execute one op against shard `dst`'s array on behalf of a client in
   /// shard `src`: uplink serialization, spine hop, gateway execution on
@@ -100,20 +99,19 @@ class ShardedCluster {
   /// `src`'s Simulation.  Returns false on I/O failure at the far end.
   sim::Task<bool> remote_io(int src, int dst, bool write, std::uint64_t lba,
                             std::uint32_t nblocks);
-
-  /// Split a plan written in federation-global ids (shard s owns disks
-  /// [s*disks_per_shard, ...) and nodes [s*nodes_per_shard, ...)) into
-  /// per-shard slices and arm each group with it (cluster::arm_worlds),
-  /// building a per-group orchestrator when `orch` is given and integrity
-  /// plane when `integrity` is.  Site and link events need a WAN
-  /// federation and are rejected.  Call before run().
-  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* orch,
-                  const integrity::IntegrityParams* integrity = nullptr);
+  /// The open-loop entry: run the op on the ring neighbour (src + 1) % S,
+  /// with `slot` wrapped into the neighbour's logical space so remote
+  /// traffic keeps its skew but lands on the remote array.  A plain
+  /// function returning the gateway's task: no frame of its own.
+  sim::Task<bool> remote_io(int src, std::uint64_t slot,
+                            std::uint32_t nblocks, bool write) override;
 
   /// Fold every group's hub registry (the load tier's keys) and its
   /// collected counters under "shard.NNN." prefixes in shard order, then
   /// append the federation-level keys (sim.shard.windows/messages,
   /// remote.*).  Byte-deterministic for fixed (seed, shards).
+  void collect(obs::Registry& reg) override;
+  /// collect() into a fresh registry, as JSON.
   std::string merged_snapshot_json();
 
  private:
@@ -125,7 +123,6 @@ class ShardedCluster {
   ShardedParams sharded_params_;
   sim::ShardGroup group_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<World*> worlds_;  // shards_, as the worlds they are
 };
 
 }  // namespace raidx::cluster

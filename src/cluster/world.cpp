@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/collect.hpp"
@@ -42,18 +43,28 @@ void World::collect(obs::Registry& reg) {
                        orchestrator.get(), plane.get());
 }
 
-ha::FaultPlan arm_worlds(const ha::FaultPlan& plan,
-                         std::span<World* const> worlds,
-                         const ha::HaParams* ha,
-                         const integrity::IntegrityParams* integrity) {
-  const int disks = worlds.front()->cluster->total_disks();
-  const int nodes = worlds.front()->cluster->geometry().nodes;
-  const auto count = static_cast<int>(worlds.size());
-  std::vector<ha::FaultPlan> slices(worlds.size());
-  ha::FaultPlan links;
+sim::Task<bool> Composition::remote_io(int /*src*/, std::uint64_t /*slot*/,
+                                       std::uint32_t /*nblocks*/,
+                                       bool /*write*/) {
+  throw std::logic_error("a one-world run has no peer world");
+}
+
+void Composition::arm_wan(std::vector<ha::FaultEvent> /*events*/) {
+  throw std::invalid_argument(
+      "site and link faults need a WAN federation of sites");
+}
+
+void Composition::arm_faults(const ha::FaultPlan& plan,
+                             const ha::HaParams* ha,
+                             const integrity::IntegrityParams* integrity) {
+  const int disks = worlds_.front()->cluster->total_disks();
+  const int nodes = worlds_.front()->cluster->geometry().nodes;
+  const auto count = static_cast<int>(worlds_.size());
+  std::vector<ha::FaultPlan> slices(worlds_.size());
+  std::vector<ha::FaultEvent> wan;
   for (const ha::FaultEvent& ev : plan.events()) {
     if (ev.wan()) {
-      links.add(ev);
+      wan.push_back(ev);
       continue;
     }
     const bool node = ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
@@ -67,13 +78,13 @@ ha::FaultPlan arm_worlds(const ha::FaultPlan& plan,
     local.target = ev.target % per;
     slices[static_cast<std::size_t>(ev.target / per)].add(local);
   }
-  for (std::size_t w = 0; w < worlds.size(); ++w) {
+  for (std::size_t w = 0; w < worlds_.size(); ++w) {
     for (const ha::FaultEvent& ev : slices[w].events()) {
-      worlds[w]->faults.add(ev);
+      worlds_[w]->faults.add(ev);
     }
-    worlds[w]->arm(ha, integrity);
+    worlds_[w]->arm(ha, integrity);
   }
-  return links;
+  if (!wan.empty()) arm_wan(std::move(wan));
 }
 
 std::string world_prefix(const char* kind, int index) {

@@ -7,17 +7,20 @@
 // for them: a recovery orchestrator, an integrity plane, a QoS gate, and
 // the world's own slice of the run's fault plan.
 //
-// Every run builds its worlds through this type.  The classic run is one
-// World.  A cluster::ShardedCluster is S of them, each on its own shard's
-// Simulation, joined by the spine.  A wan::Federation is N of them sharing
-// one Simulation, joined by WAN links.  What the compositions share lives
-// here too: the global -> local split of a fault plan, and the prefixed
-// registry merge.  Each composition keeps only its link model.
+// Every run builds its worlds through this type, and puts them together
+// through one contract, the Composition below.  The classic run is a
+// OneWorld.  A cluster::ShardedCluster is S worlds, each on its own
+// shard's Simulation, joined by the spine.  A wan::Federation is N worlds
+// sharing one Simulation, joined by WAN links.  What the compositions
+// share lives here: the global -> local split of a fault plan, and the
+// prefixed registry merge.  Each composition keeps only its link model.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "cache/cache_fabric.hpp"
 #include "cdd/cdd.hpp"
@@ -28,6 +31,7 @@
 #include "load/qos.hpp"
 #include "obs/metrics.hpp"
 #include "raid/controller.hpp"
+#include "sim/task.hpp"
 #include "workload/engines.hpp"
 
 namespace raidx::cluster {
@@ -75,16 +79,75 @@ struct World {
   ha::FaultPlan faults;  // this world's slice, in local ids
 };
 
-/// Split `plan` -- written in global ids over `worlds` identical worlds,
-/// world w owning disks [w*D, (w+1)*D) and nodes [w*N, (w+1)*N) -- into
-/// each world's `faults` slice in local ids, then arm every world (see
-/// World::arm).  Returns the site and link events, which belong to no
-/// world.  Throws std::invalid_argument for a disk or node outside every
-/// world, before arming any.
-ha::FaultPlan arm_worlds(const ha::FaultPlan& plan,
-                         std::span<World* const> worlds,
-                         const ha::HaParams* ha,
-                         const integrity::IntegrityParams* integrity);
+/// How a run puts its worlds together: the classic run's one World, the
+/// placement groups of a ShardedCluster, or the sites of a
+/// wan::Federation.  Every multi-world driver (load::run_open_loop over a
+/// composition, raidxsim) builds, arms, runs and collects a run through
+/// this contract alone.
+class Composition {
+ public:
+  Composition() = default;
+  virtual ~Composition() = default;
+  Composition(const Composition&) = delete;
+  Composition& operator=(const Composition&) = delete;
+
+  /// The worlds, in order: world w owns disks [w*D, (w+1)*D) and nodes
+  /// [w*N, (w+1)*N) of the run's global ids.
+  std::span<World* const> worlds() const { return worlds_; }
+
+  /// Advance every world to completion, on `threads` workers where the
+  /// composition has a worker pool.  Results never depend on `threads`.
+  virtual void run(int threads) = 0;
+
+  /// First LBA of world `w`'s own region: a site's primary region, 0
+  /// where a world owns its whole array.
+  virtual std::uint64_t home_base(int /*w*/) const { return 0; }
+
+  /// One op for a client in world `src`, run at a peer world the
+  /// composition picks; `slot` is a popularity slot it maps into the
+  /// peer's space.  Resolves to the op's success.  A one-world
+  /// composition has no peer: the default throws std::logic_error.
+  virtual sim::Task<bool> remote_io(int src, std::uint64_t slot,
+                                    std::uint32_t nblocks, bool write);
+
+  /// Split `plan`, written in run-global ids, into each world's `faults`
+  /// slice in local ids, arm every world (World::arm, with an
+  /// orchestrator when `ha` is given and an integrity plane when
+  /// `integrity` is), then hand the site and link events to arm_wan.
+  /// Throws std::invalid_argument for a disk or node outside every world
+  /// before arming any.  Call once, before the run.
+  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* ha = nullptr,
+                  const integrity::IntegrityParams* integrity = nullptr);
+
+  /// Export every world's counters, and the composition's own, into
+  /// `reg`.  Byte-deterministic for a fixed run.
+  virtual void collect(obs::Registry& reg) = 0;
+
+ protected:
+  /// Drive the plan's site and link events, which belong to no world.
+  /// Called after every world is armed (spawn order fixes event sequence
+  /// numbers), and only with events.  Only a WAN federation has sites
+  /// and links: the default throws std::invalid_argument.
+  virtual void arm_wan(std::vector<ha::FaultEvent> events);
+
+  std::vector<World*> worlds_;  // filled as the composition builds them
+};
+
+/// The classic run: one World on the caller's Simulation, collected with
+/// no prefix.
+class OneWorld final : public Composition {
+ public:
+  OneWorld(sim::Simulation& sim, const ClusterParams& cluster_params,
+           const WorldParams& params)
+      : world_(sim, cluster_params, params) {
+    worlds_.push_back(&world_);
+  }
+  void run(int /*threads*/) override { world_.sim().run(); }
+  void collect(obs::Registry& reg) override { world_.collect(reg); }
+
+ private:
+  World world_;
+};
 
 /// "<kind>.NNN." -- the registry prefix of world `index`.
 std::string world_prefix(const char* kind, int index);

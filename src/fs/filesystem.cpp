@@ -41,10 +41,6 @@ FileSystem::FileSystem(raid::ArrayController& engine, Params params)
   engine_.set_cache_pinned_range(0, data_start_);
 }
 
-std::uint64_t FileSystem::data_blocks_total() const {
-  return engine_.logical_blocks() - data_start_;
-}
-
 std::uint64_t FileSystem::inode_table_block(Ino ino) const {
   const std::uint32_t bs = engine_.block_bytes();
   const std::uint64_t inodes_per_block = bs / 128;

@@ -103,7 +103,6 @@ class FileSystem {
 
   std::uint32_t block_bytes() const { return engine_.block_bytes(); }
   std::uint64_t blocks_in_use() const { return allocated_; }
-  std::uint64_t data_blocks_total() const;
   raid::ArrayController& engine() { return engine_; }
 
  private:

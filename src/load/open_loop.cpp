@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,7 +14,6 @@
 #include "load/qos.hpp"
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
-#include "wan/federation.hpp"
 
 namespace raidx::load {
 
@@ -409,6 +410,9 @@ OpenLoopResult run_open_loop(raid::ArrayController& engine,
   return driver.finish();
 }
 
+namespace {
+
+/// Fold per-world results into a composition's totals.
 ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world) {
   ShardedLoadResult out;
   for (const OpenLoopResult& r : per_world) {
@@ -449,69 +453,46 @@ ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world) {
   return out;
 }
 
-ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
-                                        const OpenLoopConfig& per_shard_config,
-                                        double remote_fraction, int threads) {
-  const int S = world.shards();
+}  // namespace
+
+ShardedLoadResult run_open_loop(cluster::Composition& comp,
+                                const OpenLoopConfig& per_world_config,
+                                double remote_fraction, int threads) {
+  const std::span<cluster::World* const> worlds = comp.worlds();
   std::vector<std::unique_ptr<OpenLoopDriver>> drivers;
-  drivers.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
+  drivers.reserve(worlds.size());
+  for (std::size_t w = 0; w < worlds.size(); ++w) {
     // Dispatcher frames are born here, on the coordinating thread; pin
-    // them to their shard's pool so they recycle wherever the shard runs.
-    auto scope = world.group().frame_scope(s);
-    OpenLoopConfig cfg = per_shard_config;
-    cfg.seed = per_shard_config.seed + static_cast<std::uint64_t>(s);
-    if (S > 1 && remote_fraction > 0.0) {
-      const int dst = (s + 1) % S;
+    // them to their world's pool so they recycle wherever it runs.
+    sim::FramePool::Scope scope(&worlds[w]->sim().frame_pool());
+    const int s = static_cast<int>(w);
+    OpenLoopConfig cfg = per_world_config;
+    cfg.seed = per_world_config.seed + w;
+    cfg.base_lba = comp.home_base(s);
+    if (worlds.size() > 1 && remote_fraction > 0.0) {
       cfg.remote.fraction = remote_fraction;
-      cfg.remote.exec = [&world, s, dst](std::uint64_t slot,
-                                         std::uint32_t nblocks, bool write) {
-        // Map the popularity slot into the TARGET group's logical space:
-        // remote traffic keeps its skew but lands on the remote array.
-        const std::uint64_t span = std::max<std::uint64_t>(
-            1, world.engine(dst).logical_blocks() / nblocks);
-        return world.remote_io(s, dst, write, (slot % span) * nblocks,
-                               nblocks);
+      cfg.remote.exec = [&comp, s](std::uint64_t slot, std::uint32_t nblocks,
+                                   bool write) {
+        return comp.remote_io(s, slot, nblocks, write);
       };
     }
     drivers.push_back(std::make_unique<OpenLoopDriver>(
-        world.engine(s), cfg, world.shard(s).gate.get()));
+        *worlds[w]->engine, cfg, worlds[w]->gate.get()));
     drivers.back()->start();
   }
 
-  world.run(threads);
+  comp.run(threads);
 
-  std::vector<OpenLoopResult> per_shard;
-  per_shard.reserve(drivers.size());
-  for (auto& d : drivers) per_shard.push_back(d->finish());
-  return fold_results(std::move(per_shard));
+  std::vector<OpenLoopResult> per_world;
+  per_world.reserve(drivers.size());
+  for (auto& d : drivers) per_world.push_back(d->finish());
+  return fold_results(std::move(per_world));
 }
 
-ShardedLoadResult run_open_loop_sites(wan::Federation& fed,
-                                      const OpenLoopConfig& per_site_config,
-                                      double remote_fraction) {
-  std::vector<std::unique_ptr<OpenLoopDriver>> drivers;
-  for (int s = 0; s < fed.sites(); ++s) {
-    OpenLoopConfig cfg = per_site_config;
-    cfg.seed = per_site_config.seed + static_cast<std::uint64_t>(s);
-    cfg.base_lba = fed.region_base(s);
-    if (remote_fraction > 0.0) {
-      cfg.remote.fraction = remote_fraction;
-      cfg.remote.exec = [&fed, s](std::uint64_t slot, std::uint32_t nblocks,
-                                  bool write) {
-        return fed.remote_io(s, slot, nblocks, write);
-      };
-    }
-    drivers.push_back(std::make_unique<OpenLoopDriver>(
-        fed.engine(s), cfg, fed.site(s).gate.get()));
-  }
-  for (auto& d : drivers) d->start();
-  fed.sim().run();
-
-  std::vector<OpenLoopResult> per_site;
-  per_site.reserve(drivers.size());
-  for (auto& d : drivers) per_site.push_back(d->finish());
-  return fold_results(std::move(per_site));
+ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
+                                        const OpenLoopConfig& per_shard_config,
+                                        double remote_fraction, int threads) {
+  return run_open_loop(world, per_shard_config, remote_fraction, threads);
 }
 
 }  // namespace raidx::load

@@ -36,11 +36,9 @@
 #include "sim/time.hpp"
 
 namespace raidx::cluster {
+class Composition;
 class ShardedCluster;
-}
-namespace raidx::wan {
-class Federation;
-}
+}  // namespace raidx::cluster
 
 namespace raidx::load {
 
@@ -87,18 +85,19 @@ struct OpenLoopConfig {
   /// Node that hosts no sessions (NFS server), or -1.
   int exclude_node = -1;
   /// First LBA tenant regions are carved from.  The default keeps the
-  /// historical layout (regions from 0); a WAN federation points each
-  /// site's driver at the site's own primary region so local traffic
-  /// stays inside it.
+  /// historical layout (regions from 0); the composition runner moves
+  /// each world's driver to its Composition::home_base, so a site's local
+  /// traffic stays inside its own primary region.
   std::uint64_t base_lba = 0;
-  /// Cross-shard traffic hook (sharded federations).  When `exec` is set,
-  /// each arrival flips a coin with probability `fraction` and, on heads,
-  /// runs through `exec` -- a gateway RPC into a remote placement group --
-  /// instead of the local engine; `exec` receives the Zipf popularity slot
-  /// (the callee maps it into the target group's logical space), the op
+  /// Cross-world traffic hook (the composition runner installs it).  When
+  /// `exec` is set, each arrival flips a coin with probability `fraction`
+  /// and, on heads, runs through `exec` -- Composition::remote_io, a
+  /// gateway RPC into a remote placement group or a WAN op at a peer site
+  /// -- instead of the local engine; `exec` receives the Zipf popularity
+  /// slot (the callee maps it into the peer's logical space), the op
   /// size, and the direction, and resolves to the op's success.  A null
   /// exec (the default) draws nothing extra from the RNG stream, keeping
-  /// non-federated arrival streams bit-identical to builds that predate
+  /// one-world arrival streams bit-identical to builds that predate
   /// sharding.
   struct RemoteHook {
     double fraction = 0.0;
@@ -170,8 +169,8 @@ OpenLoopResult run_open_loop(raid::ArrayController& engine,
                              QosGate* gate = nullptr);
 
 /// The two phases of run_open_loop, split apart so a caller that owns the
-/// event loop -- the sharded federation runner, which advances many engines
-/// under one ShardGroup -- can interleave several workloads.  start()
+/// event loop -- the composition runner below, which advances several
+/// worlds at once -- can interleave several workloads.  start()
 /// validates the config, installs the admission gate, and spawns the
 /// dispatchers (the arrival window opens at the simulation's current
 /// time); the caller then drains the simulation(s); finish() restores the
@@ -196,35 +195,29 @@ class OpenLoopDriver {
   std::unique_ptr<State> state_;
 };
 
-/// Federation totals of one open-loop run over several worlds (shards or
-/// sites): OpenLoopResult's sums, per tenant too, with every world's
-/// completions in `latency`, the slowest world's drain, and rates and
+/// Totals of one open-loop run over a composition's worlds:
+/// OpenLoopResult's sums, per tenant too, with every world's completions
+/// in `latency`, the slowest world's drain, and rates and
 /// `peak_in_flight` summed over the worlds.
 struct ShardedLoadResult : OpenLoopResult {
   std::vector<OpenLoopResult> per_shard;  // each world's own, in order
 };
 
-/// Fold per-world results into federation totals.
-ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world);
+/// Drive `per_world_config` on every world of `comp` at once, the one
+/// multi-world runner.  World w seeds its RNG root from
+/// per_world_config.seed + w, carves its tenants from comp.home_base(w)
+/// on, and admits through its World::gate when it has one.  With more
+/// than one world, `remote_fraction` of each world's arrivals run through
+/// comp.remote_io instead.  `threads` changes only wall-clock time, never
+/// results: the run is a pure function of (seed, composition).
+ShardedLoadResult run_open_loop(cluster::Composition& comp,
+                                const OpenLoopConfig& per_world_config,
+                                double remote_fraction, int threads);
 
-/// Drive `per_shard_config` on every group of a federation at once under
-/// the conservative synchronizer, redirecting `remote_fraction` of each
-/// group's arrivals across the spine to the next group (ring order), each
-/// group admitting through its own World::gate when it has one.  Shard s
-/// forks its RNG root from per_shard_config.seed + s, so the run is a pure
-/// function of (seed, shard count) -- `threads` changes only wall-clock
-/// time, never results.
+/// run_open_loop over a ShardedCluster; the host-cost benchmark
+/// (perfbench/) calls it.
 ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
                                         const OpenLoopConfig& per_shard_config,
                                         double remote_fraction, int threads);
-
-/// Drive `per_site_config` on every site of a WAN federation at once: site
-/// s seeds from per_site_config.seed + s, carves its tenants from its own
-/// primary region, admits through its World::gate when it has one, and
-/// sends `remote_fraction` of its arrivals to peer sites over the WAN
-/// (Federation::remote_io).
-ShardedLoadResult run_open_loop_sites(wan::Federation& fed,
-                                      const OpenLoopConfig& per_site_config,
-                                      double remote_fraction);
 
 }  // namespace raidx::load

@@ -65,26 +65,6 @@ void LatencyRecorder::clear() {
   sorted_ = false;
 }
 
-void Throughput::record(Time start, Time end, std::uint64_t bytes) {
-  assert(end >= start);
-  bytes_ += bytes;
-  ++ops_;
-  if (first_start_ < 0 || start < first_start_) first_start_ = start;
-  if (end > last_end_) last_end_ = end;
-}
-
-double Throughput::mb_per_s() const {
-  if (first_start_ < 0 || last_end_ <= first_start_) return 0.0;
-  return bandwidth_mbs(bytes_, last_end_ - first_start_);
-}
-
-void Throughput::clear() {
-  bytes_ = 0;
-  ops_ = 0;
-  first_start_ = -1;
-  last_end_ = -1;
-}
-
 namespace {
 
 std::string json_escape(const std::string& s) {

@@ -34,27 +34,6 @@ class LatencyRecorder {
   Time total_ = 0;
 };
 
-/// Accumulates bytes moved between first_at/last_done marks; reports MB/s.
-class Throughput {
- public:
-  void record(Time start, Time end, std::uint64_t bytes);
-
-  std::uint64_t bytes() const { return bytes_; }
-  Time first_start() const { return first_start_; }
-  Time last_end() const { return last_end_; }
-  /// Aggregate bandwidth over the span [first_start, last_end].
-  double mb_per_s() const;
-  std::size_t operations() const { return ops_; }
-
-  void clear();
-
- private:
-  std::uint64_t bytes_ = 0;
-  std::size_t ops_ = 0;
-  Time first_start_ = -1;
-  Time last_end_ = -1;
-};
-
 /// Minimal insertion-ordered JSON object builder for the machine-readable
 /// bench artifacts (BENCH_*.json).  Flat objects only -- keys to scalars --
 /// which is all a trajectory diff needs.

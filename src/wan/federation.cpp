@@ -287,17 +287,12 @@ void Federation::set_site_up(int site, bool up) {
                  detail);
 }
 
-void Federation::arm_faults(const ha::FaultPlan& plan,
-                            const ha::HaParams* ha,
-                            const integrity::IntegrityParams* integrity) {
-  std::vector<ha::FaultEvent> links =
-      cluster::arm_worlds(plan, worlds_, ha, integrity).events();
-  if (links.empty()) return;
-  std::stable_sort(links.begin(), links.end(),
+void Federation::arm_wan(std::vector<ha::FaultEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
                    [](const ha::FaultEvent& a, const ha::FaultEvent& b) {
                      return a.at < b.at;
                    });
-  sim_.spawn(fault_driver(std::move(links)));
+  sim_.spawn(fault_driver(std::move(events)));
 }
 
 sim::Task<> Federation::fault_driver(std::vector<ha::FaultEvent> events) {
@@ -367,32 +362,16 @@ void Federation::collect(obs::Registry& reg) {
     reg.histogram("wan.read.latency_ns").merge(read_lat_);
   }
   if (replicator_ != nullptr) {
-    std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0,
-                  shipped_bytes = 0;
-    for (int src = 0; src < params_.sites; ++src) {
-      for (int dst = 0; dst < params_.sites; ++dst) {
-        if (src == dst) continue;
-        const StreamStats& st = replicator_->stream(src, dst);
-        appended += st.appended;
-        coalesced += st.coalesced;
-        shipped += st.shipped;
-        failed += st.failed_ships;
-        shipped_bytes += st.bytes_shipped;
-      }
-    }
-    reg.counter("wan.repl.appended").inc(appended);
-    reg.counter("wan.repl.coalesced").inc(coalesced);
-    reg.counter("wan.repl.shipped").inc(shipped);
-    reg.counter("wan.repl.failed_ships").inc(failed);
-    reg.counter("wan.repl.bytes").inc(shipped_bytes);
-    reg.counter("wan.repl.staleness_violations")
-        .inc(replicator_->staleness_violations());
-    reg.gauge("wan.repl.backlog")
-        .set(static_cast<double>(replicator_->total_backlog()));
-    reg.gauge("wan.repl.peak_backlog")
-        .set(static_cast<double>(replicator_->peak_backlog()));
-    reg.gauge("wan.repl.max_lag_ns")
-        .set(static_cast<double>(replicator_->max_lag()));
+    const StreamStats t = replicator_->totals();
+    reg.counter("wan.repl.appended").inc(t.appended);
+    reg.counter("wan.repl.coalesced").inc(t.coalesced);
+    reg.counter("wan.repl.shipped").inc(t.shipped);
+    reg.counter("wan.repl.failed_ships").inc(t.failed_ships);
+    reg.counter("wan.repl.bytes").inc(t.bytes_shipped);
+    reg.counter("wan.repl.staleness_violations").inc(t.staleness_violations);
+    reg.gauge("wan.repl.backlog").set(static_cast<double>(t.backlog));
+    reg.gauge("wan.repl.peak_backlog").set(static_cast<double>(t.peak_backlog));
+    reg.gauge("wan.repl.max_lag_ns").set(static_cast<double>(t.max_lag));
     if (replicator_->lag().count() > 0) {
       reg.histogram("wan.repl.lag_ns").merge(replicator_->lag());
     }

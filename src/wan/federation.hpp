@@ -82,7 +82,7 @@ struct WanStats {
   std::uint64_t write_bytes = 0;  // payload bytes forwarded over the WAN
 };
 
-class Federation {
+class Federation final : public cluster::Composition {
  public:
   Federation(sim::Simulation& sim, FederationParams params);
   ~Federation();
@@ -95,7 +95,6 @@ class Federation {
   bool geo_rep() const { return params_.geo_rep; }
 
   cluster::World& site(int s) { return *sites_[s]; }
-  std::span<cluster::World* const> worlds() const { return worlds_; }
   cluster::Cluster& cluster(int site) { return *sites_[site]->cluster; }
   cdd::CddFabric& fabric(int site) { return *sites_[site]->fabric; }
   cache::CacheFabric& cache(int site) { return *sites_[site]->cache; }
@@ -114,6 +113,9 @@ class Federation {
   std::uint64_t region_base(int site) const {
     return static_cast<std::uint64_t>(site) * region_blocks_;
   }
+  std::uint64_t home_base(int site) const override {
+    return region_base(site);
+  }
   int home_of(std::uint64_t lba) const {
     const auto h = static_cast<int>(lba / region_blocks_);
     return h >= params_.sites ? params_.sites - 1 : h;
@@ -126,10 +128,13 @@ class Federation {
                                       params_.cluster.geometry.nodes));
   }
 
-  /// Open-loop RemoteHook entry: map a Zipf popularity slot from `src`
-  /// onto a peer site's primary region and run the cross-site op.
+  /// The sites share one Simulation: `threads` has nothing to spread.
+  void run(int /*threads*/) override { sim_.run(); }
+
+  /// Open-loop entry: map a Zipf popularity slot from `src` onto a peer
+  /// site's primary region and run the cross-site op.
   sim::Task<bool> remote_io(int src, std::uint64_t slot,
-                            std::uint32_t nblocks, bool write);
+                            std::uint32_t nblocks, bool write) override;
 
   /// Cross-site read of [lba, lba+nblocks) homed at home_of(lba), on
   /// behalf of site `src` (cache -> WAN origin -> geo-mirror).
@@ -144,15 +149,6 @@ class Federation {
   /// Partition/heal a site: every incident link goes down/up.
   void set_site_up(int site, bool up);
 
-  /// Arm a fault plan in federation-global ids.  Disk, node and
-  /// corruption events are split across the sites (site = id /
-  /// disks_per_site, or nodes_per_site for node events) and armed by
-  /// each site, with a per-site orchestrator when `ha` is given and
-  /// integrity plane when `integrity` is (cluster::arm_worlds).  Site
-  /// partitions and link brownouts drive the WAN.  Call before the run.
-  void arm_faults(const ha::FaultPlan& plan, const ha::HaParams* ha = nullptr,
-                  const integrity::IntegrityParams* integrity = nullptr);
-
   Replicator* replicator() { return replicator_.get(); }
   const WanStats& stats() const { return stats_; }
   /// Remote read latency (ns), all resolutions.
@@ -160,9 +156,12 @@ class Federation {
 
   /// Export per-site counters under `site.NNN.` (cluster::merge_worlds)
   /// plus the federation's own `wan.*` counters/histograms into `reg`.
-  void collect(obs::Registry& reg);
+  void collect(obs::Registry& reg) override;
 
  private:
+  /// Site partitions and link brownouts, in time order, on one driver.
+  void arm_wan(std::vector<ha::FaultEvent> events) override;
+
   friend class Replicator;
 
   struct SiteObserver : raid::WriteObserver {
@@ -191,7 +190,6 @@ class Federation {
   sim::Simulation& sim_;
   FederationParams params_;
   std::vector<std::unique_ptr<Site>> sites_;
-  std::vector<cluster::World*> worlds_;  // sites_, as the worlds they are
   std::vector<std::unique_ptr<Link>> links_;
   std::unique_ptr<Replicator> replicator_;
   std::uint64_t region_blocks_ = 0;

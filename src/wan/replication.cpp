@@ -188,35 +188,23 @@ sim::Task<> Replicator::shipper(int src, int dst) {
   }
 }
 
-std::uint64_t Replicator::total_backlog() const {
-  std::uint64_t n = 0;
-  for (const Stream& st : streams_) n += st.stats.backlog;
-  return n;
-}
-
-std::uint64_t Replicator::peak_backlog() const {
-  std::uint64_t n = 0;
+StreamStats Replicator::totals() const {
+  // The diagonal (src == dst) streams never carry an entry, so summing
+  // every stream is exact.
+  StreamStats t;
   for (const Stream& st : streams_) {
-    n = std::max(n, st.stats.peak_backlog);
+    const StreamStats& s = st.stats;
+    t.appended += s.appended;
+    t.coalesced += s.coalesced;
+    t.shipped += s.shipped;
+    t.failed_ships += s.failed_ships;
+    t.bytes_shipped += s.bytes_shipped;
+    t.backlog += s.backlog;
+    t.peak_backlog = std::max(t.peak_backlog, s.peak_backlog);
+    t.last_drain = std::max(t.last_drain, s.last_drain);
+    t.max_lag = std::max(t.max_lag, s.max_lag);
+    t.staleness_violations += s.staleness_violations;
   }
-  return n;
-}
-
-sim::Time Replicator::max_lag() const {
-  sim::Time t = 0;
-  for (const Stream& st : streams_) t = std::max(t, st.stats.max_lag);
-  return t;
-}
-
-std::uint64_t Replicator::staleness_violations() const {
-  std::uint64_t n = 0;
-  for (const Stream& st : streams_) n += st.stats.staleness_violations;
-  return n;
-}
-
-sim::Time Replicator::last_converged() const {
-  sim::Time t = 0;
-  for (const Stream& st : streams_) t = std::max(t, st.stats.last_drain);
   return t;
 }
 

@@ -94,13 +94,10 @@ class Replicator {
   }
   /// Apply-time staleness of every shipped entry, ns.
   const obs::Histogram& lag() const { return lag_; }
-  std::uint64_t total_backlog() const;
-  std::uint64_t peak_backlog() const;
-  sim::Time max_lag() const;
-  std::uint64_t staleness_violations() const;
-  /// Latest drain instant over every stream: with all links healed this
-  /// is when the federation's mirrors last converged.
-  sim::Time last_converged() const;
+  /// Every stream summed: counters and backlog added, peak_backlog,
+  /// max_lag and last_drain maxed.  With all links healed, last_drain is
+  /// when the federation's mirrors last converged.
+  StreamStats totals() const;
 
  private:
   struct Entry {

@@ -454,6 +454,32 @@ TEST(ShardedCluster, CorruptionPlanSplitsAcrossIntegrityPlanes) {
   }
 }
 
+// The open-loop entry sends an op to the ring neighbour, (src + 1) % S,
+// and wraps a popularity slot past the neighbour's span back into its
+// logical space: unwrapped, the read would run past the array's end and
+// fail at the far end.
+TEST(ShardedCluster, RemoteSlotWrapsOntoTheRingNeighbour) {
+  ShardedParams sp;
+  sp.shards = 3;
+  ShardedCluster world(test::small_cluster(), sp);
+  const std::uint64_t span = world.engine(0).logical_blocks() / 2;
+  auto op = [](ShardedCluster* w, std::uint64_t slot,
+               bool* ok) -> sim::Task<> {
+    *ok = co_await w->remote_io(2, slot, 2u, /*write=*/false);
+  };
+  bool ok = false;
+  {
+    auto scope = world.group().frame_scope(2);
+    world.sim(2).spawn(op(&world, span + 5, &ok));
+  }
+  world.run(1);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(world.shard(2).remote_sent, 1u);
+  EXPECT_EQ(world.shard(0).remote_served, 1u);
+  EXPECT_EQ(world.shard(0).remote_failed, 0u);
+  EXPECT_EQ(world.shard(1).remote_served, 0u);
+}
+
 TEST(ShardedCluster, RejectsFaultOutsideFederation) {
   ShardedParams sp;
   sp.shards = 2;

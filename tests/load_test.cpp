@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "cluster/sharded.hpp"
+#include "cluster/world.hpp"
 #include "load/open_loop.hpp"
 #include "load/qos.hpp"
 #include "obs/metrics.hpp"
@@ -410,6 +412,76 @@ TEST(OpenLoop, AdmissionHookAtTheControllerEntry) {
     total_reads += rig.cluster.disk(d).reads();
   }
   EXPECT_EQ(total_reads, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The composition runner.
+
+template <typename R>
+void expect_same_counts(const R& a, const R& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.cap_dropped, b.cap_dropped);
+  EXPECT_EQ(a.bytes_completed, b.bytes_completed);
+  EXPECT_EQ(a.latency.count(), b.latency.count());
+  EXPECT_EQ(a.latency.sum(), b.latency.sum());
+  EXPECT_EQ(a.latency.max(), b.latency.max());
+  EXPECT_EQ(a.offered_mbs, b.offered_mbs);
+  EXPECT_EQ(a.goodput_mbs, b.goodput_mbs);
+}
+
+/// `b`'s folded totals, and its one world's arrival trace, are `a`.
+void expect_same_run(const load::OpenLoopResult& a,
+                     const load::ShardedLoadResult& b) {
+  expect_same_counts<load::OpenLoopResult>(a, b);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    expect_same_counts(a.tenants[t], b.tenants[t]);
+  }
+  EXPECT_EQ(a.bytes_offered, b.bytes_offered);
+  EXPECT_EQ(a.drained_at, b.drained_at);
+  EXPECT_EQ(a.peak_in_flight, b.peak_in_flight);
+  ASSERT_EQ(b.per_shard.size(), 1u);
+  EXPECT_EQ(a.arrivals, b.per_shard.front().arrivals);
+}
+
+/// Tenant 1 held far below its offered rate, so the gate sheds.
+std::unique_ptr<load::QosGate> capped_gate(sim::Simulation& sim) {
+  load::TenantQos none;
+  load::TenantQos cap;
+  cap.rate_mbs = 0.05;
+  cap.burst_mb = 0.005;
+  cap.policy = load::AdmitPolicy::kShed;
+  return std::make_unique<load::QosGate>(
+      sim, std::vector<load::TenantQos>{none, cap});
+}
+
+// raidxsim drives its classic one-world open loop through the composition
+// runner, so a OneWorld must be the plain runner field for field -- and a
+// 1-shard ShardedCluster the same again.
+TEST(CompositionRunner, OneWorldEqualsThePlainRunner) {
+  const load::OpenLoopConfig cfg = small_open_loop(11);
+  sim::Simulation plain_sim;
+  cluster::World plain(plain_sim, small_cluster(4), {});
+  plain.gate = capped_gate(plain_sim);
+  const load::OpenLoopResult want =
+      load::run_open_loop(*plain.engine, cfg, plain.gate.get());
+  ASSERT_GT(want.completed, 0u);
+  ASSERT_GT(want.shed, 0u);
+
+  sim::Simulation one_sim;
+  cluster::OneWorld one(one_sim, small_cluster(4), {});
+  one.worlds().front()->gate = capped_gate(one_sim);
+  expect_same_run(want, load::run_open_loop(one, cfg, 0.0, 1));
+
+  cluster::ShardedParams sp;
+  sp.shards = 1;
+  cluster::ShardedCluster groups(small_cluster(4), sp);
+  groups.shard(0).gate = capped_gate(groups.sim(0));
+  expect_same_run(want, load::run_open_loop(groups, cfg, 0.0, 1));
 }
 
 }  // namespace

@@ -421,16 +421,6 @@ TEST(LatencyRecorder, SummarizesSamples) {
   EXPECT_EQ(rec.percentile(1.0), milliseconds(100));
 }
 
-TEST(Throughput, AggregatesOverSpan) {
-  Throughput t;
-  t.record(seconds(0.0), seconds(1.0), 5'000'000);
-  t.record(seconds(0.5), seconds(2.0), 5'000'000);
-  EXPECT_EQ(t.bytes(), 10'000'000u);
-  EXPECT_EQ(t.operations(), 2u);
-  // 10 MB over [0, 2] s = 5 MB/s.
-  EXPECT_DOUBLE_EQ(t.mb_per_s(), 5.0);
-}
-
 TEST(Rng, IsDeterministicPerSeed) {
   Rng a(12345), b(12345);
   for (int i = 0; i < 100; ++i) {

@@ -315,9 +315,9 @@ TEST(WanFederation, GeoRepConvergesMirrorBytes) {
   EXPECT_EQ(st.shipped, 1u);
   EXPECT_EQ(st.backlog, 0u);
   EXPECT_EQ(st.failed_ships, 0u);
-  EXPECT_GT(fed.replicator()->max_lag(), 0);
-  EXPECT_EQ(fed.replicator()->staleness_violations(), 0u);
-  EXPECT_GT(fed.replicator()->last_converged(), 0);
+  EXPECT_GT(fed.replicator()->totals().max_lag, 0);
+  EXPECT_EQ(fed.replicator()->totals().staleness_violations, 0u);
+  EXPECT_GT(fed.replicator()->totals().last_drain, 0);
   EXPECT_EQ(fed.replicator()->lag().count(), 1u);
 
   std::vector<std::byte> got;
@@ -419,7 +419,7 @@ TEST(WanFederation, SiteOrchestratorRebuildsUnderRemoteTraffic) {
   load::OpenLoopConfig cfg;
   cfg.tenants = {t};
   cfg.duration = sim::milliseconds(300);
-  const load::ShardedLoadResult r = load::run_open_loop_sites(fed, cfg, 0.5);
+  const load::ShardedLoadResult r = load::run_open_loop(fed, cfg, 0.5, 1);
 
   EXPECT_EQ(fed.site(1).faults.events().size(), 1u);
   EXPECT_EQ(fed.site(1).faults.events()[0].target, 2);
@@ -466,7 +466,7 @@ TEST(WanFederation, SiteScrubbersDrainTogether) {
   cfg.tenants = {t};
   cfg.duration = sim::milliseconds(300);
   load::ShardedLoadResult r;
-  ASSERT_NO_THROW(r = load::run_open_loop_sites(fed, cfg, 0.2));
+  ASSERT_NO_THROW(r = load::run_open_loop(fed, cfg, 0.2, 1));
   EXPECT_EQ(r.completed, r.offered);
   const integrity::IntegrityStats& hit = fed.site(1).plane->stats();
   EXPECT_EQ(hit.injected, 1u);
@@ -499,9 +499,9 @@ TEST(WanFederation, CatchUpThrottleBoundsDrainRate) {
     wan::Federation fed(sim, fp);
     sim.spawn(write_many(fed, 0, fed.region_base(0), 64, 8));
     sim.run();
-    EXPECT_EQ(fed.replicator()->total_backlog(), 0u);
+    EXPECT_EQ(fed.replicator()->totals().backlog, 0u);
     EXPECT_EQ(fed.replicator()->stream(0, 1).shipped, 64u);
-    return fed.replicator()->last_converged();
+    return fed.replicator()->totals().last_drain;
   };
 
   const sim::Time uncapped = drain_time(0.0);
@@ -556,7 +556,7 @@ ReplayFingerprint replay_once() {
   f.link_bytes = fed.link_between(0, 1).bytes_carried();
   f.shipped01 = fed.replicator()->stream(0, 1).shipped;
   f.shipped10 = fed.replicator()->stream(1, 0).shipped;
-  f.max_lag = fed.replicator()->max_lag();
+  f.max_lag = fed.replicator()->totals().max_lag;
   return f;
 }
 

@@ -50,7 +50,8 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --arch raid0|raid5|raid10|raidx|nfs   architecture (default raidx)\n"
+      "  --arch raid0|raid1|raid5|raid10|raidx|nfs   architecture (default "
+      "raidx)\n"
       "  --nodes N          cluster nodes (default 16)\n"
       "  --shards S         partition the cluster into S placement groups\n"
       "                     simulated in parallel under conservative time-\n"
@@ -467,6 +468,7 @@ Scenario parse_args(int argc, char** argv) {
       sc.arch = sim::parse_choice<workload::Arch>(
           next(), a,
           {{"raid0", workload::Arch::kRaid0},
+           {"raid1", workload::Arch::kRaid1},
            {"raid5", workload::Arch::kRaid5},
            {"raid10", workload::Arch::kRaid10},
            {"raidx", workload::Arch::kRaidX},
@@ -943,41 +945,31 @@ void print_wan(wan::Federation& fed) {
               static_cast<unsigned long long>(link_drops));
   wan::Replicator* rep = fed.replicator();
   if (rep == nullptr) return;
-  std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0;
-  for (int a = 0; a < fed.sites(); ++a) {
-    for (int b = 0; b < fed.sites(); ++b) {
-      if (a == b) continue;
-      const wan::StreamStats& st = rep->stream(a, b);
-      appended += st.appended;
-      coalesced += st.coalesced;
-      shipped += st.shipped;
-      failed += st.failed_ships;
-    }
-  }
+  const wan::StreamStats t = rep->totals();
   std::printf("geo-rep             : %llu appended (%llu coalesced), %llu "
               "shipped, %llu failed ships, backlog %llu (peak %llu)\n",
-              static_cast<unsigned long long>(appended),
-              static_cast<unsigned long long>(coalesced),
-              static_cast<unsigned long long>(shipped),
-              static_cast<unsigned long long>(failed),
-              static_cast<unsigned long long>(rep->total_backlog()),
-              static_cast<unsigned long long>(rep->peak_backlog()));
+              static_cast<unsigned long long>(t.appended),
+              static_cast<unsigned long long>(t.coalesced),
+              static_cast<unsigned long long>(t.shipped),
+              static_cast<unsigned long long>(t.failed_ships),
+              static_cast<unsigned long long>(t.backlog),
+              static_cast<unsigned long long>(t.peak_backlog));
   if (rep->lag().count() > 0) {
     std::printf("geo-rep lag         : p50 %.2f ms, p99 %.2f ms, max %.2f "
                 "ms, %llu violation(s) of the %.1f s bound\n",
                 rep->lag().quantile(0.50) / 1e6,
                 rep->lag().quantile(0.99) / 1e6,
-                static_cast<double>(rep->max_lag()) / 1e6,
-                static_cast<unsigned long long>(rep->staleness_violations()),
+                static_cast<double>(t.max_lag) / 1e6,
+                static_cast<unsigned long long>(t.staleness_violations),
                 sim::to_seconds(fed.params().repl.staleness_bound));
   }
-  if (rep->total_backlog() == 0) {
+  if (t.backlog == 0) {
     std::printf("geo-rep converged   : %8.3f s\n",
-                sim::to_seconds(rep->last_converged()));
+                sim::to_seconds(t.last_drain));
   } else {
     std::printf("geo-rep converged   : never (a partition outlived the run; "
                 "%llu entries still queued)\n",
-                static_cast<unsigned long long>(rep->total_backlog()));
+                static_cast<unsigned long long>(t.backlog));
   }
 }
 
@@ -1065,12 +1057,13 @@ int export_obs(const Scenario& sc, obs::Hub& hub, sim::Time now,
   return 0;
 }
 
-/// The open-loop workload on every world at once: per-world QoS gates,
-/// the composition's banner, one fold of the per-world results, and one
-/// summary.  Returns 1 when the run fails.
-int drive_open_loop(const Scenario& sc,
-                    std::span<cluster::World* const> worlds,
+/// The open-loop workload on every world of the composition at once:
+/// per-world QoS gates, the banner, one run, and one summary.  Only the
+/// sync line and the WAN report read the typed composition.  Returns 1
+/// when the run fails.
+int drive_open_loop(const Scenario& sc, cluster::Composition& comp,
                     cluster::ShardedCluster* sharded, wan::Federation* fed) {
+  const std::span<cluster::World* const> worlds = comp.worlds();
   const int nworlds = static_cast<int>(worlds.size());
   cluster::World& first = *worlds.front();
   const std::string name = first.engine->name();
@@ -1094,16 +1087,17 @@ int drive_open_loop(const Scenario& sc,
   ocfg.seed = sc.seed;
   ocfg.max_in_flight = ol.cap;
   const int nthreads = sc.threads > 0 ? sc.threads : 1;
-  if (sharded) {
+  if (sc.shards > 1) {
     std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
                 "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
                 "%.1f%%, %d worker(s)%s\n",
                 name.c_str(), sc.shards, sc.nodes_per_world(), ol.tenants,
                 ol.shape.rate_ops, 100.0 * ol.remote, nthreads, gated);
-  } else if (fed) {
+  } else if (sc.sites > 1) {
     std::printf("raidxsim: wan federation on %s, %d sites x %d nodes, %d "
                 "link(s) @ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
-                name.c_str(), sc.sites, sc.nodes, fed->num_links(),
+                name.c_str(), sc.sites, sc.nodes,
+                wan::Federation::mesh_links(sc.sites),
                 sc.wan_bw, sc.wan_rtt_ms,
                 static_cast<unsigned long long>(sc.wan_window >> 10),
                 sc.geo_rep ? " [geo-rep]" : "");
@@ -1122,16 +1116,7 @@ int drive_open_loop(const Scenario& sc,
   }
   load::ShardedLoadResult r;
   try {
-    if (sharded) {
-      r = load::run_open_loop_sharded(*sharded, ocfg, ol.remote, nthreads);
-    } else if (fed) {
-      r = load::run_open_loop_sites(*fed, ocfg, ol.remote);
-    } else {
-      std::vector<load::OpenLoopResult> one;
-      one.push_back(load::run_open_loop(*first.engine, ocfg,
-                                        first.gate.get()));
-      r = load::fold_results(std::move(one));
-    }
+    r = load::run_open_loop(comp, ocfg, ol.remote, nthreads);
   } catch (const std::bad_alloc&) {
     throw;  // main reports it: an unrunnable size, not a failed run
   } catch (const std::exception& e) {
@@ -1143,7 +1128,7 @@ int drive_open_loop(const Scenario& sc,
   std::printf("\noffered             : %8.2f MB/s (%llu requests over "
               "%.3f s%s)\n",
               r.offered_mbs, static_cast<unsigned long long>(r.offered),
-              sim::to_seconds(r.duration), fed ? ", all sites" : "");
+              sim::to_seconds(r.duration), sc.sites > 1 ? ", all sites" : "");
   std::printf("goodput             : %8.2f MB/s (%llu completed, %sdrained "
               "at %.3f s)\n",
               r.goodput_mbs, static_cast<unsigned long long>(r.completed),
@@ -1159,7 +1144,7 @@ int drive_open_loop(const Scenario& sc,
     std::printf("peak in flight      : %llu concurrent requests\n",
                 static_cast<unsigned long long>(r.peak_in_flight));
   }
-  if (sharded) {
+  if (sc.shards > 1) {
     std::printf("cross-shard         : %llu of %llu arrivals over the "
                 "spine\n",
                 static_cast<unsigned long long>(r.remote_ops),
@@ -1362,8 +1347,8 @@ int drive_closed_loop(const Scenario& sc, cluster::World& world,
   return 0;
 }
 
-/// Build the run's worlds -- one, S placement groups, or N sites -- arm
-/// them, drive the workload, and print and export once.
+/// Build the run's one composition -- a world, S placement groups, or N
+/// sites -- then arm, drive and collect it, and print and export once.
 int run(const Scenario& sc) {
   const int nworlds = sc.worlds();
   const cluster::ClusterParams params = world_cluster(sc);
@@ -1401,10 +1386,10 @@ int run(const Scenario& sc) {
 
   obs::Hub hub;
   std::unique_ptr<sim::Simulation> sim;
-  std::unique_ptr<cluster::ShardedCluster> sharded;
-  std::unique_ptr<wan::Federation> fed;
-  std::unique_ptr<cluster::World> single;
-  std::vector<cluster::World*> worlds;
+  std::unique_ptr<cluster::Composition> comp;
+  // Typed views of `comp`, for the composition's own report lines.
+  cluster::ShardedCluster* sharded = nullptr;
+  wan::Federation* fed = nullptr;
   const cluster::WorldParams wp = world_params(sc);
   if (sc.shards > 1) {
     // S placement groups, each on its own Simulation and hub, advanced in
@@ -1412,8 +1397,9 @@ int run(const Scenario& sc) {
     cluster::ShardedParams sp;
     static_cast<cluster::WorldParams&>(sp) = wp;
     sp.shards = sc.shards;
-    sharded = std::make_unique<cluster::ShardedCluster>(params, sp);
-    worlds.assign(sharded->worlds().begin(), sharded->worlds().end());
+    auto groups = std::make_unique<cluster::ShardedCluster>(params, sp);
+    sharded = groups.get();
+    comp = std::move(groups);
   } else {
     sim = std::make_unique<sim::Simulation>();
     if (!sc.trace_out.empty() || !sc.metrics_out.empty() || sc.slo_on ||
@@ -1439,13 +1425,14 @@ int run(const Scenario& sc) {
       fp.geo_rep = sc.geo_rep;
       fp.repl.ship_mbs = sc.geo_rep_mbs;
       fp.cluster = params;
-      fed = std::make_unique<wan::Federation>(*sim, fp);
-      worlds.assign(fed->worlds().begin(), fed->worlds().end());
+      auto sites = std::make_unique<wan::Federation>(*sim, fp);
+      fed = sites.get();
+      comp = std::move(sites);
     } else {
-      single = std::make_unique<cluster::World>(*sim, params, wp);
-      worlds.push_back(single.get());
+      comp = std::make_unique<cluster::OneWorld>(*sim, params, wp);
     }
   }
+  const std::span<cluster::World* const> worlds = comp->worlds();
   cluster::World& first = *worlds.front();
   const std::string across =
       nworlds > 1 ? " across " + std::to_string(nworlds) + " " +
@@ -1545,41 +1532,29 @@ int run(const Scenario& sc) {
   ip.fail_threshold = sc.fail_threshold;
   if (!plan.empty()) {
     std::string where;
-    if (sharded) where = ", partitioned over " + std::to_string(nworlds) + " shards";
-    if (fed) where = ", " + std::to_string(nworlds) + " sites";
+    if (sc.shards > 1) where = ", partitioned over " + std::to_string(nworlds) + " shards";
+    if (sc.sites > 1) where = ", " + std::to_string(nworlds) + " sites";
     std::printf("fault plan (%s%s):\n%s", want_orch ? "orchestrated" : "raw",
                 where.c_str(), plan.describe().c_str());
   }
-  const ha::HaParams* orch = want_orch ? &hp : nullptr;
-  const integrity::IntegrityParams* plane = want_plane ? &ip : nullptr;
-  // Only a WAN plan has site and link events, and only the WAN drives them.
-  if (fed) {
-    fed->arm_faults(plan, orch, plane);
-  } else {
-    cluster::arm_worlds(plan, worlds, orch, plane);
-  }
+  comp->arm_faults(plan, want_orch ? &hp : nullptr,
+                   want_plane ? &ip : nullptr);
 
-  const int rc = sc.open_loop()
-                     ? drive_open_loop(sc, worlds, sharded.get(), fed.get())
-                     : drive_closed_loop(sc, first, params);
+  const int rc = sc.open_loop() ? drive_open_loop(sc, *comp, sharded, fed)
+                                : drive_closed_loop(sc, first, params);
   if (rc != 0) return rc;
 
   print_ha_summary(worlds, across);
   const int soak_rc = print_integrity_summary(worlds);
+  // The hub's registry already holds the load tier's keys when the run
+  // shares this hub; shards export into their own hubs, which their
+  // composition folds in.
   std::string metrics_json;
   if (!sc.metrics_out.empty()) {
-    if (sharded) {
-      metrics_json = sharded->merged_snapshot_json();
-    } else {
-      if (fed) {
-        fed->collect(hub.registry());
-      } else {
-        first.collect(hub.registry());
-      }
-      metrics_json = hub.registry().snapshot_json();
-    }
+    comp->collect(hub.registry());
+    metrics_json = hub.registry().snapshot_json();
   }
-  const int obs_rc = export_obs(sc, hub, sim ? sim->now() : 0, scraper.get(),
+  const int obs_rc = export_obs(sc, hub, first.sim().now(), scraper.get(),
                                 metrics_json);
   return obs_rc != 0 ? obs_rc : soak_rc;
 }
