@@ -60,9 +60,10 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
   // hit tag: 0 = miss, 1 = local hit, 2 = peer-memory hit.
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cache.read", obs::Track::kRequest, cache_node,
-      obs::SpanArgs{}
-          .tag("node", cache_node)
-          .tag("lba", static_cast<std::int64_t>(lba)));
+      [&](obs::SpanArgs& a) {
+        a.tag("node", cache_node)
+            .tag("lba", static_cast<std::int64_t>(lba));
+      });
 
   if (const block::Payload* hit = local.lookup(lba)) {
     ++stats_.hits;
@@ -191,11 +192,12 @@ sim::Task<std::uint64_t> CacheFabric::write_block(
   const std::uint32_t bs = cluster_.geometry().block_bytes;
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cache.write", obs::Track::kRequest, cache_node,
-      obs::SpanArgs{}
-          .tag("node", cache_node)
-          .tag("lba", static_cast<std::int64_t>(lba))
-          .tag("dirty", dirty ? 1 : 0)
-          .tag("through", through ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("node", cache_node)
+            .tag("lba", static_cast<std::int64_t>(lba))
+            .tag("dirty", dirty ? 1 : 0)
+            .tag("through", through ? 1 : 0);
+      });
   NodeCache& local = cache(cache_node);
   const std::uint64_t epoch = ++write_epoch_[lba];
   if (through) ++wt_inflight_[lba];

@@ -14,14 +14,18 @@ CddService::CddService(CddFabric& fabric, int node_id)
 sim::Task<> CddService::server_loop() {
   for (;;) {
     Request req = co_await mailbox_.recv();
+    ++served_;
     // Each request is handled concurrently; ordering on the actual disk is
     // enforced by the disk's own FIFO queue, as in a real driver.
-    fabric_.cluster().sim().spawn(serve(std::move(req)));
+    if (req.op == Request::Op::kLockSync) {
+      receive_sync(req.ctx);
+    } else {
+      fabric_.cluster().sim().spawn(serve(std::move(req)));
+    }
   }
 }
 
 sim::Task<> CddService::serve(Request&& req) {
-  ++served_;
   switch (req.op) {
     case Request::Op::kRead:
       return serve_read(std::move(req));
@@ -32,11 +36,10 @@ sim::Task<> CddService::serve(Request&& req) {
     case Request::Op::kUnlock:
       return serve_unlock(std::move(req));
     case Request::Op::kLockSync:
-      return serve_lock_sync(req.group, req.lock_owner, req.wire_bytes(),
-                             req.ctx);
     case Request::Op::kProbe:
       break;
   }
+  assert(req.op == Request::Op::kProbe && "syncs never reach a handler");
   return serve_probe(std::move(req));
 }
 
@@ -45,7 +48,7 @@ sim::Task<> CddService::serve_read(Request req) {
   auto& node = cluster.node(node_);
   obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.read", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+      [&](obs::SpanArgs& a) { a.tag("node", node_).tag("disk", req.disk); });
   Reply reply;
   co_await node.cpu_work(req.wire_bytes());
   try {
@@ -90,7 +93,7 @@ sim::Task<> CddService::serve_write(Request req) {
   auto& node = cluster.node(node_);
   obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.write", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+      [&](obs::SpanArgs& a) { a.tag("node", node_).tag("disk", req.disk); });
   Reply reply;
   co_await node.cpu_work(req.wire_bytes());
   try {
@@ -116,8 +119,10 @@ sim::Task<> CddService::serve_lock(Request req) {
   auto& cluster = fabric_.cluster();
   obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.lock", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_).tag(
-          "groups", static_cast<std::int64_t>(req.lock_groups.size())));
+      [&](obs::SpanArgs& a) {
+        a.tag("node", node_)
+            .tag("groups", static_cast<std::int64_t>(req.lock_groups.size()));
+      });
   co_await cluster.node(node_).cpu_work(req.wire_bytes());
   // Grant the whole record atomically: groups in ascending order, the same
   // order every requester uses.
@@ -125,9 +130,7 @@ sim::Task<> CddService::serve_lock(Request req) {
     if (!locks_.try_acquire_now(g, req.lock_owner)) {
       co_await locks_.acquire(g, req.lock_owner);
     }
-    if (fabric_.params().replicate_lock_table) {
-      cluster.sim().spawn(replicate_lock_state(g, req.lock_owner));
-    }
+    if (fabric_.params().replicate_lock_table) replicate();
   }
   co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, span.ctx());
 }
@@ -136,29 +139,16 @@ sim::Task<> CddService::serve_unlock(Request req) {
   auto& cluster = fabric_.cluster();
   obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.unlock", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_).tag(
-          "groups", static_cast<std::int64_t>(req.lock_groups.size())));
+      [&](obs::SpanArgs& a) {
+        a.tag("node", node_)
+            .tag("groups", static_cast<std::int64_t>(req.lock_groups.size()));
+      });
   co_await cluster.node(node_).cpu_work(req.wire_bytes());
   for (std::uint64_t g : req.lock_groups) {
     locks_.release(g, req.lock_owner);
-    if (fabric_.params().replicate_lock_table) {
-      cluster.sim().spawn(replicate_lock_state(g, locks_.owner(g)));
-    }
+    if (fabric_.params().replicate_lock_table) replicate();
   }
   co_await send_reply(req.from, req.rpc_id, req.reply, Reply{}, span.ctx());
-}
-
-sim::Task<> CddService::serve_lock_sync(std::uint64_t group,
-                                        std::uint64_t owner,
-                                        std::uint64_t wire_bytes,
-                                        obs::TraceContext ctx) {
-  // One-way replication update; owner 0 means "group is free".
-  auto& cluster = fabric_.cluster();
-  obs::Span span = obs::trace_span(
-      cluster.sim(), ctx, "cdd.serve.locksync", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_));
-  co_await cluster.node(node_).cpu_work(wire_bytes);
-  locks_.apply_replica_update(group, owner);
 }
 
 sim::Task<> CddService::serve_probe(Request req) {
@@ -167,7 +157,7 @@ sim::Task<> CddService::serve_probe(Request req) {
   auto& cluster = fabric_.cluster();
   obs::Span span = obs::trace_span(
       cluster.sim(), req.ctx, "cdd.serve.probe", obs::Track::kServer, node_,
-      obs::SpanArgs{}.tag("node", node_).tag("disk", req.disk));
+      [&](obs::SpanArgs& a) { a.tag("node", node_).tag("disk", req.disk); });
   Reply reply;
   co_await cluster.node(node_).cpu_work(req.wire_bytes());
   if (req.disk >= 0) reply.ok = !cluster.disk(req.disk).failed();
@@ -194,27 +184,88 @@ sim::Task<> CddService::send_reply(int to, std::uint64_t rpc_id,
   }
 }
 
-sim::Task<> CddService::replicate_lock_state(std::uint64_t group,
-                                             std::uint64_t owner) {
+// A sync is all header: the group and owner it names are not kept at the
+// peers, so it carries neither.
+void CddService::replicate() {
+  Sync* s = fabric_.syncs_.take();
+  s->svc = this;
+  s->peer = -1;
+  fabric_.cluster().sim().schedule(0, [s] {
+    CddService& svc = *s->svc;
+    // Background one-way traffic gets its own root trace.
+    s->span = obs::trace_span(
+        svc.fabric_.cluster().sim(), {}, "cdd.replicate",
+        obs::Track::kRequest, svc.node_,
+        [&](obs::SpanArgs& a) { a.tag("node", svc.node_); });
+    svc.send_syncs(s);
+  });
+}
+
+void CddService::send_syncs(Sync* s) {
   auto& cluster = fabric_.cluster();
-  // Background one-way traffic gets its own root trace.
-  obs::Span span = obs::trace_span(
-      cluster.sim(), {}, "cdd.replicate", obs::Track::kRequest, node_,
-      obs::SpanArgs{}.tag("node", node_));
-  for (int peer = 0; peer < cluster.num_nodes(); ++peer) {
-    if (peer == node_) continue;
-    Request sync;
-    sync.op = Request::Op::kLockSync;
-    sync.from = node_;
-    sync.group = group;
-    sync.lock_owner = owner;
-    sync.ctx = span.ctx();
-    const bool delivered = co_await cluster.network().transmit(
-        node_, peer, sync.wire_bytes(), span.ctx());
-    // Replication is best-effort one-way traffic; a partitioned peer just
-    // misses the update (its replica is advisory, never authoritative).
-    if (delivered) fabric_.service(peer).mailbox().send(std::move(sync));
+  while (++s->peer < cluster.num_nodes()) {
+    if (s->peer == node_) continue;
+    const net::Network::Sent sent = cluster.network().send(
+        node_, s->peer, kHeaderBytes, s->span.ctx(), &synced, s);
+    if (sent == net::Network::Sent::kInFlight) return;
+    deliver_sync(s, sent == net::Network::Sent::kDelivered);
   }
+  s->span.close();
+  fabric_.syncs_.give(s);
+}
+
+void CddService::synced(void* sync, bool delivered) {
+  auto* s = static_cast<Sync*>(sync);
+  s->svc->deliver_sync(s, delivered);
+  s->svc->send_syncs(s);
+}
+
+void CddService::deliver_sync(Sync* s, bool delivered) {
+  // Replication is best-effort one-way traffic; a partitioned peer just
+  // misses the update.
+  if (!delivered) return;
+  Request sync;
+  sync.op = Request::Op::kLockSync;
+  sync.from = node_;
+  sync.ctx = s->span.ctx();
+  fabric_.service(s->peer).mailbox().send(std::move(sync));
+}
+
+void CddService::receive_sync(const obs::TraceContext& ctx) {
+  Sync* s = fabric_.syncs_.take();
+  s->svc = this;
+  s->ctx = ctx;
+  fabric_.cluster().sim().schedule(0, [s] { s->svc->apply_sync(s); });
+}
+
+// Applying a sync charges the CPU with a Node::Charge's events in its
+// order -- take the CPU or wait for it, hold it, release it -- then counts
+// the sync.
+void CddService::apply_sync(Sync* s) {
+  auto& cluster = fabric_.cluster();
+  s->span = obs::trace_span(
+      cluster.sim(), s->ctx, "cdd.serve.locksync", obs::Track::kServer, node_,
+      [&](obs::SpanArgs& a) { a.tag("node", node_); });
+  s->on_grant = [](sim::Resource::CallbackWaiter* w) {
+    auto* granted = static_cast<Sync*>(w);
+    granted->svc->hold_cpu(granted);
+  };
+  if (cluster.node(node_).cpu().acquire_or_park(s)) hold_cpu(s);
+}
+
+void CddService::hold_cpu(Sync* s) {
+  auto& cluster = fabric_.cluster();
+  const sim::Time t = cluster.node(node_).cpu_time(kHeaderBytes);
+  if (cluster.sim().step_after(t, [s] { s->svc->finish_sync(s); })) {
+    finish_sync(s);
+  }
+}
+
+void CddService::finish_sync(Sync* s) {
+  fabric_.cluster().node(node_).cpu().release();
+  locks_.note_replica_update();
+  s->span.close();
+  fabric_.syncs_.give(s);
 }
 
 CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
@@ -361,8 +412,11 @@ sim::Task<Reply> CddFabric::probe(int client, int node, int disk,
                                   sim::Time timeout, obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.probe", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("node", node).tag("disk",
-                                                                  disk));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("node", node)
+            .tag("disk", disk);
+      });
   Request req;
   req.op = Request::Op::kProbe;
   req.disk = disk;
@@ -379,10 +433,11 @@ sim::Task<Reply> CddFabric::read(int client, int disk_id, std::uint64_t offset,
   const int target = cluster_.geometry().node_of(disk_id);
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.read", obs::Track::kRequest, client,
-      obs::SpanArgs{}
-          .tag("client", client)
-          .tag("disk", disk_id)
-          .tag("remote", target != client ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("disk", disk_id)
+            .tag("remote", target != client ? 1 : 0);
+      });
   Request req;
   req.op = Request::Op::kRead;
   req.disk = disk_id;
@@ -400,10 +455,11 @@ sim::Task<Reply> CddFabric::scrub_read(int client, int disk_id,
   const int target = cluster_.geometry().node_of(disk_id);
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.scrub_read", obs::Track::kRequest, client,
-      obs::SpanArgs{}
-          .tag("client", client)
-          .tag("disk", disk_id)
-          .tag("remote", target != client ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("disk", disk_id)
+            .tag("remote", target != client ? 1 : 0);
+      });
   Request req;
   req.op = Request::Op::kRead;
   req.disk = disk_id;
@@ -424,12 +480,13 @@ sim::Task<Reply> CddFabric::write(int client, int disk_id,
   const int target = cluster_.geometry().node_of(disk_id);
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.write", obs::Track::kRequest, client,
-      obs::SpanArgs{}
-          .tag("client", client)
-          .tag("disk", disk_id)
-          .tag("remote", target != client ? 1 : 0)
-          .tag("background",
-               prio == disk::IoPriority::kBackground ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("disk", disk_id)
+            .tag("remote", target != client ? 1 : 0)
+            .tag("background",
+                 prio == disk::IoPriority::kBackground ? 1 : 0);
+      });
   Request req;
   req.op = Request::Op::kWrite;
   req.disk = disk_id;
@@ -448,8 +505,10 @@ sim::Task<> CddFabric::lock_groups(int client,
                                    obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.lock", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag(
-          "groups", static_cast<std::int64_t>(groups.size())));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("groups", static_cast<std::int64_t>(groups.size()));
+      });
   // One RPC per home node, homes in ascending order.  Groups are already
   // sorted, so each home's sub-list is ascending too.
   for (int home = 0; home < cluster_.num_nodes(); ++home) {
@@ -471,8 +530,10 @@ sim::Task<> CddFabric::unlock_groups(int client,
                                      obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cdd.unlock", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag(
-          "groups", static_cast<std::int64_t>(groups.size())));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("groups", static_cast<std::int64_t>(groups.size()));
+      });
   for (int home = 0; home < cluster_.num_nodes(); ++home) {
     Request req;
     req.op = Request::Op::kUnlock;

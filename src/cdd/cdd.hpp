@@ -8,8 +8,14 @@
 //    node's storage manager over the network ("device masquerading" -- the
 //    caller addresses any disk in the SIOS and never sees the difference
 //    beyond latency);
-//  * consistency module: home-node partitioned lock-group table, replicated
-//    to peers with one-way background updates.
+//  * consistency module: home-node partitioned lock-group table, whose
+//    grants and releases are mirrored to every peer as one-way background
+//    lock syncs.  The replica carries traffic only: a peer pays the wire
+//    and its CPU for each sync and counts it, but keeps no contents,
+//    because no model decision reads them.  A sync is a frameless
+//    callback chain (DESIGN.md section 10): the home node fans it out peer
+//    by peer through Network::send, and a peer applies it from an inline
+//    event, each with its state in a record the fabric pools.
 //
 // Local requests bypass the network entirely (one kernel crossing), which is
 // exactly the property that lets a serverless cluster beat a central file
@@ -28,6 +34,8 @@
 #include "cluster/cluster.hpp"
 #include "sim/channel.hpp"
 #include "sim/random.hpp"
+#include "sim/record_pool.hpp"
+#include "sim/resource.hpp"
 #include "sim/task.hpp"
 
 namespace raidx::cdd {
@@ -87,24 +95,42 @@ class CddService {
  private:
   friend class CddFabric;
 
+  /// One lock sync in flight, at the home node sending it (`peer` is the
+  /// peer it is on) or at a peer applying it (waiting for the CPU as a
+  /// callback waiter).
+  struct Sync : sim::Resource::CallbackWaiter {
+    CddService* svc = nullptr;
+    obs::Span span;          // cdd.replicate, or cdd.serve.locksync
+    obs::TraceContext ctx{};  // a peer's inbound context, until its span
+    int peer = -1;
+  };
+
   sim::Task<> server_loop();
   /// The handler for `req`'s kind, one coroutine per kind: GCC gives every
   /// branch's locals their own slot in a coroutine frame, so one handler
-  /// branching over all kinds would make each queued lock-sync carry the
-  /// read path's frame.
+  /// branching over all kinds would make each request carry the read
+  /// path's frame.  Lock syncs take no handler: server_loop applies them.
   sim::Task<> serve(Request&& req);
   sim::Task<> serve_read(Request req);
   sim::Task<> serve_write(Request req);
   sim::Task<> serve_lock(Request req);
   sim::Task<> serve_unlock(Request req);
-  sim::Task<> serve_lock_sync(std::uint64_t group, std::uint64_t owner,
-                              std::uint64_t wire_bytes,
-                              obs::TraceContext ctx);
   sim::Task<> serve_probe(Request req);
   sim::Task<> send_reply(int to, std::uint64_t rpc_id,
                          sim::Oneshot<Reply>* slot, Reply reply,
                          obs::TraceContext ctx = {});
-  sim::Task<> replicate_lock_state(std::uint64_t group, std::uint64_t owner);
+
+  // Home node: mirror one grant or release to every peer, from an event
+  // at this instant, one peer after another.
+  void replicate();
+  void send_syncs(Sync* s);
+  static void synced(void* sync, bool delivered);
+  void deliver_sync(Sync* s, bool delivered);
+  // Peer: apply an incoming sync from an event at this instant.
+  void receive_sync(const obs::TraceContext& ctx);
+  void apply_sync(Sync* s);
+  void hold_cpu(Sync* s);
+  void finish_sync(Sync* s);
 
   CddFabric& fabric_;
   int node_;
@@ -204,6 +230,10 @@ class CddFabric {
   std::uint64_t remote_requests() const { return remote_requests_; }
   std::uint64_t local_requests() const { return local_requests_; }
 
+  /// Lock-sync records made so far: the most syncs ever in flight at once,
+  /// sending and applying together.
+  std::size_t sync_records() const { return syncs_.size(); }
+
  private:
   friend class CddService;
 
@@ -249,6 +279,7 @@ class CddFabric {
   std::uint64_t late_replies_ = 0;
   std::function<void(int)> disk_failure_listener_;
   IntegrityHooks* integrity_ = nullptr;
+  sim::RecordPool<CddService::Sync> syncs_;
 };
 
 }  // namespace raidx::cdd

@@ -58,58 +58,4 @@ std::size_t LockGroupTable::waiters(std::uint64_t group) const {
   return it == table_.end() ? 0 : it->second.queue.size();
 }
 
-void LockGroupTable::apply_replica_update(std::uint64_t group,
-                                          std::uint64_t owner) {
-  ++replica_updates_;
-  // A free update for a group this replica never saw held inserts
-  // nothing: replica_owner() reads missing and 0 alike.
-  if (std::uint64_t* slot = replica_.find(group, owner != 0)) *slot = owner;
-}
-
-std::uint64_t LockGroupTable::replica_owner(std::uint64_t group) const {
-  return replica_.get(group);
-}
-
-std::uint64_t* LockGroupTable::ReplicaMap::find(std::uint64_t group,
-                                                bool insert) {
-  assert(group != kEmpty);
-  if (slots_.empty()) {
-    if (!insert) return nullptr;
-    grow();
-  }
-  for (std::size_t i = home(group);; i = (i + 1) & (slots_.size() - 1)) {
-    Slot& s = slots_[i];
-    if (s.group == group) return &s.owner;
-    if (s.group != kEmpty) continue;
-    if (!insert) return nullptr;
-    if (2 * (used_ + 1) > slots_.size()) {
-      grow();
-      return find(group, insert);
-    }
-    s.group = group;
-    ++used_;
-    return &s.owner;
-  }
-}
-
-std::uint64_t LockGroupTable::ReplicaMap::get(std::uint64_t group) const {
-  if (slots_.empty()) return 0;
-  for (std::size_t i = home(group);; i = (i + 1) & (slots_.size() - 1)) {
-    const Slot& s = slots_[i];
-    if (s.group == group) return s.owner;
-    if (s.group == kEmpty) return 0;
-  }
-}
-
-void LockGroupTable::ReplicaMap::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
-  for (const Slot& s : old) {
-    if (s.group == kEmpty) continue;
-    std::size_t i = home(s.group);
-    while (slots_[i].group != kEmpty) i = (i + 1) & (slots_.size() - 1);
-    slots_[i] = s;
-  }
-}
-
 }  // namespace raidx::cdd

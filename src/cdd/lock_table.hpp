@@ -5,14 +5,16 @@
 // permissions.  The write locks in each record are granted and released
 // atomically."  A group's lock is exclusive and waiters are served FIFO.
 // Each node manages the groups that hash to it (home-node partitioning) and
-// mirrors every grant/release to its peers so the table stays replicated.
+// mirrors every grant/release to its peers.  The replica carries traffic
+// only: a peer counts each sync it applies (replica_updates) but keeps no
+// copy of the table, because no model decision reads one.  The traffic --
+// the wire, the peer's CPU, the count -- is what reaches any result.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/sync.hpp"
@@ -47,12 +49,9 @@ class LockGroupTable {
   std::size_t waiters(std::uint64_t group) const;
   std::size_t records() const { return table_.size(); }
 
-  /// Replica bookkeeping (applied when a kLockSync message arrives).
-  void apply_replica_update(std::uint64_t group, std::uint64_t owner);
-  std::uint64_t replica_owner(std::uint64_t group) const;  // 0 if free/unknown
+  /// A peer's lock sync has been applied (its CPU charge is paid).
+  void note_replica_update() { ++replica_updates_; }
   std::uint64_t replica_updates() const { return replica_updates_; }
-  /// Groups the replica has seen held (freed ones included).
-  std::size_t replica_groups() const { return replica_.size(); }
 
  private:
   struct Waiter {
@@ -64,37 +63,8 @@ class LockGroupTable {
     std::deque<Waiter> queue;
   };
 
-  /// group -> replicated owner: open addressing with linear probing, so
-  /// an update allocates nothing per group (the table doubles at half
-  /// load).  A freed group keeps its slot with owner 0, as replica_owner()
-  /// treats free and unknown alike and grant/free flips then never churn.
-  class ReplicaMap {
-   public:
-    /// The owner slot of `group`, inserted (owner 0) when `insert`.
-    /// Null when the group is unknown and `insert` is false.
-    std::uint64_t* find(std::uint64_t group, bool insert);
-    std::uint64_t get(std::uint64_t group) const;
-    std::size_t size() const { return used_; }
-
-   private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    struct Slot {
-      std::uint64_t group = kEmpty;
-      std::uint64_t owner = 0;
-    };
-    std::size_t home(std::uint64_t group) const {
-      const auto mixed = (group * 0x9E3779B97F4A7C15ull) >> 32;
-      return static_cast<std::size_t>(mixed) & (slots_.size() - 1);
-    }
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
-  };
-
   sim::Simulation& sim_;
   std::unordered_map<std::uint64_t, Entry> table_;
-  ReplicaMap replica_;
   std::uint64_t replica_updates_ = 0;
 };
 

@@ -36,7 +36,7 @@ struct Request {
     kWrite,     // block write
     kLock,      // acquire a lock-group write lock (to its home manager)
     kUnlock,    // release it
-    kLockSync,  // one-way lock-table replication update
+    kLockSync,  // one-way lock-table replication update (header only)
     kProbe,     // health query (node liveness / disk state); no media I/O
   };
 
@@ -57,7 +57,6 @@ struct Request {
   /// lock-group table": a set of block groups granted to one client
   /// atomically.  All groups in one message share a home node.
   std::vector<std::uint64_t> lock_groups;
-  std::uint64_t group = 0;  // single group (kLockSync)
   /// Lock requester token: unique per logical writer, NOT the node id --
   /// two processes on one node must still exclude each other.  0 is the
   /// "free" sentinel.

@@ -87,10 +87,21 @@ class Node {
 
   /// Charge CPU time for handling `bytes` of I/O payload.
   Charge cpu_work(std::uint64_t bytes) {
+    return Charge(*this, cpu_time(bytes));
+  }
+
+  /// The CPU time cpu_work(bytes) charges.
+  sim::Time cpu_time(std::uint64_t bytes) const {
     const auto per_byte = static_cast<sim::Time>(
         params_.cpu_ns_per_byte * static_cast<double>(bytes));
-    return Charge(*this, params_.cpu_op_overhead + per_byte);
+    return params_.cpu_op_overhead + per_byte;
   }
+
+  /// The CPU itself, for a callback chain that charges it without a
+  /// coroutine: take it with acquire_or_park, hold it for the charge's
+  /// time through Simulation::step_after, then release it -- a Charge's
+  /// events in a Charge's order.
+  sim::Resource& cpu() { return cpu_; }
 
   /// Charge a raw computation time (checksum/XOR/compile work).
   Charge compute(sim::Time t) { return Charge(*this, t); }

@@ -49,11 +49,12 @@ sim::Task<> Disk::io(IoKind kind, std::uint64_t block, std::uint32_t nblocks,
   obs::Span req = obs::trace_span(
       sim_, ctx, kind == IoKind::kRead ? "disk.read" : "disk.write",
       obs::Track::kRequest, id_,
-      obs::SpanArgs{}
-          .tag("disk", id_)
-          .tag("lba", static_cast<std::int64_t>(block))
-          .tag("nblocks", nblocks)
-          .tag("background", prio == IoPriority::kBackground ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("disk", id_)
+            .tag("lba", static_cast<std::int64_t>(block))
+            .tag("nblocks", nblocks)
+            .tag("background", prio == IoPriority::kBackground ? 1 : 0);
+      });
 
   auto arm = co_await queue_.acquire(static_cast<int>(prio));
   if (failed_) throw DiskFailedError(id_);
@@ -63,10 +64,11 @@ sim::Task<> Disk::io(IoKind kind, std::uint64_t block, std::uint32_t nblocks,
   const sim::Time grant = sim_.now();
   obs::Span service = obs::trace_span(
       sim_, req.ctx(), "disk.service", obs::Track::kDisk, id_,
-      obs::SpanArgs{}
-          .tag("disk", id_)
-          .tag("lba", static_cast<std::int64_t>(block))
-          .tag("write", kind == IoKind::kWrite ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("disk", id_)
+            .tag("lba", static_cast<std::int64_t>(block))
+            .tag("write", kind == IoKind::kWrite ? 1 : 0);
+      });
 
   const bool sequential = (block == head_pos_);
   const sim::Time mech = service_time(block, nblocks, sequential);

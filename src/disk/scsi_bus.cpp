@@ -10,7 +10,9 @@ sim::Task<> ScsiBus::transfer(std::uint64_t bytes, obs::TraceContext ctx) {
   const sim::Time grant = sim_.now();
   obs::Span xfer = obs::trace_span(
       sim_, ctx, "bus.transfer", obs::Track::kBus, id_,
-      obs::SpanArgs{}.tag("bytes", static_cast<std::int64_t>(bytes)));
+      [&](obs::SpanArgs& a) {
+        a.tag("bytes", static_cast<std::int64_t>(bytes));
+      });
   co_await sim_.delay(params_.arbitration +
                       sim::transfer_time(bytes, params_.rate_mbs));
   xfer.close();

@@ -166,12 +166,13 @@ sim::Task<> SsdDevice::io(disk::IoKind kind, std::uint64_t block,
   obs::Span req = obs::trace_span(
       sim_, ctx, kind == disk::IoKind::kRead ? "disk.read" : "disk.write",
       obs::Track::kRequest, id_,
-      obs::SpanArgs{}
-          .tag("disk", id_)
-          .tag("lba", static_cast<std::int64_t>(block))
-          .tag("nblocks", nblocks)
-          .tag("background",
-               prio == disk::IoPriority::kBackground ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("disk", id_)
+            .tag("lba", static_cast<std::int64_t>(block))
+            .tag("nblocks", nblocks)
+            .tag("background",
+                 prio == disk::IoPriority::kBackground ? 1 : 0);
+      });
 
   auto arm = co_await queue_.acquire(static_cast<int>(prio));
   if (failed_) throw disk::DiskFailedError(id_);
@@ -179,10 +180,11 @@ sim::Task<> SsdDevice::io(disk::IoKind kind, std::uint64_t block,
   const sim::Time grant = sim_.now();
   obs::Span service = obs::trace_span(
       sim_, req.ctx(), "disk.service", obs::Track::kDisk, id_,
-      obs::SpanArgs{}
-          .tag("disk", id_)
-          .tag("lba", static_cast<std::int64_t>(block))
-          .tag("write", kind == disk::IoKind::kWrite ? 1 : 0));
+      [&](obs::SpanArgs& a) {
+        a.tag("disk", id_)
+            .tag("lba", static_cast<std::int64_t>(block))
+            .tag("write", kind == disk::IoKind::kWrite ? 1 : 0);
+      });
 
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(nblocks) * geo_.block_bytes;

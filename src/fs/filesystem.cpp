@@ -90,17 +90,19 @@ void FileSystem::free_block(std::uint64_t b) {
   free_list_.push_back(b);
 }
 
+// Metadata blocks carry no modeled bytes: they are written as zero runs,
+// which store nothing and cost the same I/O.
 sim::Task<> FileSystem::write_inode(int client, Ino ino) {
-  std::vector<std::byte> block(engine_.block_bytes(), std::byte{0});
-  co_await engine_.write(client, inode_table_block(ino), block);
+  co_await engine_.write(client, inode_table_block(ino),
+                         block::Payload::zeros(engine_.block_bytes()));
 }
 
 sim::Task<> FileSystem::format(int client) {
   if (formatted_) throw FsError("already formatted");
   formatted_ = true;
   // Superblock.
-  std::vector<std::byte> block(engine_.block_bytes(), std::byte{0});
-  co_await engine_.write(client, 0, block);
+  co_await engine_.write(client, 0,
+                         block::Payload::zeros(engine_.block_bytes()));
   // Root directory.
   Inode& root = inodes_[kRootIno];
   root.in_use = true;
@@ -136,8 +138,7 @@ sim::Task<> FileSystem::dir_append(int client, Ino dir, DirEntry entry) {
   const std::uint32_t bs = engine_.block_bytes();
   const std::uint64_t blocks_needed = (d.size + bs - 1) / bs;
   while (d.blocks.size() < blocks_needed) d.blocks.push_back(alloc_block());
-  std::vector<std::byte> buf(bs, std::byte{0});
-  co_await engine_.write(client, d.blocks.back(), buf);
+  co_await engine_.write(client, d.blocks.back(), block::Payload::zeros(bs));
   co_await write_inode(client, dir);
 }
 
@@ -157,8 +158,7 @@ sim::Task<> FileSystem::dir_remove(int client, Ino dir,
     d.blocks.pop_back();
   }
   if (!d.blocks.empty()) {
-    std::vector<std::byte> buf(bs, std::byte{0});
-    co_await engine_.write(client, d.blocks.back(), buf);
+    co_await engine_.write(client, d.blocks.back(), block::Payload::zeros(bs));
   }
   co_await write_inode(client, dir);
 }

@@ -192,7 +192,7 @@ sim::Task<> Orchestrator::recover_disk(int disk) {
   obs::Span span = obs::trace_span(
       cluster.sim(), {}, "ha.failover", obs::Track::kRequest,
       params_.monitor_node,
-      obs::SpanArgs{}.tag("disk", disk).tag("node", node));
+      [&](obs::SpanArgs& a) { a.tag("disk", disk).tag("node", node); });
 
   const disk::DeviceClass cls = cluster.device_class(disk);
   if (!spares_.take(node, cls)) {

@@ -448,6 +448,8 @@ ShardedLoadResult fold_results(std::vector<OpenLoopResult> per_world) {
     out.offered_mbs += r.offered_mbs;
     out.goodput_mbs += r.goodput_mbs;
     out.remote_ops += r.remote_ops;
+    out.arrivals.insert(out.arrivals.end(), r.arrivals.begin(),
+                        r.arrivals.end());
   }
   out.per_shard = std::move(per_world);
   return out;

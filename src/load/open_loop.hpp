@@ -198,7 +198,8 @@ class OpenLoopDriver {
 /// Totals of one open-loop run over a composition's worlds:
 /// OpenLoopResult's sums, per tenant too, with every world's completions
 /// in `latency`, the slowest world's drain, and rates and
-/// `peak_in_flight` summed over the worlds.
+/// `peak_in_flight` summed over the worlds.  `arrivals` is each world's
+/// recorded trace in world order: world 0's, then world 1's, and so on.
 struct ShardedLoadResult : OpenLoopResult {
   std::vector<OpenLoopResult> per_shard;  // each world's own, in order
 };

@@ -28,7 +28,9 @@ sim::Task<> NfsEngine::control_rpc(int client, obs::TraceContext ctx) {
   auto& cluster = fabric_.cluster();
   obs::Span rpc = obs::trace_span(
       cluster.sim(), ctx, "nfs.rpc", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("server", nfs_.server_node));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client).tag("server", nfs_.server_node);
+      });
   co_await cluster.node(client).cpu_work(cdd::kHeaderBytes);
   co_await cluster.network().transmit(client, nfs_.server_node,
                                       cdd::kHeaderBytes, rpc.ctx());
@@ -44,8 +46,10 @@ sim::Task<> NfsEngine::read_chunk(int client, std::uint64_t lba,
                                   obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       sim(), ctx, "nfs.server", obs::Track::kRequest, nfs_.server_node,
-      obs::SpanArgs{}.tag("client", client).tag(
-          "lba", static_cast<std::int64_t>(lba)));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("lba", static_cast<std::int64_t>(lba));
+      });
   co_await control_rpc(client, span.ctx());
   co_await server_overhead(static_cast<std::uint64_t>(nblocks) *
                            block_bytes());
@@ -61,8 +65,10 @@ sim::Task<> NfsEngine::write_chunk(int client, std::uint64_t lba,
   // no client RPC or daemon copy to pay, just the disk writes.
   obs::Span span = obs::trace_span(
       sim(), ctx, "nfs.server", obs::Track::kRequest, nfs_.server_node,
-      obs::SpanArgs{}.tag("client", client).tag(
-          "lba", static_cast<std::int64_t>(lba)));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("lba", static_cast<std::int64_t>(lba));
+      });
   ctx = span.ctx();
   if (prio == disk::IoPriority::kForeground) {
     co_await control_rpc(client, ctx);

@@ -19,7 +19,9 @@
 //    frame (and its parameters) is destroyed when the task object is
 //    reaped, which can be long after the body finished at a later
 //    simulated time; body-local variables are destroyed exactly when the
-//    body completes, which is the correct span end time.
+//    body completes, which is the correct span end time.  A frameless
+//    callback chain keeps its spans in its pooled record and closes each
+//    explicitly at the step where a body would have ended it.
 //
 // Context threading is explicit -- `obs::TraceContext ctx = {}` default
 // arguments down the layer stack -- because interleaved coroutine
@@ -73,7 +75,9 @@ enum class Track : std::uint8_t {
 const char* track_name(Track t);
 
 /// Up to six integer tags (node, disk, lba, ...).  Fixed-size by design:
-/// no allocation on the record path.
+/// no allocation on the record path.  Call sites never build one
+/// themselves: trace_span() hands one to their tag builder only when the
+/// span is recorded.
 struct SpanArgs {
   struct Tag {
     const char* key = nullptr;
@@ -356,8 +360,9 @@ class Span {
   }
 
  private:
+  template <typename Tags>
   friend Span trace_span(sim::Simulation&, const TraceContext&, const char*,
-                         Track, int, SpanArgs);
+                         Track, int, Tags&&);
   sim::Simulation* sim_ = nullptr;
   Tracer* tracer_ = nullptr;
   std::size_t handle_ = 0;
@@ -400,18 +405,22 @@ inline int lane_of(Track track, const char* name) {
 
 /// Open a span under `parent` if the simulation has a tracing Hub; mint a
 /// fresh trace id when the parent context is empty (root spans).  Returns
-/// an inert Span otherwise, so call sites need no branching.  Attribution
-/// piggybacks here -- it activates whenever the request carries a slot
-/// reference, even with span recording off, so the matrix stays cheap
-/// enough for saturation runs.
+/// an inert Span otherwise, so call sites need no branching.  `tags` is
+/// called with the span's SpanArgs (`[&](obs::SpanArgs& a) { a.tag(...); }`)
+/// only when the hub records the span: an unrecorded span builds no tags.
+/// Attribution piggybacks here -- it activates whenever the request
+/// carries a slot reference, even with span recording off, so the matrix
+/// stays cheap enough for saturation runs.
+template <typename Tags>
 inline Span trace_span(sim::Simulation& sim, const TraceContext& parent,
-                       const char* name, Track track, int idx,
-                       SpanArgs args = {}) {
+                       const char* name, Track track, int idx, Tags&& tags) {
   Span s;
   s.ctx_ = parent;
   Hub* hub = sim.hub();
   if (hub == nullptr) return s;
   if (hub->tracing) {
+    SpanArgs args;
+    tags(args);
     s.sim_ = &sim;
     s.tracer_ = &hub->tracer();
     s.handle_ =
@@ -432,6 +441,12 @@ inline Span trace_span(sim::Simulation& sim, const TraceContext& parent,
     }
   }
   return s;
+}
+
+/// A span with no tags.
+inline Span trace_span(sim::Simulation& sim, const TraceContext& parent,
+                       const char* name, Track track, int idx) {
+  return trace_span(sim, parent, name, track, idx, [](SpanArgs&) {});
 }
 
 /// Body-local root of a request's attribution: opens a slot at

@@ -64,10 +64,11 @@ sim::Task<> ArrayController::read(int client, std::uint64_t lba,
                                   obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       sim(), ctx, "engine.read", obs::Track::kRequest, client,
-      obs::SpanArgs{}
-          .tag("client", client)
-          .tag("lba", static_cast<std::int64_t>(lba))
-          .tag("nblocks", nblocks));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("lba", static_cast<std::int64_t>(lba))
+            .tag("nblocks", nblocks);
+      });
   ctx = span.ctx();
   obs::AttrRoot attr(sim(), ctx, /*is_write=*/false);
   if (nblocks == 0) {
@@ -112,11 +113,12 @@ sim::Task<> ArrayController::write(int client, std::uint64_t lba,
                                    obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
       sim(), ctx, "engine.write", obs::Track::kRequest, client,
-      obs::SpanArgs{}
-          .tag("client", client)
-          .tag("lba", static_cast<std::int64_t>(lba))
-          .tag("nblocks",
-               static_cast<std::int64_t>(data.size() / block_bytes())));
+      [&](obs::SpanArgs& a) {
+        a.tag("client", client)
+            .tag("lba", static_cast<std::int64_t>(lba))
+            .tag("nblocks",
+                 static_cast<std::int64_t>(data.size() / block_bytes()));
+      });
   ctx = span.ctx();
   obs::AttrRoot attr(sim(), ctx, /*is_write=*/true);
   const std::uint32_t bs = block_bytes();
@@ -444,8 +446,10 @@ sim::Task<bool> ArrayController::flush_block(int node, std::uint64_t lba) {
   // the block has long since completed.
   obs::Span span = obs::trace_span(
       sim(), {}, "engine.flush", obs::Track::kRequest, node,
-      obs::SpanArgs{}.tag("node", node).tag(
-          "lba", static_cast<std::int64_t>(lba)));
+      [&](obs::SpanArgs& a) {
+        a.tag("node", node)
+            .tag("lba", static_cast<std::int64_t>(lba));
+      });
   std::vector<std::uint64_t> groups{layout().lock_group_of(lba)};
   const std::uint64_t owner =
       params_.use_locks ? fabric_.next_lock_owner() : 0;

@@ -167,7 +167,7 @@ sim::Task<> ArrayController::rebuild_disk(int client, int disk_id,
   }
   obs::Span span = obs::trace_span(
       sim(), {}, "engine.rebuild", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
+      [&](obs::SpanArgs& a) { a.tag("client", client).tag("disk", disk_id); });
   const std::uint64_t rows = std::min(max_offset, lay.rebuild_rows(disk_id));
   RebuildScope scope(fabric_.cluster().disk(disk_id));
 

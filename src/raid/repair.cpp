@@ -26,7 +26,7 @@ sim::Task<bool> ArrayController::repair_block(int client, int disk_id,
   if (src.kind == SlotSource::Kind::kNone) co_return false;
   obs::Span span = obs::trace_span(
       sim(), {}, "engine.repair", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag("disk", disk_id));
+      [&](obs::SpanArgs& a) { a.tag("client", client).tag("disk", disk_id); });
   const std::optional<std::uint64_t> lba = src.lba;
   std::vector<std::uint64_t> groups{src.lock_group};
   bool ok = false;

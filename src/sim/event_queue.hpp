@@ -134,6 +134,19 @@ class Simulation {
     suspend_delay(d, h).resume();
   }
 
+  /// A callback chain's timed step of `d` nanoseconds, under delay()'s
+  /// rules: d <= 0 takes no event, and delay()'s fast-path test advances
+  /// the clock where delay() would have resumed by symmetric transfer.
+  /// Returns true when the chain goes straight on; otherwise queues `then`
+  /// at now + d, where delay() would have queued its resume, and returns
+  /// false.  A chain of steps loops over this rather than recursing.
+  template <typename F>
+  bool step_after(Time d, F&& then) {
+    if (d <= 0 || fast_forward(d)) return true;
+    schedule(d, std::forward<F>(then));
+    return false;
+  }
+
   /// Awaitable like delay(), but the wakeup is a *daemon* event: it fires
   /// in timestamp order while foreground work keeps the simulation going,
   /// yet never keeps run() alive by itself -- once only daemon events
@@ -328,12 +341,12 @@ class Simulation {
     h[hole] = ev;
   }
 
-  /// delay() suspension: symmetric-transfer fast path when nothing else is
-  /// pending and run() is draining unbounded, queue round trip otherwise.
-  /// Every 1024th event still bounces through run() so finished top-level
-  /// frames get reaped on the same cadence as queued dispatch.
-  std::coroutine_handle<> suspend_delay(Time d,
-                                        std::coroutine_handle<> h) noexcept {
+  /// delay()'s fast path: when nothing else is pending and run() is
+  /// draining unbounded, advance the clock by `d` and count the hop as an
+  /// event instead of a queue round trip.  Every 1024th event still
+  /// bounces through run() so finished top-level frames get reaped on the
+  /// same cadence as queued dispatch.
+  bool fast_forward(Time d) noexcept {
     // One fused test (all operands are cheap loads with no side effects)
     // and a single counter bump: fast_resumes is derived in queue_stats().
     const std::uint64_t n = events_processed_ + 1;
@@ -342,8 +355,16 @@ class Simulation {
         static_cast<int>(unbounded_drain_)) [[likely]] {
       events_processed_ = n;
       now_ += d;
-      return h;
+      return true;
     }
+    return false;
+  }
+
+  /// delay() suspension: symmetric transfer on the fast path, a queued
+  /// resume otherwise.
+  std::coroutine_handle<> suspend_delay(Time d,
+                                        std::coroutine_handle<> h) noexcept {
+    if (fast_forward(d)) [[likely]] return h;
     schedule_resume(d, h);
     return std::noop_coroutine();
   }

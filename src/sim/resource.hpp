@@ -105,6 +105,14 @@ class Resource {
   /// acquire() awaiter; `w` must stay valid until its grant runs.
   void park(CallbackWaiter* w) { enqueue(0, w); }
 
+  /// A callback chain's acquire: take a slot (true), or park `w` behind
+  /// the most-urgent waiters (false) for its grant to continue the chain.
+  bool acquire_or_park(CallbackWaiter* w) {
+    if (try_acquire()) return true;
+    park(w);
+    return false;
+  }
+
  private:
   struct WaitQueue {
     Waiter* head = nullptr;

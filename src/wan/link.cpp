@@ -32,13 +32,13 @@ sim::Task<bool> Link::transfer(int from_site, std::uint64_t bytes,
     depth_rec_[dir].record(sim_, obs::Track::kWan, lane, ++queue_depth_[dir]);
     auto guard = co_await pipe_[dir]->acquire();
     const sim::Time start = sim_.now();
-    obs::Span span = obs::trace_span(sim_, ctx, "wan.window",
-                                     obs::Track::kWan, lane,
-                                     obs::SpanArgs{}
-                                         .tag("link", id_)
-                                         .tag("dir", dir)
-                                         .tag("bytes",
-                                              static_cast<std::int64_t>(chunk)));
+    obs::Span span = obs::trace_span(
+        sim_, ctx, "wan.window", obs::Track::kWan, lane,
+        [&](obs::SpanArgs& a) {
+          a.tag("link", id_)
+              .tag("dir", dir)
+              .tag("bytes", static_cast<std::int64_t>(chunk));
+        });
     co_await sim_.delay(serialization_time(chunk));
     guard.release();
     depth_rec_[dir].record(sim_, obs::Track::kWan, lane, --queue_depth_[dir]);

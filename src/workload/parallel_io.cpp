@@ -86,12 +86,13 @@ sim::Task<> client_task(Shared& sh, int client_idx, std::uint64_t region_lba,
       {
         obs::Span op = obs::trace_span(
             sim, {}, "workload.op", obs::Track::kRequest, node,
-            obs::SpanArgs{}
-                .tag("client", client_idx)
-                .tag("node", node)
-                .tag("lba", static_cast<std::int64_t>(lba))
-                .tag("write", sh.config.op == IoOp::kWrite ? 1 : 0)
-                .tag("measured", measured ? 1 : 0));
+            [&](obs::SpanArgs& a) {
+              a.tag("client", client_idx)
+                  .tag("node", node)
+                  .tag("lba", static_cast<std::int64_t>(lba))
+                  .tag("write", sh.config.op == IoOp::kWrite ? 1 : 0)
+                  .tag("measured", measured ? 1 : 0);
+            });
         if (sh.config.op == IoOp::kRead) {
           co_await sh.engine.read(node, lba, blocks_per_op, buffer,
                                   op.ctx());

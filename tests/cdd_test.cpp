@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <random>
 #include <string>
 
 #include "cdd/cdd.hpp"
@@ -207,47 +206,6 @@ TEST(LockTable, TracksWaiterCount) {
   EXPECT_FALSE(t.held(1));
 }
 
-TEST(LockTable, ReplicaUpdatesApply) {
-  sim::Simulation sim;
-  LockGroupTable t(sim);
-  t.apply_replica_update(9, 55);
-  EXPECT_EQ(t.replica_owner(9), 55u);
-  t.apply_replica_update(9, 0);
-  EXPECT_EQ(t.replica_owner(9), 0u);
-  EXPECT_EQ(t.replica_updates(), 2u);
-}
-
-TEST(LockTable, ReplicaMapMatchesAnOrderedMapThroughGrowth) {
-  // Grants and frees over scattered group ids (0 included), enough to
-  // double the open-addressing table many times.  A free for a group the
-  // replica never saw held inserts nothing; a freed group keeps its slot.
-  sim::Simulation sim;
-  LockGroupTable t(sim);
-  std::map<std::uint64_t, std::uint64_t> want;
-  std::mt19937_64 rng(11);
-  for (int i = 0; i < 50000; ++i) {
-    const std::uint64_t group =
-        rng() % 4 == 0 ? rng() % 64 : (rng() % 3'000'000) * 2654435761ull;
-    const std::uint64_t owner = rng() % 3 == 0 ? 0 : 1 + rng() % 1000;
-    t.apply_replica_update(group, owner);
-    if (owner != 0 || want.count(group) != 0) want[group] = owner;
-  }
-  EXPECT_EQ(t.replica_updates(), 50000u);
-  EXPECT_EQ(t.replica_groups(), want.size());
-  for (const auto& [group, owner] : want) {
-    ASSERT_EQ(t.replica_owner(group), owner) << "group " << group;
-  }
-  EXPECT_EQ(t.replica_owner(5'000'000'000ull), 0u);
-
-  LockGroupTable fresh(sim);
-  fresh.apply_replica_update(3, 0);
-  EXPECT_EQ(fresh.replica_groups(), 0u);
-  EXPECT_EQ(fresh.replica_owner(3), 0u);
-  fresh.apply_replica_update(3, 8);
-  fresh.apply_replica_update(3, 0);
-  EXPECT_EQ(fresh.replica_groups(), 1u);
-}
-
 // ---- distributed locking through the fabric --------------------------------
 
 sim::Task<> lock_unlock(CddFabric& f, int client,
@@ -299,6 +257,14 @@ TEST(DistributedLocks, SameNodeWritersExcludeEachOther) {
   EXPECT_EQ(order[1], 1);
 }
 
+std::vector<std::uint64_t> replica_updates(CddFabric& f) {
+  std::vector<std::uint64_t> out;
+  for (int n = 0; n < f.cluster().num_nodes(); ++n) {
+    out.push_back(f.service(n).lock_table().replica_updates());
+  }
+  return out;
+}
+
 TEST(DistributedLocks, ReplicationPropagatesToAllPeers) {
   Rig rig(test::small_cluster());
   auto hold = [](CddFabric& f) -> sim::Task<> {
@@ -308,13 +274,44 @@ TEST(DistributedLocks, ReplicationPropagatesToAllPeers) {
   };
   rig.run(hold(rig.fabric));
   // Group 8's home is node 0 (8 % 4); every *other* consistency module
-  // must have seen the replica update.
-  int home = rig.fabric.lock_home(8);
-  for (int n = 0; n < 4; ++n) {
-    if (n == home) continue;
-    EXPECT_EQ(rig.fabric.service(n).lock_table().replica_owner(8), 77u)
-        << "node " << n;
-  }
+  // applies the grant's sync exactly once, and the home none.
+  ASSERT_EQ(rig.fabric.lock_home(8), 0);
+  EXPECT_EQ(replica_updates(rig.fabric),
+            (std::vector<std::uint64_t>{0, 1, 1, 1}));
+}
+
+TEST(DistributedLocks, EachGrantAndReleaseReachesEveryPeerOnce) {
+  // A record of three groups homed on node 1 and one homed on node 2:
+  // each grant and each release is one sync to every peer of its home.
+  Rig rig(test::small_cluster());
+  auto cycle = [](CddFabric& f) -> sim::Task<> {
+    std::vector<std::uint64_t> groups = {1, 5, 6, 9};
+    co_await f.lock_groups(0, groups, 12);
+    co_await f.unlock_groups(0, std::move(groups), 12);
+  };
+  rig.run(cycle(rig.fabric));
+  // Node 1 hears node 2's grant and release; node 2 hears node 1's three
+  // of each; nodes 0 and 3 hear all eight.
+  EXPECT_EQ(replica_updates(rig.fabric),
+            (std::vector<std::uint64_t>{8, 2, 6, 8}));
+  EXPECT_EQ(rig.fabric.service(1).lock_table().records(), 0u);
+  EXPECT_EQ(rig.fabric.service(2).lock_table().records(), 0u);
+}
+
+TEST(DistributedLocks, PartitionedPeersMissTheirSyncs) {
+  // Node 3 is cut off from the switch: the home's sync to it pays its TX
+  // serialization and is dropped; the other peers still get theirs.
+  Rig rig(test::small_cluster());
+  rig.cluster.network().set_node_up(3, false);
+  auto cycle = [](CddFabric& f) -> sim::Task<> {
+    std::vector<std::uint64_t> groups = {5};
+    co_await f.lock_groups(1, groups, 4);
+    co_await f.unlock_groups(1, std::move(groups), 4);
+  };
+  rig.run(cycle(rig.fabric));
+  EXPECT_EQ(replica_updates(rig.fabric),
+            (std::vector<std::uint64_t>{2, 0, 2, 0}));
+  EXPECT_EQ(rig.cluster.network().messages_dropped(), 2u);
 }
 
 TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
@@ -327,9 +324,16 @@ TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
     co_await f.unlock_groups(1, std::move(groups), 9);
   };
   rig.run(cycle(rig.fabric));
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(rig.fabric.service(n).lock_table().replica_updates(), 0u);
-  }
+  EXPECT_EQ(replica_updates(rig.fabric),
+            (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  // No sync leaves the home: the wire carries the lock and unlock RPCs
+  // and their replies, nothing else.
+  EXPECT_EQ(rig.fabric.sync_records(), 0u);
+  EXPECT_EQ(rig.cluster.network().messages_sent(1), 2u);
+  EXPECT_EQ(rig.cluster.network().messages_sent(3), 2u);
+  EXPECT_EQ(rig.cluster.network().messages_sent(0) +
+                rig.cluster.network().messages_sent(2),
+            0u);
 }
 
 // ---- server contract and frame footprint -----------------------------------
@@ -415,25 +419,24 @@ TEST(CddServer, EachDeliveredRequestGetsOneServerSpan) {
 TEST(CddFootprint, QueuedLockSyncsHoldSmallFrames) {
   // Every update is posted at t=0, so all of them wait for node 1's CPU at
   // once; after the drain the pool's free lists hold the high-water of
-  // their frames.
+  // their frames, and the fabric's sync records the high-water of theirs.
   constexpr std::uint64_t kSyncs = 256;
   Rig rig(test::small_cluster());
   for (std::uint64_t g = 0; g < kSyncs; ++g) {
     Request sync;
     sync.op = Request::Op::kLockSync;
     sync.from = 0;
-    sync.group = g;
-    sync.lock_owner = 1000 + g;
     rig.fabric.service(1).mailbox().send(std::move(sync));
   }
   rig.sim.run();
-  const LockGroupTable& table = rig.fabric.service(1).lock_table();
-  for (std::uint64_t g = 0; g < kSyncs; ++g) {
-    EXPECT_EQ(table.replica_owner(g), 1000 + g) << "group " << g;
-  }
+  EXPECT_EQ(rig.fabric.service(1).lock_table().replica_updates(), kSyncs);
+  EXPECT_EQ(replica_updates(rig.fabric),
+            (std::vector<std::uint64_t>{0, kSyncs, 0, 0}));
   EXPECT_EQ(rig.fabric.service(1).requests_served(), kSyncs);
+  // One record per queued sync, none for the syncs a node never got.
+  EXPECT_EQ(rig.fabric.sync_records(), kSyncs);
   if (kInstrumentedFrames) GTEST_SKIP() << "frames grow under sanitizers";
-  EXPECT_LE(rig.sim.frame_pool_stats().pooled_bytes / kSyncs, 384u);
+  EXPECT_EQ(rig.sim.frame_pool_stats().pooled_bytes / kSyncs, 0u);
 }
 
 sim::Task<> remote_read(CddFabric& f, std::uint64_t offset, int* ok) {

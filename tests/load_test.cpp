@@ -445,6 +445,7 @@ void expect_same_run(const load::OpenLoopResult& a,
   EXPECT_EQ(a.drained_at, b.drained_at);
   EXPECT_EQ(a.peak_in_flight, b.peak_in_flight);
   ASSERT_EQ(b.per_shard.size(), 1u);
+  EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.arrivals, b.per_shard.front().arrivals);
 }
 
@@ -482,6 +483,23 @@ TEST(CompositionRunner, OneWorldEqualsThePlainRunner) {
   cluster::ShardedCluster groups(small_cluster(4), sp);
   groups.shard(0).gate = capped_gate(groups.sim(0));
   expect_same_run(want, load::run_open_loop(groups, cfg, 0.0, 1));
+}
+
+// The folded arrival trace is world 0's recorded trace, then world 1's.
+TEST(CompositionRunner, FoldedArrivalsAreEachWorldsInWorldOrder) {
+  cluster::ShardedParams sp;
+  sp.shards = 2;
+  cluster::ShardedCluster groups(small_cluster(8), sp);
+  const load::ShardedLoadResult r =
+      load::run_open_loop(groups, small_open_loop(5), 0.0, 1);
+  ASSERT_EQ(r.per_shard.size(), 2u);
+  ASSERT_FALSE(r.per_shard[0].arrivals.empty());
+  ASSERT_FALSE(r.per_shard[1].arrivals.empty());
+  std::vector<load::Arrival> want = r.per_shard[0].arrivals;
+  want.insert(want.end(), r.per_shard[1].arrivals.begin(),
+              r.per_shard[1].arrivals.end());
+  EXPECT_EQ(r.arrivals, want);
+  EXPECT_NE(r.per_shard[0].arrivals, r.per_shard[1].arrivals);
 }
 
 }  // namespace

@@ -34,9 +34,9 @@ using test::pattern_run;
 // Span nesting under concurrent coroutines.
 
 sim::Task<> nested_op(sim::Simulation& sim, int client, sim::Time inner) {
-  obs::Span outer = obs::trace_span(sim, {}, "outer", obs::Track::kRequest,
-                                    client,
-                                    obs::SpanArgs{}.tag("client", client));
+  obs::Span outer =
+      obs::trace_span(sim, {}, "outer", obs::Track::kRequest, client,
+                      [&](obs::SpanArgs& a) { a.tag("client", client); });
   co_await sim.delay(inner);
   {
     obs::Span mid = obs::trace_span(sim, outer.ctx(), "mid",
