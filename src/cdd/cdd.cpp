@@ -238,38 +238,30 @@ void CddService::receive_sync(const obs::TraceContext& ctx) {
   fabric_.cluster().sim().schedule(0, [s] { s->svc->apply_sync(s); });
 }
 
-// Applying a sync charges the CPU with a Node::Charge's events in its
-// order -- take the CPU or wait for it, hold it, release it -- then counts
-// the sync.
+// Applying a sync charges the CPU, as serving any request does, then
+// counts the sync.
 void CddService::apply_sync(Sync* s) {
   auto& cluster = fabric_.cluster();
   s->span = obs::trace_span(
       cluster.sim(), s->ctx, "cdd.serve.locksync", obs::Track::kServer, node_,
       [&](obs::SpanArgs& a) { a.tag("node", node_); });
-  s->on_grant = [](sim::Resource::CallbackWaiter* w) {
-    auto* granted = static_cast<Sync*>(w);
-    granted->svc->hold_cpu(granted);
-  };
-  if (cluster.node(node_).cpu().acquire_or_park(s)) hold_cpu(s);
+  auto& node = cluster.node(node_);
+  node.charge(s, node.cpu_time(kHeaderBytes), &applied);
 }
 
-void CddService::hold_cpu(Sync* s) {
-  auto& cluster = fabric_.cluster();
-  const sim::Time t = cluster.node(node_).cpu_time(kHeaderBytes);
-  if (cluster.sim().step_after(t, [s] { s->svc->finish_sync(s); })) {
-    finish_sync(s);
-  }
-}
-
-void CddService::finish_sync(Sync* s) {
-  fabric_.cluster().node(node_).cpu().release();
-  locks_.note_replica_update();
+void CddService::applied(cluster::Node::ChargeWaiter* sync) {
+  auto* s = static_cast<Sync*>(sync);
+  CddService& svc = *s->svc;
+  svc.locks_.note_replica_update();
   s->span.close();
-  fabric_.syncs_.give(s);
+  svc.fabric_.syncs_.give(s);
 }
 
 CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
-    : cluster_(cluster), params_(params), backoff_rng_(params.backoff_seed) {
+    : cluster_(cluster),
+      params_(params),
+      backoff_rng_(params.backoff_seed),
+      syncs_(cluster.sim()) {
   services_.reserve(static_cast<std::size_t>(cluster.num_nodes()));
   for (int i = 0; i < cluster.num_nodes(); ++i) {
     services_.push_back(std::make_unique<CddService>(*this, i));

@@ -96,9 +96,9 @@ class CddService {
   friend class CddFabric;
 
   /// One lock sync in flight, at the home node sending it (`peer` is the
-  /// peer it is on) or at a peer applying it (waiting for the CPU as a
-  /// callback waiter).
-  struct Sync : sim::Resource::CallbackWaiter {
+  /// peer it is on) or at a peer applying it (charging the CPU in
+  /// Node::charge's callback form).
+  struct Sync : cluster::Node::ChargeWaiter {
     CddService* svc = nullptr;
     obs::Span span;          // cdd.replicate, or cdd.serve.locksync
     obs::TraceContext ctx{};  // a peer's inbound context, until its span
@@ -129,8 +129,7 @@ class CddService {
   // Peer: apply an incoming sync from an event at this instant.
   void receive_sync(const obs::TraceContext& ctx);
   void apply_sync(Sync* s);
-  void hold_cpu(Sync* s);
-  void finish_sync(Sync* s);
+  static void applied(cluster::Node::ChargeWaiter* sync);
 
   CddFabric& fabric_;
   int node_;

@@ -31,4 +31,23 @@ Node::Node(sim::Simulation& sim, int id, NodeParams params,
   }
 }
 
+void Node::charge(ChargeWaiter* w, sim::Time t, void (*then)(ChargeWaiter*)) {
+  w->node = this;
+  w->t = t;
+  w->then = then;
+  w->on_grant = [](sim::Resource::CallbackWaiter* cw) {
+    hold(static_cast<ChargeWaiter*>(cw));
+  };
+  if (cpu_.acquire_or_park(w)) hold(w);
+}
+
+void Node::hold(ChargeWaiter* w) {
+  if (w->node->sim_.step_after(w->t, [w] { charged(w); })) charged(w);
+}
+
+void Node::charged(ChargeWaiter* w) {
+  w->node->cpu_.release();
+  w->then(w);
+}
+
 }  // namespace raidx::cluster

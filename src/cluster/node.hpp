@@ -97,11 +97,20 @@ class Node {
     return params_.cpu_op_overhead + per_byte;
   }
 
-  /// The CPU itself, for a callback chain that charges it without a
-  /// coroutine: take it with acquire_or_park, hold it for the charge's
-  /// time through Simulation::step_after, then release it -- a Charge's
-  /// events in a Charge's order.
-  sim::Resource& cpu() { return cpu_; }
+  /// A Charge for a frameless callback chain (DESIGN.md section 10), whose
+  /// record derives from this waiter.
+  struct ChargeWaiter : sim::Resource::CallbackWaiter {
+    Node* node = nullptr;
+    sim::Time t = 0;
+    void (*then)(ChargeWaiter*) = nullptr;
+  };
+
+  /// Charge's callback form: take the CPU or park `w` behind its FIFO,
+  /// hold it for `t` through Simulation::step_after (delay()'s fast-path
+  /// test, as a Charge makes it), release it, then run `then(w)` -- a
+  /// Charge's events in a Charge's order.  `then` may run before charge()
+  /// returns.
+  void charge(ChargeWaiter* w, sim::Time t, void (*then)(ChargeWaiter*));
 
   /// Charge a raw computation time (checksum/XOR/compile work).
   Charge compute(sim::Time t) { return Charge(*this, t); }
@@ -118,6 +127,10 @@ class Node {
   sim::Time cpu_busy() const { return cpu_.busy_time(); }
 
  private:
+  /// charge() once `w` holds the CPU: the timed step, then charged().
+  static void hold(ChargeWaiter* w);
+  static void charged(ChargeWaiter* w);
+
   sim::Simulation& sim_;
   int id_;
   NodeParams params_;

@@ -9,7 +9,8 @@ Network::Network(sim::Simulation& sim, NetParams params, int nodes)
       params_(params),
       bytes_sent_(static_cast<std::size_t>(nodes), 0),
       msgs_sent_(static_cast<std::size_t>(nodes), 0),
-      up_(static_cast<std::size_t>(nodes), 1) {
+      up_(static_cast<std::size_t>(nodes), 1),
+      messages_(sim) {
   assert(nodes > 0);
   tx_.reserve(static_cast<std::size_t>(nodes));
   rx_.reserve(static_cast<std::size_t>(nodes));

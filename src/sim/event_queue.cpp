@@ -25,6 +25,7 @@ void Simulation::abandon() {
   size_ = 0;
   foreground_ = 0;
   pending_exception_ = nullptr;
+  for (AbandonHook* h = hooks_; h != nullptr; h = h->next) h->drop(h);
   abandoning_ = false;
 }
 

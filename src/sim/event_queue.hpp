@@ -217,14 +217,37 @@ class Simulation {
   /// to `end`, so consecutive windows splice seamlessly.
   void run_window(Time end);
 
-  /// Teardown: destroy every process frame still suspended and drop every
-  /// queued event.  A world calls this before its tiers die, because a run
+  /// Teardown: destroy every process frame still suspended, drop every
+  /// queued event, and end every callback chain in flight (AbandonHook
+  /// below).  A world calls this before its tiers die, because a run
   /// that threw leaves requests mid-flight whose frames hold grants on the
   /// world's resources (and the destructor would otherwise reach them only
   /// after those resources are gone).  While it runs, released resources
   /// hand nothing on: their waiters are being destroyed too.
   void abandon();
   bool abandoning() const { return abandoning_; }
+
+  /// What abandon() must reach besides frames and events: the records a
+  /// frameless callback chain keeps its state in (sim::RecordPool).  An
+  /// owner links its hook for as long as it lives; abandon() runs every
+  /// linked hook's `drop`, newest first, once the frames are destroyed and
+  /// the events dropped.  So a chain in flight ends where a frame would:
+  /// what it holds open (its spans) closes while its world and hub live.
+  struct AbandonHook {
+    void (*drop)(AbandonHook*) noexcept = nullptr;
+    AbandonHook* prev = nullptr;
+    AbandonHook* next = nullptr;
+  };
+  void link(AbandonHook* h) noexcept {
+    h->prev = nullptr;
+    h->next = hooks_;
+    if (hooks_ != nullptr) hooks_->prev = h;
+    hooks_ = h;
+  }
+  void unlink(AbandonHook* h) noexcept {
+    (h->prev != nullptr ? h->prev->next : hooks_) = h->next;
+    if (h->next != nullptr) h->next->prev = h->prev;
+  }
 
   /// Schedule `fn` at the absolute instant `at` (>= now()).  The shard
   /// synchronizer stamps cross-shard messages in the sender's frame of
@@ -399,6 +422,7 @@ class Simulation {
   std::vector<Task<>::Handle> processes_;
   std::vector<std::coroutine_handle<>> finished_;
   std::exception_ptr pending_exception_;
+  AbandonHook* hooks_ = nullptr;  // newest first
   FramePool frame_pool_;
   FramePool::Scope pool_scope_{&frame_pool_};
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "cdd/cdd.hpp"
@@ -437,6 +438,43 @@ TEST(CddFootprint, QueuedLockSyncsHoldSmallFrames) {
   EXPECT_EQ(rig.fabric.sync_records(), kSyncs);
   if (kInstrumentedFrames) GTEST_SKIP() << "frames grow under sanitizers";
   EXPECT_EQ(rig.sim.frame_pool_stats().pooled_bytes / kSyncs, 0u);
+}
+
+TEST(CddFootprint, AbandonEndsLockSyncsInFlight) {
+  // Eight syncs queue for node 1's CPU, and a grant homed on node 2 fans
+  // out over the wire; the run is abandoned with one sync holding the CPU,
+  // the rest parked behind it and the fan-out's messages in flight.  Each
+  // sync's span closes at abandon(), while the hub lives, as the frames
+  // syncs once were closed theirs -- so a hub that dies before the fabric
+  // (a sharded world's does) is never reached from a record.
+  auto hub = std::make_unique<obs::Hub>();
+  hub->tracing = true;
+  Rig rig(test::small_cluster());
+  rig.sim.set_hub(hub.get());
+  for (int i = 0; i < 8; ++i) {
+    Request sync;
+    sync.op = Request::Op::kLockSync;
+    sync.from = 0;
+    rig.fabric.service(1).mailbox().send(std::move(sync));
+  }
+  std::vector<int> order;
+  rig.sim.spawn(lock_unlock(rig.fabric, 2, {6}, 100, &order, 0, rig.sim));
+  rig.sim.run_until(sim::microseconds(700));
+  const std::uint64_t applied =
+      rig.fabric.service(1).lock_table().replica_updates();
+  EXPECT_GT(applied, 0u);
+  EXPECT_LT(applied, 8u);
+  rig.sim.abandon();
+  int syncs = 0;
+  for (const obs::SpanRecord& s : hub->tracer().spans()) {
+    const std::string name = s.name;
+    if (name == "cdd.serve.locksync" || name == "cdd.replicate") ++syncs;
+    EXPECT_GE(s.end, s.begin) << name;
+  }
+  EXPECT_GT(syncs, static_cast<int>(applied));
+  EXPECT_EQ(rig.fabric.service(1).lock_table().replica_updates(), applied);
+  rig.sim.set_hub(nullptr);
+  hub.reset();
 }
 
 sim::Task<> remote_read(CddFabric& f, std::uint64_t offset, int* ok) {

@@ -132,11 +132,12 @@ TEST(Node, ComputeChargesRawTime) {
 // --- Frameless CPU charges, event for event --------------------------------
 //
 // Node::cpu_work and Node::compute are awaitables with no frame of their
-// own.  They must schedule exactly what the coroutine they replace did:
-// acquire the CPU, delay() for the service time, release.  Each scenario
-// runs the same jobs through that reference coroutine on a bare Resource
-// and through a Node's CPU, and compares every completion instant and
-// order, the event count and the delay() fast resumes.
+// own, and Node::charge is their callback form.  Each must schedule
+// exactly what the coroutine they replace did: acquire the CPU, delay()
+// for the service time, release.  Each scenario runs the same jobs through
+// that reference coroutine on a bare Resource, through a Node's Charge and
+// through its charge(), and compares every completion instant and order,
+// the event count and the delay() fast resumes.
 
 sim::Task<> reference_charge(sim::Simulation& sim, sim::Resource& cpu,
                              sim::Time t) {
@@ -147,6 +148,34 @@ sim::Task<> reference_charge(sim::Simulation& sim, sim::Resource& cpu,
 struct Job {
   sim::Time start = 0;
   std::vector<std::uint64_t> charges;  // bytes for cpu_work, else ns
+};
+
+/// Node::charge driven from a coroutine: the waiter lives in the frame,
+/// and its continuation resumes the coroutine unless charge() ended at
+/// once, when the coroutine goes straight on.
+struct CallbackCharge : Node::ChargeWaiter {
+  CallbackCharge(Node& n, sim::Time t) : n(n), t(t) {}
+  Node& n;
+  sim::Time t;
+  std::coroutine_handle<> caller{};
+  bool parked = false;
+  bool ended = false;
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    caller = h;
+    n.charge(this, t, [](Node::ChargeWaiter* w) {
+      auto* self = static_cast<CallbackCharge*>(w);
+      if (self->parked) {
+        self->caller.resume();
+      } else {
+        self->ended = true;
+      }
+    });
+    parked = !ended;
+    return parked;
+  }
+  void await_resume() const noexcept {}
 };
 
 struct ChargeRun {
@@ -179,8 +208,9 @@ ChargeRun run_jobs(sim::Simulation& sim, MakeCharge charge,
   return out;
 }
 
-/// The reference and the Node's charge on the same jobs; `bytes` selects
+/// The reference and the Node's Charge on the same jobs; `bytes` selects
 /// cpu_work (charges are payload bytes) over compute (charges are ns).
+/// Node::charge runs the same jobs too and must equal the reference.
 std::pair<ChargeRun, ChargeRun> both_charges(const std::vector<Job>& jobs,
                                              bool bytes) {
   const NodeParams params;
@@ -212,6 +242,18 @@ std::pair<ChargeRun, ChargeRun> both_charges(const std::vector<Job>& jobs,
                        },
                        jobs);
   EXPECT_EQ(node.cpu_busy(), cpu.busy_time());
+
+  sim::Simulation cb_sim;
+  Node cb_node(cb_sim, 0, params, disk::BusParams{}, disk::DiskParams{},
+               /*num_disks=*/0);
+  const ChargeRun callback = run_jobs(
+      cb_sim,
+      [&cb_node, &service](std::uint64_t c) {
+        return CallbackCharge(cb_node, service(c));
+      },
+      jobs);
+  EXPECT_EQ(callback, ref) << "Node::charge, bytes " << bytes;
+  EXPECT_EQ(cb_node.cpu_busy(), cpu.busy_time());
   return {ref, got};
 }
 

@@ -239,16 +239,24 @@ std::string describe(const obs::SpanRecord& s) {
   return out;
 }
 
+/// Run `messages` to the end, or (stop > 0) until `stop` and abandon the
+/// run there, with messages still in flight.
 template <typename Transmit>
 MessageRun run_messages(sim::Simulation& sim, obs::Hub& hub,
                         Transmit transmit,
-                        const std::vector<Message>& messages) {
+                        const std::vector<Message>& messages,
+                        sim::Time stop) {
   MessageRun out;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     sim.spawn(message_job(sim, transmit, static_cast<int>(i), &messages[i],
                           &out));
   }
-  sim.run();
+  if (stop > 0) {
+    sim.run_until(stop);
+    sim.abandon();
+  } else {
+    sim.run();
+  }
   out.events = sim.events_processed();
   out.fast_resumes = sim.queue_stats().fast_resumes;
   for (const obs::SpanRecord& s : hub.tracer().spans()) {
@@ -259,10 +267,11 @@ MessageRun run_messages(sim::Simulation& sim, obs::Hub& hub,
 }
 
 /// The reference and the Network on the same messages, each on its own
-/// traced simulation; `down` nodes are cut off before anything runs.
+/// traced simulation; `down` nodes are cut off before anything runs, and
+/// a positive `stop` abandons both runs at that instant.
 std::pair<MessageRun, MessageRun> both_paths(
     const std::vector<Message>& messages, NetParams params = {},
-    std::vector<int> down = {}) {
+    std::vector<int> down = {}, sim::Time stop = 0) {
   constexpr int kNodes = 4;
   obs::Hub ref_hub;
   ref_hub.tracing = true;
@@ -275,7 +284,7 @@ std::pair<MessageRun, MessageRun> both_paths(
       [&ref](int from, int to, std::uint64_t bytes) {
         return reference_transmit(ref, from, to, bytes);
       },
-      messages);
+      messages, stop);
 
   obs::Hub hub;
   hub.tracing = true;
@@ -288,7 +297,7 @@ std::pair<MessageRun, MessageRun> both_paths(
       [&net](int from, int to, std::uint64_t bytes) {
         return net.transmit(from, to, bytes);
       },
-      messages);
+      messages, stop);
   for (int n = 0; n < kNodes; ++n) {
     EXPECT_EQ(net.tx_busy(n), ref.tx[static_cast<std::size_t>(n)]->busy_time());
     EXPECT_EQ(net.rx_busy(n), ref.rx[static_cast<std::size_t>(n)]->busy_time());
@@ -370,6 +379,42 @@ TEST(FramelessTransmit, ZeroByteMessagesMatchTheCoroutine) {
   const auto [bare_want, bare_got] = both_paths(messages, bare);
   EXPECT_EQ(bare_got, bare_want);
   EXPECT_EQ(bare_got.done.size(), 4u);
+}
+
+TEST(FramelessTransmit, AbandonEndsMessagesInFlightLikeTheirFrames) {
+  // Abandoned mid-run: messages parked on both ports' FIFOs and in timed
+  // steps close their spans at abandon(), as the reference's destroyed
+  // frames do, and none completes.
+  const std::vector<Message> messages = {
+      {0, 0, 1, 30000}, {0, 0, 2, 5000}, {0, 0, 3, 20000},
+      {0, 1, 2, 40000}, {0, 3, 2, 10000}, {7000, 1, 2, 2500}};
+  const auto [want, got] =
+      both_paths(messages, {}, {}, sim::microseconds(3500));
+  EXPECT_EQ(got, want);
+  EXPECT_LT(got.done.size(), messages.size());
+  for (const std::string& span : got.spans) {
+    EXPECT_EQ(span.find(", -1]"), std::string::npos) << span;
+  }
+}
+
+TEST(FramelessTransmit, AbandonedMessagesNeverReachADeadHub) {
+  // A sharded world's hub dies before its Network: abandon() must have
+  // ended every message first (under ASan this test is the check).
+  sim::Simulation sim;
+  auto hub = std::make_unique<obs::Hub>();
+  hub->tracing = true;
+  sim.set_hub(hub.get());
+  {
+    Network net(sim, {}, 4);
+    for (int i = 0; i < 3; ++i) sim.spawn(send(net, 0, 1, 50000, sim));
+    sim.run_until(sim::microseconds(100));
+    sim.abandon();
+    for (const obs::SpanRecord& s : hub->tracer().spans()) {
+      EXPECT_GE(s.end, s.begin) << describe(s);
+    }
+    sim.set_hub(nullptr);
+    hub.reset();
+  }
 }
 
 }  // namespace
